@@ -7,7 +7,7 @@ statevector or an exact two-branch backend, and computes the sensing
 figures of merit (gravimetry, strain response, required-qubit scaling).
 """
 
-from .branch import BranchState, accumulate, ancilla_probabilities, init_entangled
+from .branch import ancilla_probabilities
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import (
     ChipGeometry,

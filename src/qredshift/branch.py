@@ -1,59 +1,28 @@
-"""Closed-form simulation of the measurement protocol's two-branch subspace.
+"""Closed-form readout of the measurement protocol's two-branch subspace.
 
 Once the ancilla is entangled with the register, the joint state never
-leaves span{|0>|minus>, |1>|plus>}: the dephasing channel is diagonal and
-only rotates the two branch amplitudes.  Tracking those two amplitudes
-(and their accumulated phases) reproduces the dense simulation exactly at
-O(1) cost per update, which is what makes register sizes of 1e5..1e7
-tractable.
+leaves span{|0>|minus>, |1>|plus>}: it starts as
+(|0>|minus> + i |1>|plus>) / sqrt(2), and the dephasing channel is
+diagonal, so it only rotates the two branch phases.  The ancilla then
+reads out nothing but their difference dphi = phi_plus - phi_minus, which
+for the sign partition is sum_k |theta_k| (protocol.expected_delta_phi).
+Evaluating the sine law on that one number reproduces the dense
+simulation exactly at O(n) numpy cost, which is what makes register sizes
+of 1e5..1e7 tractable.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
-from dataclasses import dataclass
 
-__all__ = ["BranchState", "init_entangled", "accumulate", "ancilla_probabilities"]
-
-_SQRT1_2 = 1.0 / math.sqrt(2.0)
+__all__ = ["ancilla_probabilities"]
 
 
-@dataclass(frozen=True)
-class BranchState:
-    """Amplitudes of |0>|minus> and |1>|plus>, plus the phases each has accrued."""
-
-    amp_minus: complex
-    amp_plus: complex
-    phi_minus: float = 0.0
-    phi_plus: float = 0.0
-
-    def norm(self) -> float:
-        return math.sqrt(abs(self.amp_minus) ** 2 + abs(self.amp_plus) ** 2)
-
-
-def init_entangled() -> BranchState:
-    """State after the entangling steps: (|0>|minus> + i |1>|plus>) / sqrt(2)."""
-    return BranchState(amp_minus=complex(_SQRT1_2), amp_plus=1j * _SQRT1_2)
-
-
-def accumulate(state: BranchState, phi_plus: float, phi_minus: float) -> BranchState:
-    """Let the branches pick up phases phi_plus and phi_minus."""
-    return BranchState(
-        amp_minus=state.amp_minus * cmath.exp(1j * phi_minus),
-        amp_plus=state.amp_plus * cmath.exp(1j * phi_plus),
-        phi_minus=state.phi_minus + phi_minus,
-        phi_plus=state.phi_plus + phi_plus,
-    )
-
-
-def ancilla_probabilities(state: BranchState) -> tuple[float, float]:
+def ancilla_probabilities(delta_phi: float) -> tuple[float, float]:
     """(P(0), P(1)) of the ancilla after disentangling and the final Hadamard.
 
-    With dphi = phi_plus - phi_minus the readout is the sine law
-    P(1) = 1/2 + 1/2 sin(dphi); P(0) is returned as 1 - P(1) so the pair
-    always sums to one exactly.
+    The readout is the sine law P(1) = 1/2 + 1/2 sin(dphi); P(0) is
+    returned as 1 - P(1) so the pair always sums to one exactly.
     """
-    delta = state.phi_plus - state.phi_minus
-    p_one = 0.5 + 0.5 * math.sin(delta)
+    p_one = 0.5 + 0.5 * math.sin(delta_phi)
     return 1.0 - p_one, p_one

@@ -24,11 +24,11 @@ from typing import Any, TextIO
 import numpy as np
 
 from . import __version__
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import GravScenario, fractional_shift_mass, fractional_shift_vertical, line_chip
 from .protocol import run_protocol
 from .rng import substream_seed
-from .scenario import ScenarioDocument, ScenarioError, load_scenario
+from .scenario import ScenarioDocument, ScenarioError, load_scenario, parse_constants
 from .sensing import (
     SensingConfig,
     closed_form_phase,
@@ -43,6 +43,8 @@ from .statevector import ResourceCapError
 __all__ = ["ResultTable", "main", "read_result_csv"]
 
 _FLOAT_FMT = ".17g"
+# accumulation time of `sweep --target phase` when --time-s is not given
+_PHASE_TIME_S = 1e-3
 
 _SWEEP_PARAMS = {
     "gravimeter": ("n", "tc", "freq", "ell"),
@@ -126,7 +128,7 @@ def _provenance(constants: PhysicalConstants, seed: int | None, reproducible: bo
         "seed": "" if seed is None else str(seed),
         "constants": ",".join(
             f"{name}={format(getattr(constants, name), _FLOAT_FMT)}"
-            for name in ("c", "G", "g0", "earth_mass", "earth_radius")
+            for name in CONSTANT_NAMES
         ),
     }
     if not reproducible:
@@ -150,18 +152,12 @@ def _emit(table: ResultTable, inputs: dict[str, Any], args: argparse.Namespace) 
 def _load_constants(args: argparse.Namespace) -> PhysicalConstants:
     if not args.constants_file:
         return DEFAULT_CONSTANTS
-    text = Path(args.constants_file).read_text(encoding="utf-8")
+    source = f"constants file {args.constants_file}"
     try:
-        overrides = json.loads(text)
+        overrides = json.loads(Path(args.constants_file).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ValueError(f"constants file {args.constants_file}: invalid JSON: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ValueError("constants file must hold a JSON object")
-    known = {"c", "G", "g0", "earth_mass", "earth_radius"}
-    for key in overrides:
-        if key not in known:
-            raise ValueError(f"constants file: unknown constant '{key}'")
-    return PhysicalConstants(**{k: float(v) for k, v in overrides.items()})
+        raise ValueError(f"{source}: invalid JSON: {exc}") from exc
+    return parse_constants(overrides, source)
 
 
 def _int_arg(text: str) -> int:
@@ -242,8 +238,6 @@ def _cmd_protocol(args: argparse.Namespace) -> int:
     shots = doc.run.shots if args.shots is None else args.shots
     seed = doc.run.seed if args.seed is None else args.seed
     backend = doc.run.backend if args.backend is None else args.backend
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
     table = ResultTable(
         columns=_PROTOCOL_COLUMNS,
         provenance=_provenance(doc.scenario.constants, seed, args.reproducible),
@@ -364,9 +358,12 @@ def _sweep_values(args: argparse.Namespace) -> list[float]:
 def _sweep_point(args: argparse.Namespace, constants: PhysicalConstants,
                  doc: ScenarioDocument | None, index: int, value: float) -> tuple[list[str], tuple]:
     """Columns and row for one sweep point; pure in (args, value) so points are order-free."""
+    run_time_s = _PHASE_TIME_S if doc is None else doc.run.time_s
+    run_shots = None if doc is None else doc.run.shots
     params = {
         "n": args.n, "tc": args.tc, "freq": args.freq_ghz, "ell": args.ell,
-        "time": args.time_s, "shots": args.shots,
+        "time": run_time_s if args.time_s is None else args.time_s,
+        "shots": run_shots if args.shots is None else args.shots,
     }
     params[args.param] = value
     n = int(round(params["n"]))
@@ -411,12 +408,9 @@ def _sweep_point(args: argparse.Namespace, constants: PhysicalConstants,
         )
     scenario = GravScenario(geometry=geometry, perturbation=doc.scenario.perturbation,
                             constants=doc.scenario.constants)
-    shots = int(round(params["shots"])) if args.param == "shots" else (
-        doc.run.shots if args.shots is None else int(args.shots))
-    time_s = params["time"] if args.param == "time" else (
-        doc.run.time_s if args.time_s is None else args.time_s)
     base_seed = doc.run.seed if args.seed is None else args.seed
-    outcome = run_protocol(scenario, time_s, shots, substream_seed(base_seed, index), doc.run.backend)
+    outcome = run_protocol(scenario, params["time"], int(params["shots"]),
+                           substream_seed(base_seed, index), doc.run.backend)
     return (
         ["analytic_delta_phi_rad", "p_one", "p_hat", "delta_phi_hat_rad", "std_error_rad", "count_one"],
         (outcome.analytic_delta_phi, outcome.p_one, outcome.p_hat,
@@ -540,8 +534,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", required=True, help="output CSV path")
     p.add_argument("--geometry", choices=("1d", "2d"), default="1d")
     p.add_argument("--scenario", default=None, help="scenario file for --target protocol")
-    p.add_argument("--time-s", dest="time_s", type=float, default=1e-3)
-    p.add_argument("--shots", type=_int_arg, default=None)
+    p.add_argument("--time-s", dest="time_s", type=float, default=None,
+                   help="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
+    p.add_argument("--shots", type=_int_arg, default=None, help="shots (default: the scenario's run.shots)")
     _add_sensing_flags(p)
     p.set_defaults(func=_cmd_sweep)
 

@@ -7,6 +7,7 @@ reproduce back-of-the-envelope estimates that use round numbers
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 
@@ -30,8 +31,8 @@ class PhysicalConstants:
     def __post_init__(self) -> None:
         for f in fields(self):
             value = getattr(self, f.name)
-            if not value > 0.0:
-                raise ValueError(f"constant {f.name} must be strictly positive, got {value!r}")
+            if not (math.isfinite(value) and value > 0.0):
+                raise ValueError(f"constant {f.name} must be finite and strictly positive, got {value!r}")
 
     @property
     def c_squared(self) -> float:
@@ -43,3 +44,4 @@ class PhysicalConstants:
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()
+CONSTANT_NAMES = tuple(f.name for f in fields(PhysicalConstants))

@@ -19,9 +19,11 @@ controlled-X layer is what moves the branch phase difference onto the
 ancilla; without it the register stays entangled and the ancilla reads
 P(1) = 1/2 regardless of dphi.
 
-Shot sampling is vectorized against the exact ancilla probability using
-the counter-based streams of qredshift.rng, so a run is reproducible from
-(seed, shot index) alone on either backend.
+The statevector backend runs that circuit densely; the branch backend
+evaluates the sine law on dphi = sum_k |theta_k| directly and never builds
+the partition.  Shot sampling is vectorized against the exact ancilla
+probability using the counter-based streams of qredshift.rng, so a run is
+reproducible from (seed, shot index) alone on either backend.
 """
 
 from __future__ import annotations
@@ -29,22 +31,21 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from math import fsum
 
 import numpy as np
 
 from . import branch as branch_engine
 from . import statevector as sv
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import ChipGeometry, DephasingAngles, GravScenario, dephasing_angles, vertical_displacements
+from .gravity import ChipGeometry, DephasingAngles, GravScenario, VerticalRotation, dephasing_angles
 from .rng import shot_uniforms
+from .sensing import closed_form_phase
 
 __all__ = [
     "SignPartition",
     "ProtocolOutcome",
     "CumulativePhase",
     "partition_by_sign",
-    "branch_phases",
     "expected_delta_phi",
     "build_circuit",
     "final_state",
@@ -91,23 +92,12 @@ def partition_by_sign(angles: DephasingAngles) -> SignPartition:
     return SignPartition(plus_set=plus, minus_set=minus)
 
 
-def branch_phases(angles: DephasingAngles, partition: SignPartition | None = None) -> tuple[float, float]:
-    """(phi_plus, phi_minus): each branch's phase, compensated-summed over its sites.
-
-    fsum keeps the rounding error of summing 1e5..1e7 tiny angles below
-    anything the 1e-12 comparisons can see.
-    """
-    if partition is None:
-        partition = partition_by_sign(angles)
-    theta = angles.angles
-    phi_plus = fsum(float(theta[k - 1]) for k in partition.plus_set)
-    phi_minus = fsum(float(theta[k - 1]) for k in partition.minus_set)
-    return phi_plus, phi_minus
-
-
 def expected_delta_phi(angles: DephasingAngles) -> float:
-    """Analytic dphi = phi_plus - phi_minus = sum of |theta_k| for the sign partition."""
-    return fsum(abs(float(t)) for t in angles.angles)
+    """dphi = phi_plus - phi_minus = sum of |theta_k| for the sign partition.
+
+    numpy's pairwise summation keeps the rounding error at O(eps log n).
+    """
+    return float(np.abs(angles.angles).sum())
 
 
 def build_circuit(partition: SignPartition, angles: DephasingAngles) -> list[sv.Gate]:
@@ -169,13 +159,10 @@ def run_protocol(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     angles = dephasing_angles(scenario, t)
-    partition = partition_by_sign(angles)
     analytic = expected_delta_phi(angles)
 
     if backend == "branch":
-        phi_plus, phi_minus = branch_phases(angles, partition)
-        state = branch_engine.accumulate(branch_engine.init_entangled(), phi_plus, phi_minus)
-        _, p_one = branch_engine.ancilla_probabilities(state)
+        _, p_one = branch_engine.ancilla_probabilities(analytic)
     elif backend == "statevector":
         qubit_count = scenario.geometry.qubit_count + 1
         if qubit_count > sv.MAX_QUBITS:
@@ -183,7 +170,7 @@ def run_protocol(
                 f"{scenario.geometry.qubit_count} register qubits exceed the dense backend; "
                 "use backend='branch'"
             )
-        state = final_state(build_circuit(partition, angles), qubit_count)
+        state = final_state(build_circuit(partition_by_sign(angles), angles), qubit_count)
         p_one = sv.probability_of(state, 0, 1)
     else:
         raise ValueError(f"backend must be 'branch' or 'statevector', got {backend!r}")
@@ -244,8 +231,10 @@ def cumulative_phase_1d(
 ) -> CumulativePhase:
     """dphi accumulated by a 1D chip rotated from horizontal to vertical.
 
-    exact       = (g t / c^2) * sum_k omega_k |x_k|
-    closed_form = g * mean(omega) * spacing * n^2 * t / (4 c^2)
+    exact       = expected_delta_phi of the VerticalRotation(pi/2) angles
+                = (g t / c^2) * sum_k omega_k |x_k|
+    closed_form = sensing.closed_form_phase(n, mean(omega), spacing, t, "1d")
+                = g * mean(omega) * spacing * n^2 * t / (4 c^2)
 
     For uniform frequencies and even n the two coincide, because the
     centered heights satisfy sum_k |x_k| = n^2 * spacing / 4.
@@ -254,16 +243,8 @@ def cumulative_phase_1d(
         raise ValueError("cumulative_phase_1d needs a 1D line geometry")
     if geometry.qubit_count % 2 != 0:
         raise ValueError("cumulative_phase_1d assumes an even number of equally spaced sites")
-    heights = vertical_displacements(geometry, math.pi / 2.0)
-    scale = constants.g0 * t / constants.c_squared
-    exact = scale * fsum(float(w * abs(x)) for w, x in zip(geometry.frequencies, heights))
-    mean_omega = fsum(float(w) for w in geometry.frequencies) / geometry.qubit_count
-    closed = (
-        constants.g0
-        * mean_omega
-        * geometry.spacing
-        * geometry.qubit_count**2
-        * t
-        / (4.0 * constants.c_squared)
-    )
+    rotated = GravScenario(geometry, VerticalRotation(math.pi / 2.0), constants)
+    exact = expected_delta_phi(dephasing_angles(rotated, t))
+    mean_omega = float(np.mean(geometry.frequencies))
+    closed = closed_form_phase(geometry.qubit_count, mean_omega, geometry.spacing, t, "1d", constants)
     return CumulativePhase(exact=exact, closed_form=closed)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import (
     ChipGeometry,
     GravScenario,
@@ -42,7 +42,7 @@ from .gravity import (
     line_chip,
 )
 
-__all__ = ["ScenarioError", "RunSettings", "ScenarioDocument", "load_scenario", "parse_scenario"]
+__all__ = ["ScenarioError", "RunSettings", "ScenarioDocument", "load_scenario", "parse_constants", "parse_scenario"]
 
 SCHEMA_VERSION = 1
 
@@ -53,7 +53,6 @@ _PERTURBATION_KEYS = {
     "translation": {"delta_x_m"},
     "strain": {"strain", "angle_deg"},
 }
-_CONSTANT_KEYS = {"c", "G", "g0", "earth_mass", "earth_radius"}
 
 
 class ScenarioError(ValueError):
@@ -101,6 +100,21 @@ def _integer(value: Any, where: str) -> int:
     return value
 
 
+def parse_constants(overrides: Any, source: str) -> PhysicalConstants:
+    """Constants from a JSON object of overrides: a scenario's "constants", or --constants-file."""
+    if not isinstance(overrides, dict):
+        raise ScenarioError(f"{source}: constants must be a JSON object")
+    for key, value in overrides.items():
+        if key not in CONSTANT_NAMES:
+            raise ScenarioError(f"{source}: unknown constant '{key}'")
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ScenarioError(f"{source}: constant '{key}' must be a number, got {value!r}")
+    try:
+        return PhysicalConstants(**{k: float(v) for k, v in overrides.items()})
+    except ValueError as exc:
+        raise ScenarioError(f"{source}: {exc}") from exc
+
+
 def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")
@@ -111,16 +125,7 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
 
     constants = DEFAULT_CONSTANTS
     if "constants" in doc:
-        overrides = doc["constants"]
-        if not isinstance(overrides, dict):
-            raise ScenarioError("scenario: 'constants' must be an object")
-        _reject_unknown(overrides, _CONSTANT_KEYS, "constants")
-        try:
-            constants = PhysicalConstants(
-                **{k: _number(v, f"constants.{k}") for k, v in overrides.items()}
-            )
-        except ValueError as exc:
-            raise ScenarioError(f"scenario: {exc}") from exc
+        constants = parse_constants(doc["constants"], "scenario")
 
     geo = _require(doc, "geometry", "scenario")
     if not isinstance(geo, dict):
@@ -215,11 +220,7 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
 def load_scenario(path: str | Path) -> ScenarioDocument:
     """Parse and validate a scenario file."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise exc
-    try:
-        doc = json.loads(text)
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"scenario: {path} is not valid JSON: {exc}") from exc
     return parse_scenario(doc)

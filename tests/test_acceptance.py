@@ -15,7 +15,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qredshift.branch import accumulate, ancilla_probabilities, init_entangled
+from qredshift.branch import ancilla_probabilities
 from qredshift.cli import main, read_result_csv
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import DephasingAngles, GravScenario, UniformDeltaG, line_chip
@@ -114,8 +114,8 @@ def test_criterion_3_channel_properties():
 def test_criterion_4_linear_versus_cosine_sensitivity():
     with criterion(4, "readout slope at zero phase: 1/2 linear protocol, 0 cosine baseline", 1.0):
         h = 1e-6
-        up = ancilla_probabilities(accumulate(init_entangled(), h, 0.0))[1]
-        down = ancilla_probabilities(accumulate(init_entangled(), -h, 0.0))[1]
+        up = ancilla_probabilities(h)[1]
+        down = ancilla_probabilities(-h)[1]
         assert (up - down) / (2 * h) == pytest.approx(0.5, abs=1e-6)
         cos_up = standard_pea_probabilities(h)[1]
         cos_down = standard_pea_probabilities(-h)[1]

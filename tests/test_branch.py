@@ -1,77 +1,40 @@
-"""Two-branch engine: initial state, phase accumulation, sine-law readout."""
+"""Two-branch readout: the sine law of the branch phase difference."""
 
 import math
 
 import numpy as np
 import pytest
 
-from qredshift.branch import accumulate, ancilla_probabilities, init_entangled
+from qredshift.branch import ancilla_probabilities
 from qredshift.gravity import DephasingAngles
 from qredshift.protocol import build_circuit, final_state, partition_by_sign
 from qredshift.statevector import probability_of
 
 
-class TestInitEntangled:
-    def test_amplitudes(self):
-        state = init_entangled()
-        assert state.amp_minus == pytest.approx(1 / math.sqrt(2))
-        assert state.amp_plus == pytest.approx(1j / math.sqrt(2))
-
-    def test_quadrature_ratio(self):
-        state = init_entangled()
-        assert state.amp_plus / state.amp_minus == pytest.approx(1j)
-
-    def test_phases_start_at_zero(self):
-        state = init_entangled()
-        assert state.phi_plus == 0.0 and state.phi_minus == 0.0
-
-    def test_unit_norm(self):
-        assert init_entangled().norm() == pytest.approx(1.0, abs=1e-12)
-
-
-class TestAccumulate:
-    def test_zero_is_identity(self):
-        state = accumulate(init_entangled(), 0.0, 0.0)
-        assert state == init_entangled()
-
-    def test_sequential_accumulation_adds(self):
-        a = accumulate(accumulate(init_entangled(), 0.3, -0.2), 0.5, 0.1)
-        b = accumulate(init_entangled(), 0.8, -0.1)
-        assert a.phi_plus == pytest.approx(b.phi_plus, abs=1e-15)
-        assert a.phi_minus == pytest.approx(b.phi_minus, abs=1e-15)
-        assert a.amp_plus == pytest.approx(b.amp_plus, abs=1e-15)
-        assert a.amp_minus == pytest.approx(b.amp_minus, abs=1e-15)
-
-    def test_norm_preserved(self):
-        state = accumulate(init_entangled(), 1.234, -4.321)
-        assert state.norm() == pytest.approx(1.0, abs=1e-12)
-
-
 class TestReadout:
     def test_zero_phase_balanced(self):
-        p0, p1 = ancilla_probabilities(init_entangled())
+        p0, p1 = ancilla_probabilities(0.0)
         assert (p0, p1) == (0.5, 0.5)
 
     def test_quarter_turn_endpoint(self):
-        p0, p1 = ancilla_probabilities(accumulate(init_entangled(), math.pi / 2, 0.0))
+        p0, p1 = ancilla_probabilities(math.pi / 2)
         assert p0 == pytest.approx(0.0, abs=1e-15)
         assert p1 == pytest.approx(1.0, abs=1e-15)
 
     def test_reference_point(self):
-        _, p1 = ancilla_probabilities(accumulate(init_entangled(), 0.1, 0.0))
+        _, p1 = ancilla_probabilities(0.1)
         assert p1 == pytest.approx(0.5499167083234141, abs=1e-15)
 
     def test_probabilities_sum_to_one_exactly(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            state = accumulate(init_entangled(), rng.uniform(-4, 4), rng.uniform(-4, 4))
-            p0, p1 = ancilla_probabilities(state)
+            p0, p1 = ancilla_probabilities(rng.uniform(-4, 4) - rng.uniform(-4, 4))
             assert p0 + p1 == 1.0
 
     def test_slope_one_half_at_origin(self):
         h = 1e-6
-        _, up = ancilla_probabilities(accumulate(init_entangled(), h, 0.0))
-        _, down = ancilla_probabilities(accumulate(init_entangled(), -h, 0.0))
+        _, up = ancilla_probabilities(h)
+        _, down = ancilla_probabilities(-h)
         assert (up - down) / (2 * h) == pytest.approx(0.5, abs=1e-6)
 
 
@@ -87,7 +50,5 @@ class TestSubspaceExactness:
             p1_dense = probability_of(state, 0, 1)
             phi_plus = float(theta[theta >= 0].sum())
             phi_minus = float(theta[theta < 0].sum())
-            _, p1_branch = ancilla_probabilities(
-                accumulate(init_entangled(), phi_plus, phi_minus)
-            )
+            _, p1_branch = ancilla_probabilities(phi_plus - phi_minus)
             assert abs(p1_dense - p1_branch) < 1e-12

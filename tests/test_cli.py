@@ -1,11 +1,15 @@
 """Command-line interface: outputs, determinism, exit codes, sweeps."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from qredshift.cli import main, read_result_csv
+from qredshift.sensing import closed_form_phase
+
+OMEGA_10GHZ = 2.0 * math.pi * 10e9
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -158,6 +162,22 @@ class TestSensingCommands:
         assert "hbar" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("overrides", [{"c": True}, {"g0": float("inf")}])
+    def test_constants_file_non_finite_or_bool_rejected(self, tmp_path, capsys, overrides):
+        path = tmp_path / "constants.json"
+        path.write_text(json.dumps(overrides), encoding="utf-8")
+        code = main(["--constants-file", str(path), "gravimeter"])
+        assert code == 2
+        assert next(iter(overrides)) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("overrides", [{"c": True}, {"g0": float("inf")}])
+    def test_scenario_constants_non_finite_or_bool_rejected(self, tmp_path, capsys, overrides):
+        path = scenario_file(tmp_path, constants=overrides)
+        code = main(["protocol", path])
+        assert code == 2
+        assert next(iter(overrides)) in capsys.readouterr().err
+
+
 class TestCsvFormat:
     def test_round_trip_at_full_precision(self, capsys):
         code, out = run_cli(capsys, "--reproducible", "gravimeter", "--n", "1e3", "--tc", "1e-3")
@@ -228,6 +248,21 @@ class TestSweep:
         assert code == 0
         _, columns, rows = read_result_csv(out_csv.read_text(encoding="utf-8"))
         assert [r[0] for r in rows] == [100, 300, 500]
+
+    def test_protocol_sweep_uses_scenario_time(self, tmp_path, capsys):
+        path = scenario_file(tmp_path, run={"time_s": 5.0, "shots": 1000, "seed": 42, "backend": "branch"})
+        base = ["--reproducible", "sweep", "--target", "protocol", "--param", "shots",
+                "--from", "100", "--to", "500", "--steps", "3", "--scenario", path]
+        expected = {
+            (): closed_form_phase(8, OMEGA_10GHZ, 1e-3, 5.0),
+            ("--time-s", "1e-3"): closed_form_phase(8, OMEGA_10GHZ, 1e-3, 1e-3),
+        }
+        for flags, phase in expected.items():
+            out_csv = tmp_path / "proto.csv"
+            assert run_cli(capsys, *base, *flags, "--out", str(out_csv))[0] == 0
+            _, columns, rows = read_result_csv(out_csv.read_text(encoding="utf-8"))
+            for row in rows:
+                assert row[columns.index("analytic_delta_phi_rad")] == pytest.approx(phase, rel=1e-12)
 
     def test_sweep_deterministic_files(self, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

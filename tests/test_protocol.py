@@ -15,7 +15,6 @@ from qredshift.gravity import (
     line_chip,
 )
 from qredshift.protocol import (
-    branch_phases,
     build_circuit,
     cumulative_phase_1d,
     expected_delta_phi,
@@ -25,6 +24,7 @@ from qredshift.protocol import (
     sample_outcomes,
     standard_pea_probabilities,
 )
+from qredshift.sensing import closed_form_phase
 from qredshift.statevector import ResourceCapError, probability_of
 
 OMEGA_10GHZ = 2.0 * math.pi * 10e9
@@ -119,11 +119,18 @@ class TestExpectedDeltaPhi:
                 float(np.abs(theta).sum()), rel=1e-14
             )
 
+    def test_million_angles_match_fsum(self):
+        theta = np.random.default_rng(53).normal(scale=1e-10, size=10**6)
+        exact = math.fsum(np.abs(theta))
+        assert abs(expected_delta_phi(DephasingAngles(theta, 1.0)) - exact) <= 1e-14 * exact
+
     def test_branch_phases_split(self):
-        angles = angles_of(0.5, -0.25, 0.125)
-        phi_plus, phi_minus = branch_phases(angles)
+        theta = np.array([0.5, -0.25, 0.125])
+        phi_plus = float(theta[theta >= 0].sum())
+        phi_minus = float(theta[theta < 0].sum())
         assert phi_plus == pytest.approx(0.625, abs=1e-15)
         assert phi_minus == pytest.approx(-0.25, abs=1e-15)
+        assert expected_delta_phi(angles_of(*theta)) == pytest.approx(phi_plus - phi_minus, abs=1e-15)
 
 
 class TestSineLaw:
@@ -138,16 +145,15 @@ class TestSineLaw:
             assert abs(p1 - (0.5 + 0.5 * math.sin(expected_delta_phi(angles)))) < 1e-12
 
     def test_sign_flip_swaps_probabilities(self):
-        from qredshift.branch import accumulate, ancilla_probabilities, init_entangled
+        from qredshift.branch import ancilla_probabilities
 
         rng = np.random.default_rng(41)
         for _ in range(20):
             theta = rng.normal(size=6)
-            angles = angles_of(*theta)
-            partition = partition_by_sign(angles)
-            phi_plus, phi_minus = branch_phases(angles, partition)
-            p0, p1 = ancilla_probabilities(accumulate(init_entangled(), phi_plus, phi_minus))
-            q0, q1 = ancilla_probabilities(accumulate(init_entangled(), -phi_plus, -phi_minus))
+            phi_plus = float(theta[theta >= 0].sum())
+            phi_minus = float(theta[theta < 0].sum())
+            p0, p1 = ancilla_probabilities(phi_plus - phi_minus)
+            q0, q1 = ancilla_probabilities((-phi_plus) - (-phi_minus))
             assert q1 == pytest.approx(p0, abs=1e-15)
             assert q0 == pytest.approx(p1, abs=1e-15)
 
@@ -173,10 +179,10 @@ class TestStandardPea:
         h = 1e-6
         cos_slope = (standard_pea_probabilities(h)[1] - standard_pea_probabilities(-h)[1]) / (2 * h)
         assert cos_slope == pytest.approx(0.0, abs=1e-6)
-        from qredshift.branch import accumulate, ancilla_probabilities, init_entangled
+        from qredshift.branch import ancilla_probabilities
 
-        up = ancilla_probabilities(accumulate(init_entangled(), h, 0.0))[1]
-        down = ancilla_probabilities(accumulate(init_entangled(), -h, 0.0))[1]
+        up = ancilla_probabilities(h)[1]
+        down = ancilla_probabilities(-h)[1]
         assert (up - down) / (2 * h) == pytest.approx(0.5, abs=1e-6)
 
 
@@ -238,6 +244,13 @@ class TestRunProtocol:
             if abs(outcome.delta_phi_hat - 0.1) < 3 * outcome.std_error:
                 hits += 1
         assert hits >= 198
+
+    def test_branch_sine_law_on_million_site_chip(self):
+        n = 10**6
+        sc = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        outcome = run_protocol(sc, 3e-4, 1000, seed=8, backend="branch")
+        closed = closed_form_phase(n, OMEGA_10GHZ, 1e-3, 3e-4)
+        assert abs(outcome.p_one - (0.5 + 0.5 * math.sin(closed))) < 1e-12
 
     def test_statevector_cap_suggests_branch(self):
         sc = GravScenario(line_chip(30, 1e-3, OMEGA_10GHZ), UniformDeltaG(1e-6))
