@@ -5,7 +5,8 @@ sweep.  Global flags: --seed, --constants-file, --out {csv,json},
 --reproducible (suppresses the timestamp so repeated runs are
 byte-identical).
 
-Exit codes: 0 success, 2 validation error, 3 resource cap, 4 I/O error.
+Exit codes: 0 success, 2 validation or usage error, 3 resource cap (dense
+register size, shot count), 4 I/O error; an error is one stderr line.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import tempfile
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, TextIO
+from typing import Any, NoReturn, TextIO
 
 import numpy as np
 
@@ -160,8 +161,19 @@ def _load_constants(args: argparse.Namespace) -> PhysicalConstants:
     return parse_constants(overrides, source)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every real-valued flag: nan, inf and malformed text are usage errors."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _int_arg(text: str) -> int:
-    return int(float(text))
+    return int(_finite_float(text))
 
 
 # --- subcommands ------------------------------------------------------------
@@ -473,14 +485,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _add_sensing_flags(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
     if with_n:
         parser.add_argument("--n", type=_int_arg, default=1000, help="qubit count")
-    parser.add_argument("--tc", type=float, default=1e-3, help="coherence time, s")
-    parser.add_argument("--freq-ghz", type=float, default=10.0, help="mean qubit frequency, GHz")
-    parser.add_argument("--ell", type=float, default=1e-3, help="site spacing, m")
-    parser.add_argument("--phase-res", type=float, default=0.1, help="resolvable phase, rad")
+    parser.add_argument("--tc", type=_finite_float, default=1e-3, help="coherence time, s")
+    parser.add_argument("--freq-ghz", type=_finite_float, default=10.0, help="mean qubit frequency, GHz")
+    parser.add_argument("--ell", type=_finite_float, default=1e-3, help="site spacing, m")
+    parser.add_argument("--phase-res", type=_finite_float, default=0.1, help="resolvable phase, rad")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as one stderr line and exit code 2, like main()'s errors."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qredshift",
         description="Gravitational-redshift dephasing: channel numbers, protocol runs, sensing estimates.",
     )
@@ -493,30 +512,30 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("redshift", help="single-qubit frequency shift and phase rate")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta-x", type=float, help="vertical displacement, m")
-    group.add_argument("--mass", type=float, help="proximal mass, kg")
-    p.add_argument("--distance", type=float, help="distance to the proximal mass, m")
-    p.add_argument("--freq-ghz", type=float, default=10.0, help="qubit frequency, GHz")
+    group.add_argument("--delta-x", type=_finite_float, help="vertical displacement, m")
+    group.add_argument("--mass", type=_finite_float, help="proximal mass, kg")
+    p.add_argument("--distance", type=_finite_float, help="distance to the proximal mass, m")
+    p.add_argument("--freq-ghz", type=_finite_float, default=10.0, help="qubit frequency, GHz")
     p.set_defaults(func=_cmd_redshift)
 
     p = sub.add_parser("protocol", help="run the phase-measurement protocol on a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--shots", type=_int_arg, default=None, help="override run.shots")
-    p.add_argument("--time-s", type=float, default=None, help="override run.time_s")
+    p.add_argument("--time-s", type=_finite_float, default=None, help="override run.time_s")
     p.add_argument("--backend", choices=("branch", "statevector"), default=None,
                    help="override run.backend")
     p.set_defaults(func=_cmd_protocol)
 
     p = sub.add_parser("gravimeter", help="delta-g sensitivity of a GHZ register")
     _add_sensing_flags(p)
-    p.add_argument("--delta-g", type=float, default=None, help="also report the phase for this delta_g")
-    p.add_argument("--time-s", type=float, default=None, help="accumulation time for --delta-g")
+    p.add_argument("--delta-g", type=_finite_float, default=None, help="also report the phase for this delta_g")
+    p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --delta-g")
     p.set_defaults(func=_cmd_gravimeter)
 
     p = sub.add_parser("strain", help="minimum detectable strain of a GHZ register")
     _add_sensing_flags(p)
-    p.add_argument("--strain", type=float, default=None, help="also report the phase at this strain")
-    p.add_argument("--time-s", type=float, default=None, help="accumulation time for --strain")
+    p.add_argument("--strain", type=_finite_float, default=None, help="also report the phase at this strain")
+    p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --strain")
     p.set_defaults(func=_cmd_strain)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
@@ -527,14 +546,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="evaluate a target over a parameter grid, write CSV")
     p.add_argument("--target", choices=tuple(_SWEEP_PARAMS), required=True)
     p.add_argument("--param", choices=tuple(_PARAM_COLUMN), required=True)
-    p.add_argument("--from", dest="sweep_from", type=float, required=True)
-    p.add_argument("--to", dest="sweep_to", type=float, required=True)
+    p.add_argument("--from", dest="sweep_from", type=_finite_float, required=True)
+    p.add_argument("--to", dest="sweep_to", type=_finite_float, required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--out", dest="out_path", required=True, help="output CSV path")
     p.add_argument("--geometry", choices=("1d", "2d"), default="1d")
     p.add_argument("--scenario", default=None, help="scenario file for --target protocol")
-    p.add_argument("--time-s", dest="time_s", type=float, default=None,
+    p.add_argument("--time-s", dest="time_s", type=_finite_float, default=None,
                    help="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
     p.add_argument("--shots", type=_int_arg, default=None, help="shots (default: the scenario's run.shots)")
     _add_sensing_flags(p)

@@ -21,9 +21,11 @@ P(1) = 1/2 regardless of dphi.
 
 The statevector backend runs that circuit densely; the branch backend
 evaluates the sine law on dphi = sum_k |theta_k| directly and never builds
-the partition.  Shot sampling is vectorized against the exact ancilla
-probability using the counter-based streams of qredshift.rng, so a run is
-reproducible from (seed, shot index) alone on either backend.
+the partition.  run_protocol counts the shots against the exact ancilla
+probability in fixed-size chunks of the counter-based streams of
+qredshift.rng, so its memory does not grow with the shot count and a run
+is reproducible from (seed, shot index) alone on either backend;
+sample_outcomes returns the same shots as a per-shot array.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ from . import branch as branch_engine
 from . import statevector as sv
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import ChipGeometry, DephasingAngles, GravScenario, VerticalRotation, dephasing_angles
-from .rng import shot_uniforms
+from .rng import count_below, shot_uniforms
 from .sensing import closed_form_phase
 
 __all__ = [
+    "MAX_SHOTS",
     "SignPartition",
     "ProtocolOutcome",
     "CumulativePhase",
@@ -54,6 +57,12 @@ __all__ = [
     "standard_pea_probabilities",
     "cumulative_phase_1d",
 ]
+
+# Most shots run_protocol takes; above it the run raises ResourceCapError
+# (CLI exit code 3).  The streamed count needs fixed memory, so the cap
+# bounds run time: 1e9 shots took 9.5 s on one core of a 2-vCPU machine,
+# so the cap is about a hundred seconds.
+MAX_SHOTS = 10**10
 
 
 @dataclass(frozen=True)
@@ -158,6 +167,8 @@ def run_protocol(
     """Execute the protocol on `backend` ("branch" or "statevector") and estimate dphi."""
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise sv.ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     angles = dephasing_angles(scenario, t)
     analytic = expected_delta_phi(angles)
 
@@ -175,8 +186,7 @@ def run_protocol(
     else:
         raise ValueError(f"backend must be 'branch' or 'statevector', got {backend!r}")
 
-    outcomes = sample_outcomes(p_one, shots, seed)
-    count_one = int(np.count_nonzero(outcomes))
+    count_one = count_below(seed, shots, p_one)
     p_hat = count_one / shots
     delta_hat, slope, saturated = _estimate(p_hat)
     if saturated:

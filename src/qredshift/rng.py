@@ -17,6 +17,10 @@ _WORD_MASK = (1 << 64) - 1
 # consumes one word per double.
 _WORDS_PER_BLOCK = 4
 
+# Uniforms per chunk of count_below: a 2 MB float64 buffer, about one L2
+# cache, so the count runs in fixed memory whatever the shot count.
+_COUNT_CHUNK = 1 << 18
+
 
 def shot_stream(seed: int, start: int = 0) -> np.random.Generator:
     """Generator positioned so its next draw is uniform number `start` of the stream."""
@@ -34,6 +38,25 @@ def shot_stream(seed: int, start: int = 0) -> np.random.Generator:
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniforms [start, start + count) of the stream keyed by `seed`."""
     return shot_stream(seed, start).random(count)
+
+
+def count_below(seed: int, count: int, threshold: float) -> int:
+    """How many of uniforms [0, count) of the stream keyed by `seed` are < `threshold`.
+
+    Equal to np.count_nonzero(shot_uniforms(seed, count) < threshold) for
+    every seed and count, but drawn in fixed-size chunks into one buffer:
+    Generator.random takes one Philox word per double and the Philox state
+    carries over between calls, so consecutive chunks continue the same
+    sequence.
+    """
+    stream = shot_stream(seed)
+    buffer = np.empty(min(count, _COUNT_CHUNK))
+    below = 0
+    for start in range(0, count, _COUNT_CHUNK):
+        chunk = buffer[: min(_COUNT_CHUNK, count - start)]
+        stream.random(out=chunk)
+        below += int(np.count_nonzero(chunk < threshold))
+    return below
 
 
 def substream_seed(seed: int, index: int) -> int:

@@ -88,10 +88,16 @@ def _reject_unknown(mapping: dict[str, Any], allowed: set[str], where: str) -> N
             raise ScenarioError(f"scenario: unknown key '{key}' in {where}")
 
 
-def _number(value: Any, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ScenarioError(f"scenario: '{where}' must be a number, got {value!r}")
-    return float(value)
+def _number(value: Any, where: str, source: str = "scenario") -> float:
+    """A finite, non-bool JSON number as a float; the error names `where`."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ScenarioError(f"{source}: '{where}' must be a finite number, got {value!r}")
 
 
 def _integer(value: Any, where: str) -> int:
@@ -104,13 +110,13 @@ def parse_constants(overrides: Any, source: str) -> PhysicalConstants:
     """Constants from a JSON object of overrides: a scenario's "constants", or --constants-file."""
     if not isinstance(overrides, dict):
         raise ScenarioError(f"{source}: constants must be a JSON object")
+    values = {}
     for key, value in overrides.items():
         if key not in CONSTANT_NAMES:
             raise ScenarioError(f"{source}: unknown constant '{key}'")
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ScenarioError(f"{source}: constant '{key}' must be a number, got {value!r}")
+        values[key] = _number(value, key, source)
     try:
-        return PhysicalConstants(**{k: float(v) for k, v in overrides.items()})
+        return PhysicalConstants(**values)
     except ValueError as exc:
         raise ScenarioError(f"{source}: {exc}") from exc
 

@@ -52,7 +52,7 @@ _SQRT1_2 = 1.0 / math.sqrt(2.0)
 
 
 class ResourceCapError(RuntimeError):
-    """Register size exceeds what the dense backend can hold."""
+    """A run exceeds a documented resource cap: dense register or density-matrix size, or shot count."""
 
 
 @dataclass

@@ -69,6 +69,26 @@ class TestRedshift:
         assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["redshift", "--delta-x", "nan"],
+        ["gravimeter", "--tc", "inf"],
+        ["gravimeter", "--n", "inf"],
+        ["sweep", "--target", "phase", "--param", "n", "--steps", "3", "--out", "unused.csv",
+         "--from", "1", "--to", "inf"],
+    ],
+)
+def test_non_finite_flag_is_one_line_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exc.value.code == 2
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert f"argument {argv[-2]}: expected a finite number" in captured.err
+
+
 class TestProtocol:
     def test_reproducible_runs_byte_identical(self, tmp_path, capsys):
         path = scenario_file(tmp_path)
@@ -115,6 +135,29 @@ class TestProtocol:
         err = capsys.readouterr().err
         assert code == 3
         assert "branch" in err
+
+    def test_shot_cap_exit_code(self, tmp_path, capsys):
+        code = main(["protocol", scenario_file(tmp_path), "--shots", "1e11"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "shots" in captured.err
+
+    @pytest.mark.parametrize(
+        "field, overrides",
+        [
+            ("geometry.orientation_deg",
+             {"geometry": {"layout": "line", "n": 8, "spacing_m": 1e-3, "orientation_deg": math.nan}}),
+            ("perturbation.angle_deg", {"perturbation": {"kind": "rotation", "angle_deg": math.inf}}),
+        ],
+    )
+    def test_non_finite_scenario_number_names_field(self, tmp_path, capsys, field, overrides):
+        code = main(["protocol", scenario_file(tmp_path, **overrides)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert field in captured.err
 
     def test_seed_override_changes_shots(self, tmp_path, capsys):
         path = scenario_file(tmp_path)

@@ -1,11 +1,13 @@
 """Protocol: partition, circuit construction, shot runs, estimator, phase sums."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
+from qredshift import protocol, rng
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
     DephasingAngles,
@@ -15,6 +17,7 @@ from qredshift.gravity import (
     line_chip,
 )
 from qredshift.protocol import (
+    MAX_SHOTS,
     build_circuit,
     cumulative_phase_1d,
     expected_delta_phi,
@@ -29,6 +32,7 @@ from qredshift.statevector import ResourceCapError, probability_of
 
 OMEGA_10GHZ = 2.0 * math.pi * 10e9
 C2 = DEFAULT_CONSTANTS.c_squared
+CHUNK = rng._COUNT_CHUNK  # uniforms per chunk of the streamed shot count
 
 
 def angles_of(*theta: float) -> DephasingAngles:
@@ -275,6 +279,42 @@ class TestRunProtocol:
             outcome = run_protocol(ghz_scenario(math.pi / 2), 1e-3, 50, seed=2)
         assert outcome.saturated
         assert math.isnan(outcome.std_error)
+
+
+def count_of(shots: int, seed: int) -> tuple[int, int]:
+    """(streamed count_one of run_protocol, count of the materialised sample_outcomes)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # one shot saturates the estimator
+        outcome = run_protocol(ghz_scenario(0.1), 1e-3, shots, seed=seed)
+    return outcome.count_one, int(np.count_nonzero(sample_outcomes(outcome.p_one, shots, seed)))
+
+
+class TestStreamedCount:
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**64 + 5, 2**127 - 1])
+    def test_count_equals_sample_outcomes(self, seed):
+        streamed, materialised = count_of(700_001, seed)
+        assert streamed == materialised
+
+    @pytest.mark.parametrize("shots", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 10**7])
+    def test_count_at_chunk_edges(self, shots):
+        streamed, materialised = count_of(shots, seed=9)
+        assert streamed == materialised
+
+    def test_memory_does_not_grow_with_shots(self):
+        # materialising 1e7 uniforms alone would trace 80 MB
+        tracemalloc.start()
+        try:
+            run_protocol(ghz_scenario(0.1), 1e-3, 10**7, seed=4, backend="branch")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+
+    def test_shot_cap_checked_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(protocol, "count_below", lambda seed, count, threshold: count // 2)
+        assert run_protocol(ghz_scenario(0.1), 1e-3, MAX_SHOTS, seed=1).count_one == MAX_SHOTS // 2
+        with pytest.raises(ResourceCapError, match="shots"):
+            run_protocol(ghz_scenario(0.1), 1e-3, MAX_SHOTS + 1, seed=1)
 
 
 class TestCumulativePhase:

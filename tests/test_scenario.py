@@ -112,6 +112,27 @@ class TestStrictness:
         with pytest.raises(ScenarioError, match="time_s"):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("geometry", "orientation_deg", math.nan),
+            ("perturbation", "angle_deg", math.inf),
+            ("run", "time_s", -math.inf),
+            ("geometry", "spacing_m", 10**400),
+        ],
+    )
+    def test_non_finite_number_rejected(self, section, key, value):
+        raw = base_doc()
+        raw[section][key] = value
+        with pytest.raises(ScenarioError, match=f"{section}.{key}"):
+            parse_scenario(raw)
+
+    def test_constant_beyond_float_range_rejected(self):
+        raw = base_doc()
+        raw["constants"] = {"G": 10**400}
+        with pytest.raises(ScenarioError, match="'G' must be a finite number"):
+            parse_scenario(raw)
+
     def test_bad_backend(self):
         raw = base_doc()
         raw["run"]["backend"] = "gpu"
