@@ -1,12 +1,27 @@
-"""Command-line front end.
+"""Command-line front end, driven by one table of row functions.
 
 Subcommands: redshift, protocol, gravimeter, strain, required-qubits,
 sweep.  Global flags: --seed, --constants-file, --out {csv,json},
 --reproducible (suppresses the timestamp so repeated runs are
 byte-identical).
 
-Exit codes: 0 success, 2 validation or usage error, 3 resource cap (dense
-register size, shot count), 4 I/O error; an error is one stderr line.
+`_ROWS` holds one entry per computation: a row function that maps its
+parameters to one output row `(echoed input columns, result columns)`,
+the parameters it reads, and the `--param` names `sweep` may vary.  The
+parameters are the argparse dests, named after their columns (`tc_s`,
+`ell_m`, `phase_res_rad`, ...), so the parsed flag values are the row's
+arguments and the JSON `inputs` as they stand.  A protocol row's unset
+`time_s`, `shots`, `seed` and `backend` come from the scenario's `run`
+object.  Every row goes through `_run_row`, which turns a cell outside
+the floating-point range into an error.  A subcommand prints its one row
+with a provenance header as CSV or JSON; `sweep` evaluates a target's row
+at each grid value of one column and writes the result columns to a CSV
+file.  The `phase` row (the rotated-chip closed form) is a sweep target
+only.
+
+Exit codes: 0 success, 2 validation or usage error (including results out
+of the floating-point range), 3 resource cap (dense register size, shot
+count, sweep points), 4 I/O error; an error is one stderr line.
 """
 
 from __future__ import annotations
@@ -17,19 +32,19 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, NoReturn, TextIO
+from typing import Any, Callable, NoReturn, TextIO
 
 import numpy as np
 
 from . import __version__
 from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import GravScenario, fractional_shift_mass, fractional_shift_vertical, line_chip
+from .gravity import fractional_shift_mass, fractional_shift_vertical, line_chip
 from .protocol import run_protocol
 from .rng import substream_seed
-from .scenario import ScenarioDocument, ScenarioError, load_scenario, parse_constants
+from .scenario import ScenarioDocument, load_scenario, parse_constants
 from .sensing import (
     SensingConfig,
     closed_form_phase,
@@ -41,27 +56,14 @@ from .sensing import (
 )
 from .statevector import ResourceCapError
 
-__all__ = ["ResultTable", "main", "read_result_csv"]
+__all__ = ["MAX_SWEEP_POINTS", "ResultTable", "main", "read_result_csv"]
 
 _FLOAT_FMT = ".17g"
 # accumulation time of `sweep --target phase` when --time-s is not given
 _PHASE_TIME_S = 1e-3
-
-_SWEEP_PARAMS = {
-    "gravimeter": ("n", "tc", "freq", "ell"),
-    "strain": ("n", "tc", "freq", "ell"),
-    "required-qubits": ("tc", "freq", "ell"),
-    "phase": ("n", "freq", "ell", "time"),
-    "protocol": ("n", "freq", "ell", "shots", "time"),
-}
-_PARAM_COLUMN = {
-    "n": "n",
-    "tc": "tc_s",
-    "freq": "freq_ghz",
-    "ell": "ell_m",
-    "shots": "shots",
-    "time": "time_s",
-}
+# Most grid points one sweep evaluates; a larger --steps exits 3 before the
+# grid is built.  A million closed-form points take ~5 s and ~270 MB.
+MAX_SWEEP_POINTS = 10**6
 
 
 def _fmt(value: Any) -> str:
@@ -137,19 +139,6 @@ def _provenance(constants: PhysicalConstants, seed: int | None, reproducible: bo
     return info
 
 
-def _emit(table: ResultTable, inputs: dict[str, Any], args: argparse.Namespace) -> None:
-    if args.out == "json":
-        results: Any
-        if len(table.rows) == 1:
-            results = dict(zip(table.columns, table.rows[0]))
-        else:
-            results = {"columns": table.columns, "rows": [list(r) for r in table.rows]}
-        doc = {"inputs": inputs, "results": results, "provenance": table.provenance}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    else:
-        table.write_csv(sys.stdout)
-
-
 def _load_constants(args: argparse.Namespace) -> PhysicalConstants:
     if not args.constants_file:
         return DEFAULT_CONSTANTS
@@ -173,298 +162,208 @@ def _finite_float(text: str) -> float:
 
 
 def _int_arg(text: str) -> int:
-    return int(_finite_float(text))
+    """argparse type of every integer flag: accepts `1e3`, rejects `2.7`."""
+    value = _finite_float(text)
+    if not value.is_integer():
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}")
+    return int(value)
 
 
-# --- subcommands ------------------------------------------------------------
+# --- rows: parameters -> (echoed input columns, result columns) --------------
+
+_Row = tuple[dict[str, Any], dict[str, Any]]
 
 
-def _cmd_redshift(args: argparse.Namespace) -> int:
-    constants = _load_constants(args)
-    omega = 2.0 * math.pi * 1e9 * args.freq_ghz
-    if args.delta_x is not None:
-        if args.distance is not None:
-            raise ValueError("--distance only applies to the --mass perturbation")
-        kind = "vertical"
-        shift = fractional_shift_vertical(args.delta_x, constants)
-    else:
-        if args.distance is None:
-            raise ValueError("--mass requires --distance")
-        kind = "mass"
-        shift = fractional_shift_mass(args.mass, args.distance, constants)
-    table = ResultTable(
-        columns=["perturbation", "freq_ghz", "fractional_shift", "delta_omega_rad_s", "phase_rate_rad_s"],
-        provenance=_provenance(constants, args.seed, args.reproducible),
-    )
-    table.add_row(kind, args.freq_ghz, shift, shift * omega, shift * omega)
-    inputs = {
-        "command": "redshift",
-        "delta_x_m": args.delta_x,
-        "mass_kg": args.mass,
-        "distance_m": args.distance,
-        "freq_ghz": args.freq_ghz,
-    }
-    _emit(table, inputs, args)
-    return 0
+def _omega(freq_ghz: float) -> float:
+    return 2.0 * math.pi * 1e9 * freq_ghz
 
 
-_PROTOCOL_COLUMNS = [
-    "backend",
-    "n",
-    "time_s",
-    "shots",
-    "seed",
-    "analytic_delta_phi_rad",
-    "p_one",
-    "p_hat",
-    "delta_phi_hat_rad",
-    "std_error_rad",
-    "count_one",
-    "saturated",
-    "range_exceeded",
-]
-
-
-def _protocol_row(doc: ScenarioDocument, time_s: float, shots: int, seed: int, backend: str) -> tuple:
-    outcome = run_protocol(doc.scenario, time_s, shots, seed, backend)
-    return (
-        outcome.backend,
-        doc.scenario.geometry.qubit_count,
-        time_s,
-        outcome.shots,
-        seed,
-        outcome.analytic_delta_phi,
-        outcome.p_one,
-        outcome.p_hat,
-        outcome.delta_phi_hat,
-        outcome.std_error,
-        outcome.count_one,
-        outcome.saturated,
-        outcome.range_exceeded,
-    )
-
-
-def _cmd_protocol(args: argparse.Namespace) -> int:
-    doc = load_scenario(args.scenario)
-    time_s = doc.run.time_s if args.time_s is None else args.time_s
-    shots = doc.run.shots if args.shots is None else args.shots
-    seed = doc.run.seed if args.seed is None else args.seed
-    backend = doc.run.backend if args.backend is None else args.backend
-    table = ResultTable(
-        columns=_PROTOCOL_COLUMNS,
-        provenance=_provenance(doc.scenario.constants, seed, args.reproducible),
-    )
-    table.add_row(*_protocol_row(doc, time_s, shots, seed, backend))
-    inputs = {
-        "command": "protocol",
-        "scenario": str(args.scenario),
-        "time_s": time_s,
-        "shots": shots,
-        "seed": seed,
-        "backend": backend,
-    }
-    _emit(table, inputs, args)
-    return 0
-
-
-def _sensing_config(args: argparse.Namespace, constants: PhysicalConstants) -> SensingConfig:
+def _sensing_config(p: dict[str, Any], constants: PhysicalConstants) -> SensingConfig:
     return SensingConfig(
-        n=args.n,
-        mean_frequency=2.0 * math.pi * 1e9 * args.freq_ghz,
-        coherence_time=args.tc,
-        spacing=args.ell,
-        phase_resolution=args.phase_res,
+        n=p.get("n", 1),
+        mean_frequency=_omega(p["freq_ghz"]),
+        coherence_time=p["tc_s"],
+        spacing=p["ell_m"],
+        phase_resolution=p["phase_res_rad"],
         constants=constants,
     )
 
 
-def _cmd_gravimeter(args: argparse.Namespace) -> int:
-    constants = _load_constants(args)
-    config = _sensing_config(args, constants)
-    report = gravimeter_sensitivity(config)
-    columns = ["n", "tc_s", "freq_ghz", "ell_m", "phase_res_rad", "delta_g", "delta_g_over_g"]
-    row = [
-        config.n,
-        config.coherence_time,
-        args.freq_ghz,
-        config.spacing,
-        config.phase_resolution,
-        report.sensitivity["delta_g"],
-        report.sensitivity["delta_g_over_g"],
-    ]
-    if args.delta_g is not None:
-        t = config.coherence_time if args.time_s is None else args.time_s
-        columns += ["phase_rad"]
-        row += [gravimeter_phase(config, args.delta_g, t)]
-    table = ResultTable(columns=columns, provenance=_provenance(constants, args.seed, args.reproducible))
-    table.add_row(*row)
-    inputs = {"command": "gravimeter", "n": args.n, "tc_s": args.tc, "freq_ghz": args.freq_ghz,
-              "ell_m": args.ell, "phase_res_rad": args.phase_res, "delta_g": args.delta_g}
-    _emit(table, inputs, args)
-    return 0
+def _accumulation_time(p: dict[str, Any], config: SensingConfig) -> float:
+    return config.coherence_time if p["time_s"] is None else p["time_s"]
 
 
-def _cmd_strain(args: argparse.Namespace) -> int:
-    constants = _load_constants(args)
-    config = _sensing_config(args, constants)
+def _redshift(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    if p["delta_x_m"] is not None:
+        if p["distance_m"] is not None:
+            raise ValueError("--distance only applies to the --mass perturbation")
+        kind, shift = "vertical", fractional_shift_vertical(p["delta_x_m"], constants)
+    elif p["distance_m"] is None:
+        raise ValueError("--mass requires --distance")
+    else:
+        kind, shift = "mass", fractional_shift_mass(p["mass_kg"], p["distance_m"], constants)
+    rate = shift * _omega(p["freq_ghz"])
+    return ({"perturbation": kind, "freq_ghz": p["freq_ghz"]},
+            {"fractional_shift": shift, "delta_omega_rad_s": rate, "phase_rate_rad_s": rate})
+
+
+def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    scenario = doc.scenario
+    if {"n", "freq_ghz", "ell_m"} & p.keys():  # a sweep point resizes or retunes the line chip
+        geometry = scenario.geometry
+        if geometry.layout != "line":
+            raise ValueError("protocol sweeps only support line geometries")
+        if "freq_ghz" not in p and not np.all(geometry.frequencies == geometry.frequencies[0]):
+            raise ValueError("protocol sweeps need a uniform qubit frequency")
+        omega = _omega(p["freq_ghz"]) if "freq_ghz" in p else float(geometry.frequencies[0])
+        chip = line_chip(p.get("n", geometry.qubit_count), p.get("ell_m", geometry.spacing),
+                         omega, geometry.orientation)
+        scenario = replace(scenario, geometry=chip)
+    outcome = run_protocol(scenario, p["time_s"], p["shots"], p["seed"], p["backend"])
+    return (
+        {"backend": outcome.backend, "n": scenario.geometry.qubit_count, "time_s": p["time_s"],
+         "shots": outcome.shots, "seed": p["seed"]},
+        {"analytic_delta_phi_rad": outcome.analytic_delta_phi, "p_one": outcome.p_one,
+         "p_hat": outcome.p_hat, "delta_phi_hat_rad": outcome.delta_phi_hat,
+         "std_error_rad": outcome.std_error, "count_one": outcome.count_one,
+         "saturated": outcome.saturated, "range_exceeded": outcome.range_exceeded},
+    )
+
+
+def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    config = _sensing_config(p, constants)
+    results = dict(gravimeter_sensitivity(config).sensitivity)
+    if p["delta_g"] is not None:
+        results["phase_rad"] = gravimeter_phase(config, p["delta_g"], _accumulation_time(p, config))
+    return {key: p[key] for key in _SENSING}, results
+
+
+def _strain(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    config = _sensing_config(p, constants)
     report = min_detectable_strain(config)
-    columns = ["n", "tc_s", "freq_ghz", "ell_m", "phase_res_rad", "baseline_phase_rad", "min_strain"]
-    row = [
-        config.n,
-        config.coherence_time,
-        args.freq_ghz,
-        config.spacing,
-        config.phase_resolution,
-        report.phase,
-        report.sensitivity["min_strain"],
-    ]
-    if args.strain is not None:
-        t = config.coherence_time if args.time_s is None else args.time_s
-        columns += ["phase_rad"]
-        row += [strain_phase(config, t, args.strain)]
-    table = ResultTable(columns=columns, provenance=_provenance(constants, args.seed, args.reproducible))
-    table.add_row(*row)
-    inputs = {"command": "strain", "n": args.n, "tc_s": args.tc, "freq_ghz": args.freq_ghz,
-              "ell_m": args.ell, "phase_res_rad": args.phase_res, "strain": args.strain}
-    _emit(table, inputs, args)
-    return 0
+    results = {"baseline_phase_rad": report.phase, **report.sensitivity}
+    if p["strain"] is not None:
+        results["phase_rad"] = strain_phase(config, _accumulation_time(p, config), p["strain"])
+    return {key: p[key] for key in _SENSING}, results
 
 
-def _cmd_required_qubits(args: argparse.Namespace) -> int:
-    constants = _load_constants(args)
-    config = SensingConfig(
-        n=1,
-        mean_frequency=2.0 * math.pi * 1e9 * args.freq_ghz,
-        coherence_time=args.tc,
-        spacing=args.ell,
-        phase_resolution=args.phase_res,
-        constants=constants,
-    )
-    result = required_qubits(config, args.geometry)
-    table = ResultTable(
-        columns=["geometry", "tc_s", "freq_ghz", "ell_m", "phase_res_rad", "n_required", "length_m"],
-        provenance=_provenance(constants, args.seed, args.reproducible),
-    )
-    table.add_row(args.geometry, args.tc, args.freq_ghz, args.ell, args.phase_res, result.n, result.length)
-    inputs = {"command": "required-qubits", "geometry": args.geometry, "tc_s": args.tc,
-              "freq_ghz": args.freq_ghz, "ell_m": args.ell, "phase_res_rad": args.phase_res}
-    _emit(table, inputs, args)
+def _required_qubits(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    result = required_qubits(_sensing_config(p, constants), p["geometry"])
+    return dict(p), {"n_required": result.n, "length_m": result.length}
+
+
+def _phase(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    t = _PHASE_TIME_S if p["time_s"] is None else p["time_s"]
+    phase = closed_form_phase(p["n"], _omega(p["freq_ghz"]), p["ell_m"], t, p["geometry"], constants)
+    return dict(p, time_s=t), {"phase_rad": phase}
+
+
+@dataclass(frozen=True)
+class _RowSpec:
+    """A row function, the parameters (flag dests) it reads, the `--param` names sweep may vary."""
+
+    compute: Callable[[dict[str, Any], PhysicalConstants, ScenarioDocument | None], _Row]
+    params: tuple[str, ...]
+    sweep: tuple[str, ...] = ()
+
+
+_SENSING = ("n", "tc_s", "freq_ghz", "ell_m", "phase_res_rad")
+_ROWS = {
+    "redshift": _RowSpec(_redshift, ("delta_x_m", "mass_kg", "distance_m", "freq_ghz")),
+    "gravimeter": _RowSpec(_gravimeter, (*_SENSING, "delta_g", "time_s"), ("n", "tc", "freq", "ell")),
+    "strain": _RowSpec(_strain, (*_SENSING, "strain", "time_s"), ("n", "tc", "freq", "ell")),
+    "required-qubits": _RowSpec(_required_qubits, ("geometry", "tc_s", "freq_ghz", "ell_m", "phase_res_rad"),
+                                ("tc", "freq", "ell")),
+    "phase": _RowSpec(_phase, ("n", "freq_ghz", "ell_m", "time_s", "geometry"), ("n", "freq", "ell", "time")),
+    "protocol": _RowSpec(_protocol, ("scenario", "time_s", "shots", "seed", "backend"),
+                         ("n", "freq", "ell", "shots", "time")),
+}
+_SWEEP_PARAMS = {target: row.sweep for target, row in _ROWS.items() if row.sweep}
+_PARAM_COLUMN = {"n": "n", "tc": "tc_s", "freq": "freq_ghz", "ell": "ell_m", "shots": "shots", "time": "time_s"}
+
+
+def _row_inputs(
+    args: argparse.Namespace, row: _RowSpec
+) -> tuple[dict[str, Any], PhysicalConstants, ScenarioDocument | None]:
+    """(the row's parameters, constants, scenario); a protocol's unset run settings are set on `args`."""
+    if "scenario" not in row.params:
+        return {key: getattr(args, key, None) for key in row.params}, _load_constants(args), None
+    if not args.scenario:
+        raise ValueError("sweep --target protocol needs --scenario")
+    doc = load_scenario(args.scenario)
+    for key, value in asdict(doc.run).items():
+        if getattr(args, key, None) is None:
+            setattr(args, key, value)
+    return {key: getattr(args, key) for key in row.params}, doc.scenario.constants, doc
+
+
+def _run_row(name: str, p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    """One row; a result outside the floating-point range is an error, never a cell."""
+    try:
+        echo, results = _ROWS[name].compute(p, constants, doc)
+    except ArithmeticError as exc:
+        raise ArithmeticError(f"{name}: the inputs leave the floating-point range ({exc})") from None
+    for column, value in {**echo, **results}.items():
+        # documented exception: a saturated protocol estimate has no standard error
+        if column == "std_error_rad" and results["saturated"]:
+            continue
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ArithmeticError(f"{name}: {column} = {value}; the inputs leave the floating-point range")
+    return echo, results
+
+
+def _cmd_row(args: argparse.Namespace) -> int:
+    p, constants, doc = _row_inputs(args, _ROWS[args.command])
+    echo, results = _run_row(args.command, p, constants, doc)
+    table = ResultTable([*echo, *results], provenance=_provenance(constants, args.seed, args.reproducible))
+    table.add_row(*echo.values(), *results.values())
+    if args.out == "json":
+        out = {"inputs": {"command": args.command, **p}, "results": {**echo, **results},
+               "provenance": table.provenance}
+        sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
+    else:
+        table.write_csv(sys.stdout)
     return 0
 
 
 # --- sweep ------------------------------------------------------------------
 
 
-def _sweep_values(args: argparse.Namespace) -> list[float]:
+def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
     if args.steps < 2:
         raise ValueError(f"sweep needs steps >= 2, got {args.steps}")
+    if args.steps > MAX_SWEEP_POINTS:
+        raise ResourceCapError(f"{args.steps} sweep points exceed the cap of {MAX_SWEEP_POINTS}")
     if args.log:
         if args.sweep_from <= 0 or args.sweep_to <= 0:
             raise ValueError("log-spaced sweeps need positive endpoints")
         grid = np.geomspace(args.sweep_from, args.sweep_to, args.steps)
     else:
         grid = np.linspace(args.sweep_from, args.sweep_to, args.steps)
+    if not np.all(np.isfinite(grid)):
+        raise ArithmeticError(f"sweep: the --param {args.param} grid leaves the floating-point range")
+    if args.param in ("n", "shots"):
+        return [int(round(float(v))) for v in grid]
     return [float(v) for v in grid]
 
 
-def _sweep_point(args: argparse.Namespace, constants: PhysicalConstants,
-                 doc: ScenarioDocument | None, index: int, value: float) -> tuple[list[str], tuple]:
-    """Columns and row for one sweep point; pure in (args, value) so points are order-free."""
-    run_time_s = _PHASE_TIME_S if doc is None else doc.run.time_s
-    run_shots = None if doc is None else doc.run.shots
-    params = {
-        "n": args.n, "tc": args.tc, "freq": args.freq_ghz, "ell": args.ell,
-        "time": run_time_s if args.time_s is None else args.time_s,
-        "shots": run_shots if args.shots is None else args.shots,
-    }
-    params[args.param] = value
-    n = int(round(params["n"]))
-    omega = 2.0 * math.pi * 1e9 * params["freq"]
-
-    if args.target in ("gravimeter", "strain"):
-        config = SensingConfig(
-            n=n, mean_frequency=omega, coherence_time=params["tc"],
-            spacing=params["ell"], phase_resolution=args.phase_res, constants=constants,
-        )
-        if args.target == "gravimeter":
-            report = gravimeter_sensitivity(config)
-            return (["delta_g", "delta_g_over_g"],
-                    (report.sensitivity["delta_g"], report.sensitivity["delta_g_over_g"]))
-        report = min_detectable_strain(config)
-        return (["baseline_phase_rad", "min_strain"],
-                (report.phase, report.sensitivity["min_strain"]))
-    if args.target == "required-qubits":
-        config = SensingConfig(
-            n=1, mean_frequency=omega, coherence_time=params["tc"],
-            spacing=params["ell"], phase_resolution=args.phase_res, constants=constants,
-        )
-        result = required_qubits(config, args.geometry)
-        return ["n_required", "length_m"], (result.n, result.length)
-    if args.target == "phase":
-        phase = closed_form_phase(n, omega, params["ell"], params["time"], args.geometry, constants)
-        return ["phase_rad"], (phase,)
-    # protocol target: rebuild the scenario with the overridden parameter
-    assert doc is not None
-    geometry = doc.scenario.geometry
-    if args.param in ("n", "freq", "ell"):
-        if geometry.layout != "line":
-            raise ValueError("protocol sweeps only support line geometries")
-        freq_value = omega if args.param == "freq" else float(geometry.frequencies[0])
-        if args.param != "freq" and not np.all(geometry.frequencies == geometry.frequencies[0]):
-            raise ValueError("protocol sweeps need a uniform qubit frequency")
-        geometry = line_chip(
-            n if args.param == "n" else geometry.qubit_count,
-            params["ell"] if args.param == "ell" else geometry.spacing,
-            freq_value,
-            geometry.orientation,
-        )
-    scenario = GravScenario(geometry=geometry, perturbation=doc.scenario.perturbation,
-                            constants=doc.scenario.constants)
-    base_seed = doc.run.seed if args.seed is None else args.seed
-    outcome = run_protocol(scenario, params["time"], int(params["shots"]),
-                           substream_seed(base_seed, index), doc.run.backend)
-    return (
-        ["analytic_delta_phi_rad", "p_one", "p_hat", "delta_phi_hat_rad", "std_error_rad", "count_one"],
-        (outcome.analytic_delta_phi, outcome.p_one, outcome.p_hat,
-         outcome.delta_phi_hat, outcome.std_error, outcome.count_one),
-    )
-
-
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.param not in _SWEEP_PARAMS[args.target]:
+    row = _ROWS[args.target]
+    if args.param not in row.sweep:
         raise ValueError(
             f"param '{args.param}' cannot be swept for target '{args.target}' "
-            f"(supported: {', '.join(_SWEEP_PARAMS[args.target])})"
+            f"(supported: {', '.join(row.sweep)})"
         )
-    doc = None
-    if args.target == "protocol":
-        if not args.scenario:
-            raise ValueError("sweep --target protocol needs --scenario")
-        doc = load_scenario(args.scenario)
-        constants = doc.scenario.constants
-    else:
-        constants = _load_constants(args)
-
-    values = _sweep_values(args)
-    if args.param in ("n", "shots"):
-        values = [float(int(round(v))) for v in values]
-
-    rows: list[tuple] = []
-    out_columns: list[str] | None = None
-    for index, value in enumerate(values):
-        columns, outputs = _sweep_point(args, constants, doc, index, value)
-        if out_columns is None:
-            out_columns = columns
-        point = int(value) if args.param in ("n", "shots") else value
-        rows.append((point, *outputs))
-
-    assert out_columns is not None
-    table = ResultTable(
-        columns=[_PARAM_COLUMN[args.param], *out_columns],
-        provenance=_provenance(constants, args.seed, args.reproducible),
-    )
-    for row in rows:
-        table.add_row(*row)
+    base, constants, doc = _row_inputs(args, row)
+    column = _PARAM_COLUMN[args.param]
+    rows = []
+    for index, value in enumerate(_sweep_values(args)):
+        point = {**base, column: value}
+        if "seed" in point:  # each protocol point draws its shots from its own substream
+            point["seed"] = substream_seed(args.seed, index)
+        _, results = _run_row(args.target, point, constants, doc)
+        rows.append((value, *results.values()))
+    table = ResultTable([column, *results], rows, _provenance(constants, args.seed, args.reproducible))
 
     out_path = Path(args.out_path)
     fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, suffix=".tmp")
@@ -485,10 +384,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _add_sensing_flags(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
     if with_n:
         parser.add_argument("--n", type=_int_arg, default=1000, help="qubit count")
-    parser.add_argument("--tc", type=_finite_float, default=1e-3, help="coherence time, s")
+    parser.add_argument("--tc", dest="tc_s", metavar="TC", type=_finite_float, default=1e-3,
+                        help="coherence time, s")
     parser.add_argument("--freq-ghz", type=_finite_float, default=10.0, help="mean qubit frequency, GHz")
-    parser.add_argument("--ell", type=_finite_float, default=1e-3, help="site spacing, m")
-    parser.add_argument("--phase-res", type=_finite_float, default=0.1, help="resolvable phase, rad")
+    parser.add_argument("--ell", dest="ell_m", metavar="ELL", type=_finite_float, default=1e-3,
+                        help="site spacing, m")
+    parser.add_argument("--phase-res", dest="phase_res_rad", metavar="PHASE_RES", type=_finite_float,
+                        default=0.1, help="resolvable phase, rad")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -512,11 +414,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("redshift", help="single-qubit frequency shift and phase rate")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta-x", type=_finite_float, help="vertical displacement, m")
-    group.add_argument("--mass", type=_finite_float, help="proximal mass, kg")
-    p.add_argument("--distance", type=_finite_float, help="distance to the proximal mass, m")
+    group.add_argument("--delta-x", dest="delta_x_m", metavar="DELTA_X", type=_finite_float,
+                       help="vertical displacement, m")
+    group.add_argument("--mass", dest="mass_kg", metavar="MASS", type=_finite_float, help="proximal mass, kg")
+    p.add_argument("--distance", dest="distance_m", metavar="DISTANCE", type=_finite_float,
+                   help="distance to the proximal mass, m")
     p.add_argument("--freq-ghz", type=_finite_float, default=10.0, help="qubit frequency, GHz")
-    p.set_defaults(func=_cmd_redshift)
+    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("protocol", help="run the phase-measurement protocol on a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
@@ -524,31 +428,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-s", type=_finite_float, default=None, help="override run.time_s")
     p.add_argument("--backend", choices=("branch", "statevector"), default=None,
                    help="override run.backend")
-    p.set_defaults(func=_cmd_protocol)
+    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("gravimeter", help="delta-g sensitivity of a GHZ register")
     _add_sensing_flags(p)
     p.add_argument("--delta-g", type=_finite_float, default=None, help="also report the phase for this delta_g")
     p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --delta-g")
-    p.set_defaults(func=_cmd_gravimeter)
+    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("strain", help="minimum detectable strain of a GHZ register")
     _add_sensing_flags(p)
     p.add_argument("--strain", type=_finite_float, default=None, help="also report the phase at this strain")
     p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --strain")
-    p.set_defaults(func=_cmd_strain)
+    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
     p.add_argument("--geometry", choices=("1d", "2d"), default="1d")
     _add_sensing_flags(p, with_n=False)
-    p.set_defaults(func=_cmd_required_qubits)
+    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("sweep", help="evaluate a target over a parameter grid, write CSV")
     p.add_argument("--target", choices=tuple(_SWEEP_PARAMS), required=True)
     p.add_argument("--param", choices=tuple(_PARAM_COLUMN), required=True)
     p.add_argument("--from", dest="sweep_from", type=_finite_float, required=True)
     p.add_argument("--to", dest="sweep_to", type=_finite_float, required=True)
-    p.add_argument("--steps", type=int, required=True)
+    p.add_argument("--steps", type=_int_arg, required=True)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--out", dest="out_path", required=True, help="output CSV path")
     p.add_argument("--geometry", choices=("1d", "2d"), default="1d")
@@ -567,15 +471,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except (ValueError, ArithmeticError) as exc:  # ScenarioError is a ValueError
+        code, error = 2, exc
     except ResourceCapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, exc
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
+        code, error = 4, exc
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

@@ -334,3 +334,125 @@ class TestSweep:
                      "--out", str(tmp_path / "missing" / "x.csv")])
         assert code == 4
         capsys.readouterr()
+
+
+def one_line_error(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    return captured.err
+
+
+class TestRangeErrors:
+    """Finite flags whose results leave the floating-point range exit 2 with one line."""
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["redshift", "--mass", "1e300", "--distance", "1e-300"], "fractional_shift"),
+            (["gravimeter", "--tc", "1e-320"], "delta_g"),
+            (["strain", "--tc", "1e300"], "baseline_phase_rad"),
+            (["strain", "--tc", "1e-320"], "strain"),
+            (["required-qubits", "--tc", "1e-320"], "required-qubits"),
+        ],
+    )
+    def test_command_out_of_range(self, capsys, argv, named):
+        assert main(argv) == 2
+        assert named in one_line_error(capsys)
+
+    def test_sweep_out_of_range(self, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        code = main(["sweep", "--target", "phase", "--param", "n", "--from", "1", "--to", "1e300",
+                     "--steps", "2", "--out", str(out_csv)])
+        assert code == 2
+        assert "phase" in one_line_error(capsys)
+        assert not out_csv.exists()
+
+    def test_sweep_grid_overflow(self, tmp_path, capsys):
+        code = main(["sweep", "--target", "phase", "--param", "freq", "--from=-1.7e308", "--to=1.7e308",
+                     "--steps", "3", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "--param freq" in one_line_error(capsys)
+
+    def test_required_qubits_underflow_is_one_qubit(self, capsys):
+        code, out = run_cli(capsys, "required-qubits", "--tc", "1e300")
+        assert code == 0
+        assert single_row(out)["n_required"] == 1
+
+    def test_saturated_protocol_keeps_documented_nan(self, tmp_path, capsys):
+        code, out = run_cli(capsys, "--reproducible", "protocol", scenario_file(tmp_path), "--shots", "1")
+        assert code == 0
+        row = single_row(out)
+        assert row["saturated"] == 1 and math.isnan(row["std_error_rad"])
+
+
+class TestIntegerFlags:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["protocol", "unused.json", "--shots", "2.7"],
+            ["gravimeter", "--n", "2.7"],
+            ["sweep", "--target", "phase", "--param", "n", "--from", "1", "--to", "2",
+             "--out", "unused.csv", "--steps", "2.5"],
+        ],
+    )
+    def test_fraction_is_one_line_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert f"argument {argv[-2]}: expected an integer" in captured.err
+
+    def test_exponent_steps_accepted(self, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        assert run_cli(capsys, "sweep", "--target", "phase", "--param", "n", "--from", "1", "--to", "5",
+                       "--steps", "5e0", "--out", str(out_csv))[0] == 0
+        assert len(read_result_csv(out_csv.read_text(encoding="utf-8"))[2]) == 5
+
+    def test_sweep_point_cap_before_grid(self, tmp_path, capsys, monkeypatch):
+        from qredshift.cli import MAX_SWEEP_POINTS
+
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid must not be built")
+
+        monkeypatch.setattr(np, "linspace", no_grid)
+        monkeypatch.setattr(np, "geomspace", no_grid)
+        for log in ([], ["--log"]):
+            code = main(["sweep", "--target", "phase", "--param", "n", "--from", "1", "--to", "2",
+                         "--steps", str(MAX_SWEEP_POINTS + 1), *log, "--out", str(tmp_path / "x.csv")])
+            assert code == 3
+            assert "sweep points" in one_line_error(capsys)
+
+
+class TestSharedOutputPath:
+    def test_protocol_sweep_flags_saturation(self, tmp_path, capsys):
+        out_csv = tmp_path / "proto.csv"
+        code, _ = run_cli(
+            capsys, "--reproducible", "sweep", "--target", "protocol", "--param", "shots",
+            "--from", "1", "--to", "2", "--steps", "2", "--scenario", scenario_file(tmp_path),
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        _, columns, rows = read_result_csv(out_csv.read_text(encoding="utf-8"))
+        assert columns[-2:] == ["saturated", "range_exceeded"]
+        first = dict(zip(columns, rows[0]))
+        assert first["saturated"] == 1 and math.isnan(first["std_error_rad"])
+
+    def test_protocol_sweep_records_scenario_seed(self, tmp_path, capsys):
+        out_csv = tmp_path / "proto.csv"
+        code, _ = run_cli(
+            capsys, "--reproducible", "sweep", "--target", "protocol", "--param", "shots",
+            "--from", "100", "--to", "200", "--steps", "2", "--scenario", scenario_file(tmp_path),
+            "--out", str(out_csv),
+        )
+        assert code == 0
+        provenance, _, _ = read_result_csv(out_csv.read_text(encoding="utf-8"))
+        assert provenance["seed"] == "42"
+
+    @pytest.mark.parametrize("command, flag", [("gravimeter", "--delta-g"), ("strain", "--strain")])
+    def test_json_inputs_record_time(self, capsys, command, flag):
+        code, out = run_cli(capsys, "--reproducible", "--out", "json", command, flag, "1e-3",
+                            "--time-s", "5e-4")
+        assert code == 0
+        assert json.loads(out)["inputs"]["time_s"] == 5e-4

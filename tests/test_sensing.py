@@ -127,6 +127,12 @@ class TestRequiredQubits:
         with pytest.raises(ValueError, match="geometry"):
             required_qubits(near_term(), "3d")
 
+    @pytest.mark.parametrize("geometry", ["1d", "2d"])
+    def test_at_least_one_qubit_when_the_scale_underflows(self, geometry):
+        result = required_qubits(near_term(n=1, tc=1e300), geometry)
+        assert result.n == 1
+        assert result.length == pytest.approx(1e-3, rel=1e-15)
+
 
 class TestStrain:
     def test_baseline_phase(self):
