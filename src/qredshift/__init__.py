@@ -14,7 +14,7 @@ from .gravity import (
     DephasingAngles,
     GravScenario,
     ProximalMass,
-    QubitSite,
+    ResourceCapError,
     UniformDeltaG,
     UniformStrain,
     VerticalRotation,
@@ -34,11 +34,9 @@ from .gravity import (
 from .protocol import (
     CumulativePhase,
     ProtocolOutcome,
-    SignPartition,
     build_circuit,
     cumulative_phase_1d,
     expected_delta_phi,
-    partition_by_sign,
     run_protocol,
     standard_pea_probabilities,
 )
@@ -56,13 +54,11 @@ from .sensing import (
 from .statevector import (
     DensityMatrix,
     Gate,
-    ResourceCapError,
     StateVector,
     apply_channel,
     apply_diagonal_phase,
     apply_gate,
     init_zero,
-    measure_qubit,
     probability_of,
 )
 

@@ -20,8 +20,10 @@ file.  The `phase` row (the rotated-chip closed form) is a sweep target
 only.
 
 Exit codes: 0 success, 2 validation or usage error (including results out
-of the floating-point range), 3 resource cap (dense register size, shot
-count, sweep points), 4 I/O error; an error is one stderr line.
+of the floating-point range), 3 resource cap (chip sites, dense register
+size, shot count, sweep points), 4 I/O error; an error is one stderr line.
+A warning the run raises (estimator saturation or range, a time beyond the
+coherence time) is one `warning: <message>` line on stderr.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import math
 import os
 import sys
 import tempfile
+import warnings
 from dataclasses import asdict, dataclass, field, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -41,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import fractional_shift_mass, fractional_shift_vertical, line_chip
+from .gravity import ResourceCapError, fractional_shift_mass, fractional_shift_vertical, line_chip
 from .protocol import run_protocol
 from .rng import substream_seed
 from .scenario import ScenarioDocument, load_scenario, parse_constants
@@ -54,7 +57,6 @@ from .sensing import (
     required_qubits,
     strain_phase,
 )
-from .statevector import ResourceCapError
 
 __all__ = ["MAX_SWEEP_POINTS", "ResultTable", "main", "read_result_csv"]
 
@@ -334,12 +336,10 @@ def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
         raise ValueError(f"sweep needs steps >= 2, got {args.steps}")
     if args.steps > MAX_SWEEP_POINTS:
         raise ResourceCapError(f"{args.steps} sweep points exceed the cap of {MAX_SWEEP_POINTS}")
-    if args.log:
-        if args.sweep_from <= 0 or args.sweep_to <= 0:
-            raise ValueError("log-spaced sweeps need positive endpoints")
-        grid = np.geomspace(args.sweep_from, args.sweep_to, args.steps)
-    else:
-        grid = np.linspace(args.sweep_from, args.sweep_to, args.steps)
+    if args.log and (args.sweep_from <= 0 or args.sweep_to <= 0):
+        raise ValueError("log-spaced sweeps need positive endpoints")
+    with np.errstate(all="ignore"):  # a grid outside the float range is the one error below
+        grid = (np.geomspace if args.log else np.linspace)(args.sweep_from, args.sweep_to, args.steps)
     if not np.all(np.isfinite(grid)):
         raise ArithmeticError(f"sweep: the --param {args.param} grid leaves the floating-point range")
     if args.param in ("n", "shots"):
@@ -466,17 +466,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message: Warning | str, *_: Any) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (ValueError, ArithmeticError) as exc:  # ScenarioError is a ValueError
-        code, error = 2, exc
-    except ResourceCapError as exc:
-        code, error = 3, exc
-    except OSError as exc:
-        code, error = 4, exc
+    with warnings.catch_warnings():  # restores showwarning for in-process callers
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except (ValueError, ArithmeticError) as exc:  # ScenarioError is a ValueError
+            code, error = 2, exc
+        except ResourceCapError as exc:
+            code, error = 3, exc
+        except OSError as exc:
+            code, error = 4, exc
     print(f"error: {error}", file=sys.stderr)
     return code
 

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
+__all__ = ["PhysicalConstants", "DEFAULT_CONSTANTS", "CONSTANT_NAMES"]
+
 
 @dataclass(frozen=True)
 class PhysicalConstants:

@@ -36,7 +36,8 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 
 __all__ = [
-    "QubitSite",
+    "MAX_SITES",
+    "ResourceCapError",
     "ChipGeometry",
     "line_chip",
     "grid_chip",
@@ -59,19 +60,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QubitSite:
-    """One register site: 1-based index, angular frequency (rad/s), chip-frame position (m)."""
+# Most sites a chip may have; above it building the chip raises
+# ResourceCapError (CLI exit code 3) before any per-site array exists.
+# `qredshift protocol` on the branch backend at the cap took 3.0 s and
+# peaked at 1.56 GB RSS on a 2-vCPU machine (numpy 2.4, Python 3.11).
+MAX_SITES = 5 * 10**7
 
-    index: int
-    frequency: float
-    chip_position: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if self.index < 1:
-            raise ValueError(f"site index must be >= 1, got {self.index}")
-        if not self.frequency > 0.0:
-            raise ValueError(f"site frequency must be positive, got {self.frequency!r}")
+class ResourceCapError(RuntimeError):
+    """A run exceeds a documented cap: chip sites, dense or density-matrix size, or shots."""
 
 
 @dataclass(frozen=True)
@@ -83,8 +80,7 @@ class ChipGeometry:
     (line axis, or grid row axis) away from horizontal: 0 keeps every site
     at the same height, pi/2 stands the axis fully vertical.
 
-    `frequencies` holds one angular frequency per site; `sites` materializes
-    the per-site view on demand (the numerics only touch the arrays).
+    `frequencies` holds one angular frequency per site.
     """
 
     layout: str
@@ -125,23 +121,10 @@ class ChipGeometry:
         rows = np.arange(n) // m + 1
         return (m + 1 - 2 * rows) * (ell / 2.0)
 
-    @property
-    def sites(self) -> tuple[QubitSite, ...]:
-        axis = self.axis_coordinates()
-        if self.layout == "line":
-            positions = [(float(u),) for u in axis]
-        else:
-            m = isqrt(self.qubit_count)
-            cols = np.arange(self.qubit_count) % m + 1
-            across = (m + 1 - 2 * cols) * (self.spacing / 2.0)
-            positions = [(float(u), float(v)) for u, v in zip(axis, across)]
-        return tuple(
-            QubitSite(index=k + 1, frequency=float(w), chip_position=pos)
-            for k, (w, pos) in enumerate(zip(self.frequencies, positions))
-        )
-
 
 def _frequency_array(n: int, frequency: float | Sequence[float]) -> np.ndarray:
+    if n > MAX_SITES:
+        raise ResourceCapError(f"{n} sites exceed the cap of {MAX_SITES}")
     arr = np.asarray(frequency, dtype=float)
     if arr.ndim == 0:
         return np.full(n, float(arr))

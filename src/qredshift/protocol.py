@@ -1,16 +1,15 @@
 """The phase-measurement protocol: state preparation, readout, estimation.
 
-The register is split by the sign of its dephasing angles, and the
-prepared superposition excites the positive-angle sites in one branch and
-the negative-angle sites in the other, which maximizes the phase
-difference dphi = phi_plus - phi_minus the two branches accrue.  The
-ancilla-based circuit is
+The prepared superposition excites the positive-angle sites in one branch
+and the negative-angle sites (theta_k < 0) in the other, which maximizes
+the phase difference dphi = phi_plus - phi_minus the two branches accrue.
+The ancilla-based circuit, fixed by the signs of the angles alone, is
 
     H(ancilla); X on minus sites; S(ancilla);
     ancilla-controlled X on all sites;      # entangle: |0>|minus> + i|1>|plus>
     diagonal dephasing phase;               # wait
     ancilla-controlled X on all sites;      # disentangle the register again
-    H(ancilla); measure(ancilla)
+    H(ancilla); then the ancilla is measured
 
 The S gate makes the readout linear in the phase: P(1) = 1/2 + sin(dphi)/2,
 with slope 1/2 at dphi = 0, where the plain phase-estimation readout
@@ -21,11 +20,10 @@ P(1) = 1/2 regardless of dphi.
 
 The statevector backend runs that circuit densely; the branch backend
 evaluates the sine law on dphi = sum_k |theta_k| directly and never builds
-the partition.  run_protocol counts the shots against the exact ancilla
+the circuit.  run_protocol counts the shots against the exact ancilla
 probability in fixed-size chunks of the counter-based streams of
 qredshift.rng, so its memory does not grow with the shot count and a run
-is reproducible from (seed, shot index) alone on either backend;
-sample_outcomes returns the same shots as a per-shot array.
+is reproducible from (seed, shot index) alone on either backend.
 """
 
 from __future__ import annotations
@@ -39,20 +37,24 @@ import numpy as np
 from . import branch as branch_engine
 from . import statevector as sv
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import ChipGeometry, DephasingAngles, GravScenario, VerticalRotation, dephasing_angles
-from .rng import count_below, shot_uniforms
+from .gravity import (
+    ChipGeometry,
+    DephasingAngles,
+    GravScenario,
+    ResourceCapError,
+    VerticalRotation,
+    dephasing_angles,
+)
+from .rng import count_below
 from .sensing import closed_form_phase
 
 __all__ = [
     "MAX_SHOTS",
-    "SignPartition",
     "ProtocolOutcome",
     "CumulativePhase",
-    "partition_by_sign",
     "expected_delta_phi",
     "build_circuit",
     "final_state",
-    "sample_outcomes",
     "run_protocol",
     "standard_pea_probabilities",
     "cumulative_phase_1d",
@@ -63,18 +65,6 @@ __all__ = [
 # bounds run time: 1e9 shots took 9.5 s on one core of a 2-vCPU machine,
 # so the cap is about a hundred seconds.
 MAX_SHOTS = 10**10
-
-
-@dataclass(frozen=True)
-class SignPartition:
-    """Register sites split by angle sign: theta >= 0 goes to plus_set, theta < 0 to minus_set."""
-
-    plus_set: tuple[int, ...]
-    minus_set: tuple[int, ...]
-
-    @property
-    def site_count(self) -> int:
-        return len(self.plus_set) + len(self.minus_set)
 
 
 @dataclass(frozen=True)
@@ -93,55 +83,36 @@ class ProtocolOutcome:
     range_exceeded: bool = False
 
 
-def partition_by_sign(angles: DephasingAngles) -> SignPartition:
-    """Split 1-based site indices by the sign of their angle (exact zeros count as plus)."""
-    theta = angles.angles
-    plus = tuple(int(k) + 1 for k in np.flatnonzero(theta >= 0.0))
-    minus = tuple(int(k) + 1 for k in np.flatnonzero(theta < 0.0))
-    return SignPartition(plus_set=plus, minus_set=minus)
-
-
 def expected_delta_phi(angles: DephasingAngles) -> float:
-    """dphi = phi_plus - phi_minus = sum of |theta_k| for the sign partition.
+    """dphi = phi_plus - phi_minus = sum of |theta_k|.
 
     numpy's pairwise summation keeps the rounding error at O(eps log n).
     """
     return float(np.abs(angles.angles).sum())
 
 
-def build_circuit(partition: SignPartition, angles: DephasingAngles) -> list[sv.Gate]:
-    """Gate sequence of the measurement circuit (ancilla = bit 0, site k = bit k)."""
-    if partition.site_count != len(angles):
-        raise ValueError(
-            f"partition covers {partition.site_count} sites but {len(angles)} angles were given"
-        )
-    all_sites = sorted(partition.plus_set + partition.minus_set)
+def build_circuit(angles: DephasingAngles) -> list[sv.Gate]:
+    """Gate sequence of the measurement circuit (ancilla = bit 0, site k = bit k).
+
+    The minus sites, theta_k < 0, get an X; exact zeros count as plus.
+    """
+    sites = range(1, len(angles) + 1)
     gates = [sv.hadamard(0)]
-    gates.extend(sv.x_gate(k) for k in sorted(partition.minus_set))
+    gates.extend(sv.x_gate(int(k) + 1) for k in np.flatnonzero(angles.angles < 0.0))
     gates.append(sv.s_gate(0))
-    gates.extend(sv.controlled_x(0, k) for k in all_sites)
+    gates.extend(sv.controlled_x(0, k) for k in sites)
     gates.append(sv.diagonal_phase(angles))
-    gates.extend(sv.controlled_x(0, k) for k in all_sites)
+    gates.extend(sv.controlled_x(0, k) for k in sites)
     gates.append(sv.hadamard(0))
-    gates.append(sv.measure(0))
     return gates
 
 
 def final_state(circuit: list[sv.Gate], qubit_count: int) -> sv.StateVector:
-    """Run the circuit up to (not including) the measurement."""
+    """Run the circuit on |0...0>; the ancilla is then read out."""
     state = sv.init_zero(qubit_count)
     for gate in circuit:
-        if gate.kind == "measure":
-            break
         sv.apply_gate(state, gate)
     return state
-
-
-def sample_outcomes(p_one: float, shots: int, seed: int) -> np.ndarray:
-    """Seeded ancilla outcomes: shot i is 1 iff uniform u_i < p_one."""
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    return (shot_uniforms(seed, shots) < p_one).astype(np.uint8)
 
 
 def _estimate(p_hat: float) -> tuple[float, float, bool]:
@@ -168,7 +139,7 @@ def run_protocol(
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
-        raise sv.ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
+        raise ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     angles = dephasing_angles(scenario, t)
     analytic = expected_delta_phi(angles)
 
@@ -177,11 +148,11 @@ def run_protocol(
     elif backend == "statevector":
         qubit_count = scenario.geometry.qubit_count + 1
         if qubit_count > sv.MAX_QUBITS:
-            raise sv.ResourceCapError(
+            raise ResourceCapError(
                 f"{scenario.geometry.qubit_count} register qubits exceed the dense backend; "
                 "use backend='branch'"
             )
-        state = final_state(build_circuit(partition_by_sign(angles), angles), qubit_count)
+        state = final_state(build_circuit(angles), qubit_count)
         p_one = sv.probability_of(state, 0, 1)
     else:
         raise ValueError(f"backend must be 'branch' or 'statevector', got {backend!r}")

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+__all__ = ["shot_stream", "shot_uniforms", "count_below", "substream_seed"]
+
 _KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
 

@@ -73,7 +73,6 @@ class ScenarioDocument:
 
     scenario: GravScenario
     run: RunSettings
-    raw: dict[str, Any]
 
 
 def _require(mapping: dict[str, Any], key: str, where: str) -> Any:
@@ -219,7 +218,6 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
     return ScenarioDocument(
         scenario=GravScenario(geometry=geometry, perturbation=pert, constants=constants),
         run=RunSettings(time_s=time_s, shots=shots, seed=seed, backend=backend),
-        raw=doc,
     )
 
 

@@ -68,8 +68,6 @@ class SensingConfig:
 class SensitivityReport:
     """One sensing estimate: the phase at threshold and the derived figure of merit."""
 
-    kind: str
-    config: SensingConfig
     phase: float
     sensitivity: dict[str, float] = field(default_factory=dict)
 
@@ -80,7 +78,6 @@ class RequiredQubits:
 
     n: int
     length: float
-    geometry: GeometryKind
 
 
 def gravimeter_phase(config: SensingConfig, delta_g: float, t: float) -> float:
@@ -103,8 +100,6 @@ def gravimeter_sensitivity(config: SensingConfig) -> SensitivityReport:
         / (cst.earth_radius * config.coherence_time * config.mean_frequency * config.n)
     )
     return SensitivityReport(
-        kind="gravimeter",
-        config=config,
         phase=config.phase_resolution,
         sensitivity={"delta_g": delta_g, "delta_g_over_g": delta_g / cst.g0},
     )
@@ -142,7 +137,7 @@ def required_qubits(config: SensingConfig, geometry: GeometryKind = "1d") -> Req
     )
     n = max(1, math.ceil(scale ** (0.5 if geometry == "1d" else 2.0 / 3.0)))
     length = n * config.spacing if geometry == "1d" else math.sqrt(n) * config.spacing
-    return RequiredQubits(n=n, length=length, geometry=geometry)
+    return RequiredQubits(n=n, length=length)
 
 
 def strain_phase(config: SensingConfig, t: float, strain: float) -> float:
@@ -169,8 +164,6 @@ def min_detectable_strain(config: SensingConfig) -> SensitivityReport:
     """
     baseline = strain_phase(config, config.coherence_time, 0.0)
     return SensitivityReport(
-        kind="strain",
-        config=config,
         phase=baseline,
         sensitivity={"min_strain": config.phase_resolution / baseline},
     )

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .gravity import DephasingAngles
+from .gravity import DephasingAngles, ResourceCapError
 
 __all__ = [
     "MAX_QUBITS",
@@ -34,11 +34,9 @@ __all__ = [
     "x_gate",
     "controlled_x",
     "diagonal_phase",
-    "measure",
     "init_zero",
     "apply_gate",
     "apply_diagonal_phase",
-    "measure_qubit",
     "probability_of",
     "DensityMatrix",
     "density_from_amplitudes",
@@ -49,10 +47,6 @@ MAX_QUBITS = 24
 DENSITY_MAX_QUBITS = 6
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-
-
-class ResourceCapError(RuntimeError):
-    """A run exceeds a documented resource cap: dense register or density-matrix size, or shot count."""
 
 
 @dataclass
@@ -73,7 +67,7 @@ class StateVector:
 class Gate:
     """One circuit element.
 
-    kind: "h" | "s" | "x" | "cx" | "phase" | "measure"
+    kind: "h" | "s" | "x" | "cx" | "phase"
     "cx" flips every target bit where `control` is set; "phase" applies
     the diagonal dephasing angles to the register bits 1..n.
     """
@@ -102,10 +96,6 @@ def controlled_x(control: int, *targets: int) -> Gate:
 
 def diagonal_phase(angles: DephasingAngles) -> Gate:
     return Gate("phase", angles=angles)
-
-
-def measure(target: int) -> Gate:
-    return Gate("measure", (target,))
 
 
 def init_zero(qubit_count: int) -> StateVector:
@@ -195,8 +185,6 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         if gate.angles is None:
             raise ValueError("phase gate needs angles")
         apply_diagonal_phase(state, gate.angles)
-    elif gate.kind == "measure":
-        raise ValueError("measurement is performed by the runner, not apply_gate")
     else:
         raise ValueError(f"unknown gate kind {gate.kind!r}")
     return state
@@ -227,21 +215,6 @@ def probability_of(state: StateVector, site: int, bit: int) -> float:
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
     view = _bit_view(state.amplitudes, site)
     return float(np.sum(np.abs(view[:, bit, :]) ** 2))
-
-
-def measure_qubit(
-    state: StateVector, site: int, rng_stream: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Sample a measurement of `site`, collapse in place, return (outcome, state)."""
-    p_one = probability_of(state, site, 1)
-    outcome = int(rng_stream.random() < p_one)
-    view = _bit_view(state.amplitudes, site)
-    view[:, 1 - outcome, :] = 0.0
-    kept = p_one if outcome == 1 else 1.0 - p_one
-    if kept <= 0.0:
-        raise ValueError("measured an outcome of probability zero")
-    state.amplitudes /= math.sqrt(kept)
-    return outcome, state
 
 
 # --- density-matrix channel checks -----------------------------------------

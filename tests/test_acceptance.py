@@ -24,7 +24,6 @@ from qredshift.protocol import (
     cumulative_phase_1d,
     expected_delta_phi,
     final_state,
-    partition_by_sign,
     run_protocol,
     standard_pea_probabilities,
 )
@@ -72,7 +71,7 @@ def test_criterion_1_protocol_exactness():
             for _ in range(50):
                 theta = rng.uniform(-3.0, 3.0, size=n)
                 angles = DephasingAngles(angles=theta, time=1.0)
-                state = final_state(build_circuit(partition_by_sign(angles), angles), n + 1)
+                state = final_state(build_circuit(angles), n + 1)
                 p_one = probability_of(state, 0, 1)
                 expected = 0.5 + 0.5 * math.sin(expected_delta_phi(angles))
                 assert abs(p_one - expected) < 1e-12

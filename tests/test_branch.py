@@ -7,7 +7,7 @@ import pytest
 
 from qredshift.branch import ancilla_probabilities
 from qredshift.gravity import DephasingAngles
-from qredshift.protocol import build_circuit, final_state, partition_by_sign
+from qredshift.protocol import build_circuit, final_state
 from qredshift.statevector import probability_of
 
 
@@ -45,8 +45,7 @@ class TestSubspaceExactness:
         for _ in range(5):
             theta = rng.uniform(-2.5, 2.5, size=n)
             angles = DephasingAngles(angles=theta, time=1.0)
-            partition = partition_by_sign(angles)
-            state = final_state(build_circuit(partition, angles), n + 1)
+            state = final_state(build_circuit(angles), n + 1)
             p1_dense = probability_of(state, 0, 1)
             phi_plus = float(theta[theta >= 0].sum())
             phi_minus = float(theta[theta < 0].sum())

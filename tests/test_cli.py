@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -143,6 +145,20 @@ class TestProtocol:
         assert captured.out == ""
         assert captured.err.count("\n") == 1
         assert "shots" in captured.err
+
+    def test_site_cap_exit_code(self, tmp_path, capsys):
+        geometry = {"layout": "line", "n": 10**13, "spacing_m": 1e-3, "orientation_deg": 0.0}
+        code = main(["protocol", scenario_file(tmp_path, geometry=geometry)])
+        assert code == 3
+        assert "sites" in one_line_error(capsys)
+
+    def test_site_cap_in_sweep_writes_no_file(self, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        code = main(["sweep", "--target", "protocol", "--param", "n", "--from", "2", "--to", "1e13",
+                     "--steps", "2", "--scenario", scenario_file(tmp_path), "--out", str(out_csv)])
+        assert code == 3
+        assert "sites" in one_line_error(capsys)
+        assert not out_csv.exists()
 
     @pytest.mark.parametrize(
         "field, overrides",
@@ -384,6 +400,46 @@ class TestRangeErrors:
         assert code == 0
         row = single_row(out)
         assert row["saturated"] == 1 and math.isnan(row["std_error_rad"])
+
+
+def process_display(message, category, filename, lineno, file=None, line=None) -> None:
+    """How a process shows a warning by default (pytest would record it instead)."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+def run_with_stderr(capsys, argv: list[str], shown: bool = True) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one run; with shown=False every warning is filtered out."""
+    with warnings.catch_warnings():
+        warnings.showwarning = process_display
+        if not shown:
+            warnings.simplefilter("ignore")
+        code = main(argv)
+        assert warnings.showwarning is process_display  # main restores the display it replaced
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestWarningLines:
+    """A shown warning is one `warning: <message>` stderr line; stdout and files do not change."""
+
+    def test_saturated_protocol(self, tmp_path, capsys):
+        argv = ["--reproducible", "protocol", scenario_file(tmp_path), "--shots", "1"]
+        code, out, err = run_with_stderr(capsys, argv)
+        assert code == 0 and single_row(out)["saturated"] == 1
+        assert err and all(line.startswith("warning: ") for line in err.splitlines())
+        assert "saturates the estimator" in err
+        assert run_with_stderr(capsys, argv, shown=False) == (0, out, "")
+
+    def test_saturated_protocol_sweep(self, tmp_path, capsys):
+        out_csv = tmp_path / "proto.csv"
+        argv = ["--reproducible", "sweep", "--target", "protocol", "--param", "shots", "--from", "1",
+                "--to", "2", "--steps", "2", "--scenario", scenario_file(tmp_path), "--out", str(out_csv)]
+        code, out, err = run_with_stderr(capsys, argv)
+        written = out_csv.read_text(encoding="utf-8")
+        assert code == 0 and out == ""
+        assert err and all(line.startswith("warning: ") for line in err.splitlines())
+        assert run_with_stderr(capsys, argv, shown=False) == (0, "", "")
+        assert out_csv.read_text(encoding="utf-8") == written
 
 
 class TestIntegerFlags:

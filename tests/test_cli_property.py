@@ -1,21 +1,28 @@
-"""Property: for any finite flag values the CLI prints finite cells or one error line.
+"""Property: for any finite inputs the CLI prints finite cells or one error line.
 
 Every real-valued flag of redshift, gravimeter, strain, required-qubits and
 sweep (targets phase, gravimeter, strain, required-qubits) is drawn from
 all finite floats.  A run either exits 0 with every float cell finite, or
 exits 2, 3 or 4 with exactly one `error:` line on stderr; no exception
-escapes `main`.
+escapes `main`.  The same holds for `protocol` on scenario files whose
+numbers are drawn the same way, where the stderr of a run may also carry
+`warning: ` lines and a saturated row keeps its documented NaN.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
+import warnings
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qredshift.cli import MAX_SWEEP_POINTS, main, read_result_csv
+from qredshift.gravity import MAX_SITES
+from qredshift.protocol import MAX_SHOTS
 
 # all finite floats, weighted toward positive values where most commands succeed and
 # toward the ends of the float range where results overflow or underflow
@@ -115,3 +122,68 @@ def test_finite_cells_or_one_error_line(sweep_csv, out, argv):
         assert stdout.getvalue() == ""
         errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
         assert len(errors) == 1, (argv, stderr.getvalue())
+
+
+# site counts up to 4096, weighted toward the statevector backend's n <= 10, or above the site cap
+SITES = st.one_of(st.integers(1, 10), st.integers(1, 4096), st.integers(MAX_SITES + 1, 10**15))
+SIDES = st.one_of(st.integers(1, 3), st.integers(1, 64), st.integers(isqrt(MAX_SITES) + 1, isqrt(10**15)))
+LAYOUTS = st.one_of(st.tuples(st.just("line"), SITES), st.tuples(st.just("grid"), SIDES.map(lambda m: m * m)))
+PERTURBATIONS = st.one_of(
+    st.fixed_dictionaries({"kind": st.just("rotation"), "angle_deg": REALS}),
+    st.fixed_dictionaries({"kind": st.just("delta_g"), "delta_g": REALS}),
+    st.fixed_dictionaries({"kind": st.just("mass"), "mass_kg": REALS, "distance_m": REALS}),
+    st.fixed_dictionaries({"kind": st.just("translation"), "delta_x_m": REALS}),
+    st.fixed_dictionaries({"kind": st.just("strain"), "strain": REALS, "angle_deg": REALS}),
+)
+SHOTS = st.one_of(st.integers(1, 10**4), st.integers(MAX_SHOTS + 1, 10**15))
+
+
+@st.composite
+def scenarios(draw) -> dict:
+    layout, n = draw(LAYOUTS)
+    backend = draw(st.sampled_from(["branch", "statevector"])) if n <= 10 else "branch"
+    return {
+        "version": 1,
+        "geometry": {"layout": layout, "n": n, "spacing_m": draw(REALS), "orientation_deg": draw(REALS)},
+        "qubits": {"frequency_ghz": draw(REALS)},
+        "perturbation": draw(PERTURBATIONS),
+        "run": {"time_s": draw(REALS), "shots": draw(SHOTS), "seed": draw(st.integers(0, 2**64)),
+                "backend": backend},
+    }
+
+
+def process_display(message, category, filename, lineno, file=None, line=None) -> None:
+    """How a process shows a warning by default (pytest would record it instead)."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+@pytest.fixture(scope="module")
+def scenario_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("property") / "scenario.json"
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([[], ["--out", "json"]]), scenarios())
+def test_protocol_finite_cells_or_one_error_line(scenario_path, out, doc):
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.showwarning = process_display
+        code = main(["--reproducible", *out, "protocol", str(scenario_path)])
+    lines = [line for line in stderr.getvalue().splitlines() if not line.startswith("warning: ")]
+    if code == 0:
+        assert lines == [], (doc, stderr.getvalue())
+        if out:
+            row = json.loads(stdout.getvalue())["results"]
+        else:
+            _, columns, rows = read_result_csv(stdout.getvalue())
+            (values,) = rows
+            row = dict(zip(columns, values))
+        if row["saturated"]:
+            assert math.isnan(row.pop("std_error_rad"))
+        cells = [cell for cell in row.values() if isinstance(cell, float)]
+        assert all(math.isfinite(cell) for cell in cells), (doc, row)
+    else:
+        assert code in (2, 3, 4), (doc, code)
+        assert stdout.getvalue() == ""
+        assert len(lines) == 1 and lines[0].startswith("error: "), (doc, stderr.getvalue())

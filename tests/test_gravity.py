@@ -17,6 +17,7 @@ from qredshift import (
     GravScenario,
     PhysicalConstants,
     ProximalMass,
+    ResourceCapError,
     UniformDeltaG,
     UniformStrain,
     VerticalRotation,
@@ -33,6 +34,7 @@ from qredshift import (
     universal_rate,
     vertical_displacements,
 )
+from qredshift import gravity
 
 C2 = DEFAULT_CONSTANTS.c_squared
 G0 = DEFAULT_CONSTANTS.g0
@@ -209,13 +211,6 @@ class TestGeometry:
         with pytest.raises(ValueError, match="square"):
             grid_chip(5, 1e-3, OMEGA_10GHZ)
 
-    def test_sites_view(self):
-        geom = line_chip(3, 2.0, [1.0, 2.0, 3.0], orientation=0.0)
-        sites = geom.sites
-        assert [s.index for s in sites] == [1, 2, 3]
-        assert [s.frequency for s in sites] == [1.0, 2.0, 3.0]
-        assert [s.chip_position[0] for s in sites] == [2.0, 0.0, -2.0]
-
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="layout"):
             line_chip(2, 1e-3, OMEGA_10GHZ).__class__("ring", 2, 1e-3, 0.0, np.ones(2))
@@ -225,6 +220,28 @@ class TestGeometry:
             line_chip(3, 1e-3, [1.0, 2.0])
         with pytest.raises(ValueError, match="positive"):
             line_chip(2, 1e-3, -5.0)
+
+
+class TestSiteCap:
+    def test_cap_boundary(self, monkeypatch):
+        monkeypatch.setattr(gravity, "MAX_SITES", 16)
+        sc = GravScenario(line_chip(16, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        assert len(dephasing_angles(sc, 1e-3)) == 16
+        assert grid_chip(16, 1e-3, OMEGA_10GHZ).qubit_count == 16
+        with pytest.raises(ResourceCapError, match="17 sites"):
+            line_chip(17, 1e-3, OMEGA_10GHZ)
+        with pytest.raises(ResourceCapError, match="25 sites"):
+            grid_chip(25, 1e-3, OMEGA_10GHZ)
+
+    def test_checked_before_any_array(self, monkeypatch):
+        def no_array(*args, **kwargs):
+            raise AssertionError("no per-site array may be built above the cap")
+
+        monkeypatch.setattr(np, "full", no_array)
+        monkeypatch.setattr(np, "asarray", no_array)
+        for n in (gravity.MAX_SITES + 1, 10**13):
+            with pytest.raises(ResourceCapError, match="cap"):
+                line_chip(n, 1e-3, OMEGA_10GHZ)
 
 
 class TestPotentialChanges:

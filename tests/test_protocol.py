@@ -1,4 +1,4 @@
-"""Protocol: partition, circuit construction, shot runs, estimator, phase sums."""
+"""Protocol: circuit construction, shot runs, estimator, phase sums."""
 
 import math
 import tracemalloc
@@ -22,9 +22,7 @@ from qredshift.protocol import (
     cumulative_phase_1d,
     expected_delta_phi,
     final_state,
-    partition_by_sign,
     run_protocol,
-    sample_outcomes,
     standard_pea_probabilities,
 )
 from qredshift.sensing import closed_form_phase
@@ -48,64 +46,70 @@ def ghz_scenario(target_phi: float, n: int = 50, t: float = 1e-3) -> GravScenari
     return GravScenario(geom, UniformDeltaG(delta_g_for_phase(target_phi, n, OMEGA_10GHZ, t)))
 
 
+def x_targets(gates) -> list[int]:
+    """Sites the circuit prepares in |1>: the minus sites of the sign partition."""
+    return [k for g in gates if g.kind == "x" for k in g.targets]
+
+
+def cx_targets(gates) -> list[int]:
+    """Targets of the entangling and the disentangling controlled-X layers, in order."""
+    return [k for g in gates if g.kind == "cx" for k in g.targets]
+
+
 class TestPartition:
+    """The sign partition, read off the circuit: X on the minus sites, CX on all sites."""
+
     def test_all_positive_is_ghz(self):
-        part = partition_by_sign(angles_of(0.1, 0.2, 0.3))
-        assert part.minus_set == ()
-        assert part.plus_set == (1, 2, 3)
+        gates = build_circuit(angles_of(0.1, 0.2, 0.3))
+        assert x_targets(gates) == []
+        assert cx_targets(gates) == [1, 2, 3] * 2
 
     def test_rotation_splits_at_midline(self):
         geom = line_chip(4, 1e-3, OMEGA_10GHZ)
         sc = GravScenario(geom, VerticalRotation(math.pi / 2))
         from qredshift.gravity import dephasing_angles
 
-        part = partition_by_sign(dephasing_angles(sc, 1e-3))
-        assert part.minus_set == (1, 2)  # upper half of the chip
-        assert part.plus_set == (3, 4)  # lower half
+        gates = build_circuit(dephasing_angles(sc, 1e-3))
+        assert x_targets(gates) == [1, 2]  # upper half of the chip
+        assert cx_targets(gates) == [1, 2, 3, 4] * 2  # the lower half (3, 4) stays plus
 
     def test_zeros_count_as_plus(self):
-        part = partition_by_sign(angles_of(0.0, 0.0))
-        assert part.plus_set == (1, 2)
-        assert part.minus_set == ()
+        gates = build_circuit(angles_of(0.0, 0.0))
+        assert cx_targets(gates) == [1, 2] * 2
+        assert x_targets(gates) == []
 
     def test_sets_partition_all_sites(self):
         rng = np.random.default_rng(17)
         theta = rng.normal(size=9)
-        part = partition_by_sign(angles_of(*theta))
-        assert sorted(part.plus_set + part.minus_set) == list(range(1, 10))
-        assert set(part.plus_set).isdisjoint(part.minus_set)
+        gates = build_circuit(angles_of(*theta))
+        assert x_targets(gates) == list(np.flatnonzero(theta < 0) + 1)
+        assert cx_targets(gates) == list(range(1, 10)) * 2
 
 
 class TestCircuit:
     def test_single_qubit_plus_only(self):
         angles = angles_of(0.3)
-        gates = build_circuit(partition_by_sign(angles), angles)
-        assert [g.kind for g in gates] == ["h", "s", "cx", "phase", "cx", "h", "measure"]
+        gates = build_circuit(angles)
+        assert [g.kind for g in gates] == ["h", "s", "cx", "phase", "cx", "h"]
 
     def test_no_x_without_minus_sites(self):
         angles = angles_of(0.1, 0.2)
-        gates = build_circuit(partition_by_sign(angles), angles)
+        gates = build_circuit(angles)
         assert all(g.kind != "x" for g in gates)
 
     def test_x_prepares_minus_sites(self):
         angles = angles_of(-0.1, 0.2, -0.3)
-        gates = build_circuit(partition_by_sign(angles), angles)
-        x_targets = [g.targets[0] for g in gates if g.kind == "x"]
-        assert x_targets == [1, 3]
+        assert x_targets(build_circuit(angles)) == [1, 3]
 
     def test_gate_count(self):
         # 3 single-qubit ancilla gates, |minus| X gates, an entangling and a
-        # disentangling controlled-X layer of n gates each, 1 phase, 1 measure
+        # disentangling controlled-X layer of n gates each, 1 phase
         rng = np.random.default_rng(23)
         for n in (1, 2, 5, 8):
             angles = angles_of(*rng.normal(size=n))
             minus = int(np.count_nonzero(angles.angles < 0))
-            gates = build_circuit(partition_by_sign(angles), angles)
-            assert len(gates) == 3 + minus + 2 * n + 1 + 1
-
-    def test_partition_angle_mismatch(self):
-        with pytest.raises(ValueError, match="sites"):
-            build_circuit(partition_by_sign(angles_of(0.1)), angles_of(0.1, 0.2))
+            gates = build_circuit(angles)
+            assert len(gates) == 3 + minus + 2 * n + 1
 
 
 class TestExpectedDeltaPhi:
@@ -144,7 +148,7 @@ class TestSineLaw:
         for _ in range(10):
             theta = rng.uniform(-3, 3, size=n)
             angles = angles_of(*theta)
-            state = final_state(build_circuit(partition_by_sign(angles), angles), n + 1)
+            state = final_state(build_circuit(angles), n + 1)
             p1 = probability_of(state, 0, 1)
             assert abs(p1 - (0.5 + 0.5 * math.sin(expected_delta_phi(angles)))) < 1e-12
 
@@ -235,8 +239,8 @@ class TestRunProtocol:
         sc = ghz_scenario(0.4, n=6)
         a = run_protocol(sc, 1e-3, 100, seed=5, backend="branch")
         b = run_protocol(sc, 1e-3, 100, seed=5, backend="statevector")
-        seq_a = sample_outcomes(a.p_one, 3000, seed=5)
-        seq_b = sample_outcomes(b.p_one, 3000, seed=5)
+        seq_a = rng.shot_uniforms(5, 3000) < a.p_one
+        seq_b = rng.shot_uniforms(5, 3000) < b.p_one
         np.testing.assert_array_equal(seq_a, seq_b)
 
     def test_estimator_consistency_over_seeds(self):
@@ -282,11 +286,11 @@ class TestRunProtocol:
 
 
 def count_of(shots: int, seed: int) -> tuple[int, int]:
-    """(streamed count_one of run_protocol, count of the materialised sample_outcomes)."""
+    """(streamed count_one of run_protocol, count of the materialised shot uniforms below p_one)."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # one shot saturates the estimator
         outcome = run_protocol(ghz_scenario(0.1), 1e-3, shots, seed=seed)
-    return outcome.count_one, int(np.count_nonzero(sample_outcomes(outcome.p_one, shots, seed)))
+    return outcome.count_one, int(np.count_nonzero(rng.shot_uniforms(seed, shots) < outcome.p_one))
 
 
 class TestStreamedCount:

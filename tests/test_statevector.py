@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from qredshift.gravity import DephasingAngles
-from qredshift.rng import shot_stream, shot_uniforms
+from qredshift.rng import shot_uniforms
 from qredshift.statevector import (
     DENSITY_MAX_QUBITS,
     MAX_QUBITS,
@@ -25,7 +25,6 @@ from qredshift.statevector import (
     diagonal_phase,
     hadamard,
     init_zero,
-    measure_qubit,
     probability_of,
     s_gate,
     x_gate,
@@ -157,12 +156,6 @@ class TestGates:
         with pytest.raises(ValueError, match="distinct"):
             apply_gate(init_zero(3), controlled_x(0, 1, 1))
 
-    def test_measure_gate_not_applicable(self):
-        from qredshift.statevector import measure
-
-        with pytest.raises(ValueError, match="runner"):
-            apply_gate(init_zero(1), measure(0))
-
 
 class TestDiagonalPhase:
     def test_zero_angles_identity(self):
@@ -287,28 +280,6 @@ class TestChannel:
 
 
 class TestMeasurement:
-    def test_measure_one_state(self):
-        state = apply_gate(init_zero(1), x_gate(0))
-        outcome, collapsed = measure_qubit(state, 0, shot_stream(0))
-        assert outcome == 1
-        assert abs(collapsed.norm() - 1.0) < 1e-12
-
-    def test_collapse_renormalizes(self):
-        state = apply_gate(init_zero(2), hadamard(1))
-        outcome, collapsed = measure_qubit(state, 1, shot_stream(5))
-        assert abs(collapsed.norm() - 1.0) < 1e-12
-        assert probability_of(collapsed, 1, outcome) == pytest.approx(1.0, abs=1e-12)
-
-    def test_loop_matches_vectorized_sampling(self):
-        # measuring fresh copies along one stream == comparing the stream's
-        # uniforms against p(1); same convention the protocol sampler uses
-        state = apply_gate(init_zero(1), hadamard(0))
-        p_one = probability_of(state, 0, 1)
-        gen = shot_stream(314)
-        loop = [measure_qubit(state.copy(), 0, gen)[0] for _ in range(1000)]
-        vectorized = (shot_uniforms(314, 1000) < p_one).astype(int)
-        np.testing.assert_array_equal(loop, vectorized)
-
     def test_balanced_superposition_statistics(self):
         state = apply_gate(init_zero(1), hadamard(0))
         p_one = probability_of(state, 0, 1)
@@ -324,9 +295,3 @@ class TestMeasurement:
     def test_probability_bad_bit(self):
         with pytest.raises(ValueError):
             probability_of(init_zero(1), 0, 2)
-
-    def test_identical_seeds_identical_shots(self):
-        state = apply_gate(init_zero(1), hadamard(0))
-        a = [measure_qubit(state.copy(), 0, shot_stream(99, start=i))[0] for i in range(50)]
-        b = [measure_qubit(state.copy(), 0, shot_stream(99, start=i))[0] for i in range(50)]
-        assert a == b
