@@ -87,24 +87,24 @@ def expected_delta_phi(angles: DephasingAngles) -> float:
     """dphi = phi_plus - phi_minus = sum of |theta_k|.
 
     numpy's pairwise summation keeps the rounding error at O(eps log n).
+    Finite angles can still sum past the float range; the result is then
+    inf, which run_protocol rejects.
     """
-    return float(np.abs(angles.angles).sum())
+    with np.errstate(over="ignore"):
+        return float(np.abs(angles.angles).sum())
 
 
 def build_circuit(angles: DephasingAngles) -> list[sv.Gate]:
     """Gate sequence of the measurement circuit (ancilla = bit 0, site k = bit k).
 
-    The minus sites, theta_k < 0, get an X; exact zeros count as plus.
+    One X gate flips the minus sites, theta_k < 0 (exact zeros count as
+    plus; no minus sites, no X gate), and each controlled-X layer is one
+    fan-out onto every site, so the circuit has at most 7 gates.
     """
-    sites = range(1, len(angles) + 1)
-    gates = [sv.hadamard(0)]
-    gates.extend(sv.x_gate(int(k) + 1) for k in np.flatnonzero(angles.angles < 0.0))
-    gates.append(sv.s_gate(0))
-    gates.extend(sv.controlled_x(0, k) for k in sites)
-    gates.append(sv.diagonal_phase(angles))
-    gates.extend(sv.controlled_x(0, k) for k in sites)
-    gates.append(sv.hadamard(0))
-    return gates
+    minus = tuple(int(k) + 1 for k in np.flatnonzero(angles.angles < 0.0))
+    fan_out = sv.controlled_x(0, *range(1, len(angles) + 1))
+    gates = [sv.hadamard(0)] + ([sv.x_gate(*minus)] if minus else [])
+    return gates + [sv.s_gate(0), fan_out, sv.diagonal_phase(angles), fan_out, sv.hadamard(0)]
 
 
 def final_state(circuit: list[sv.Gate], qubit_count: int) -> sv.StateVector:
@@ -142,6 +142,8 @@ def run_protocol(
         raise ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     angles = dephasing_angles(scenario, t)
     analytic = expected_delta_phi(angles)
+    if not math.isfinite(analytic):
+        raise ArithmeticError(f"analytic_delta_phi_rad = {analytic}: the sum of |theta_k| overflows")
 
     if backend == "branch":
         _, p_one = branch_engine.ancilla_probabilities(analytic)

@@ -1,10 +1,12 @@
 """Dense statevector and density-matrix simulation of dephasing circuits.
 
 Amplitude index bit 0 is the ancilla; register site k lives at bit k.
-Everything the measurement circuit needs is an amplitude-pair unitary
-(H, S, X), a basis permutation (controlled X), or a diagonal phase
-multiplication, so a few reshaped-view numpy kernels cover all of it
-without ever building a 2^n x 2^n matrix.
+The kernels address the amplitudes as a (2,) * qubit_count tensor and
+work on the two halves that one bit splits it into (optionally within
+control = 1): H mixes them, S and each phase angle scale the bit = 1
+half, and one X kernel swaps them.  That kernel flips any number of
+targets at once, so an X layer and a controlled-X fan-out are each one
+whole-register pass, and no 2^n x 2^n matrix is ever built.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -68,8 +70,9 @@ class Gate:
     """One circuit element.
 
     kind: "h" | "s" | "x" | "cx" | "phase"
-    "cx" flips every target bit where `control` is set; "phase" applies
-    the diagonal dephasing angles to the register bits 1..n.
+    "h" and "s" act on one target; "x" flips every target bit and "cx"
+    flips every target bit where `control` is set (no targets: identity);
+    "phase" applies the diagonal dephasing angles to the register bits 1..n.
     """
 
     kind: str
@@ -86,8 +89,9 @@ def s_gate(target: int) -> Gate:
     return Gate("s", (target,))
 
 
-def x_gate(target: int) -> Gate:
-    return Gate("x", (target,))
+def x_gate(*targets: int) -> Gate:
+    """One "x" gate that flips every target."""
+    return Gate("x", tuple(targets))
 
 
 def controlled_x(control: int, *targets: int) -> Gate:
@@ -116,71 +120,64 @@ def _check_bit(state: StateVector, bit: int) -> None:
         raise IndexError(f"qubit index {bit} out of range for {state.qubit_count}-qubit state")
 
 
-def _bit_view(amps: np.ndarray, bit: int) -> np.ndarray:
-    # shape (high, 2, low): axis 1 is the addressed bit
-    return amps.reshape(-1, 2, 1 << bit)
+def _halves(state: StateVector, bit: int, control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(bit = 0, bit = 1) views of the amplitudes, both restricted to control = 1 if given.
+
+    The views keep every axis of the (2,) * qubit_count tensor, in which axis
+    qubit_count - 1 - k holds bit k, so axis numbers mean the same on both.
+    """
+    top = state.qubit_count - 1
+    tensor = state.amplitudes.reshape((2,) * state.qubit_count)
+    index = [slice(None)] * state.qubit_count
+    if control is not None:
+        index[top - control] = slice(1, 2)
+    index[top - bit] = slice(0, 1)
+    zero = tensor[tuple(index)]
+    index[top - bit] = slice(1, 2)
+    return zero, tensor[tuple(index)]
 
 
-def _apply_h(state: StateVector, bit: int) -> None:
-    view = _bit_view(state.amplitudes, bit)
-    a0 = view[:, 0, :].copy()
-    a1 = view[:, 1, :]
-    view[:, 0, :] = (a0 + a1) * _SQRT1_2
-    view[:, 1, :] = (a0 - a1) * _SQRT1_2
+def _apply_x(state: StateVector, targets: tuple[int, ...], control: int | None = None) -> None:
+    """Flip every target bit (where `control` is set) in one whole-register pass.
 
-
-def _apply_s(state: StateVector, bit: int) -> None:
-    _bit_view(state.amplitudes, bit)[:, 1, :] *= 1j
-
-
-def _apply_x(state: StateVector, bit: int) -> None:
-    view = _bit_view(state.amplitudes, bit)
-    tmp = view[:, 0, :].copy()
-    view[:, 0, :] = view[:, 1, :]
-    view[:, 1, :] = tmp
-
-
-def _apply_cx(state: StateVector, control: int, target: int) -> None:
-    if control == target:
-        raise ValueError("control and target must differ")
-    hi, lo = max(control, target), min(control, target)
-    # axes: (rest, bit_hi, mid, bit_lo, low)
-    view = state.amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << lo)
-    if control == hi:
-        sub = view[:, 1, :, :, :]
-        tmp = sub[:, :, 0, :].copy()
-        sub[:, :, 0, :] = sub[:, :, 1, :]
-        sub[:, :, 1, :] = tmp
-    else:
-        sub = view[:, :, :, 1, :]
-        tmp = sub[:, 0, :, :].copy()
-        sub[:, 0, :, :] = sub[:, 1, :, :]
-        sub[:, 1, :, :] = tmp
+    The halves on either side of the first target swap, each mirrored along
+    the other target axes.  The swap allocates in half-size blocks, as a
+    single-target swap does; `view[...] = np.flip(view, axes)` would copy
+    the whole state into one temporary and raise the peak memory.
+    """
+    if not targets:
+        return
+    first, *rest = targets
+    axes = tuple(state.qubit_count - 1 - k for k in rest)
+    zero, one = _halves(state, first, control)
+    flipped_zero = np.flip(zero, axes).copy()
+    zero[...] = np.flip(one, axes)
+    one[...] = flipped_zero
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply `gate` in place and return the state."""
+    bits = gate.targets if gate.control is None else (*gate.targets, gate.control)
+    for bit in bits:
+        _check_bit(state, bit)
+    if len(set(bits)) != len(bits):
+        raise ValueError(f"{gate.kind} gate bits must be distinct, got {bits}")
     if gate.kind == "h":
         (target,) = gate.targets
-        _check_bit(state, target)
-        _apply_h(state, target)
+        zero, one = _halves(state, target)
+        old_zero = zero.copy()
+        zero[...] = (old_zero + one) * _SQRT1_2
+        one[...] = (old_zero - one) * _SQRT1_2
     elif gate.kind == "s":
         (target,) = gate.targets
-        _check_bit(state, target)
-        _apply_s(state, target)
+        _, one = _halves(state, target)
+        one *= 1j
     elif gate.kind == "x":
-        (target,) = gate.targets
-        _check_bit(state, target)
-        _apply_x(state, target)
+        _apply_x(state, gate.targets)
     elif gate.kind == "cx":
         if gate.control is None:
             raise ValueError("cx gate needs a control")
-        _check_bit(state, gate.control)
-        if len(set(gate.targets)) != len(gate.targets):
-            raise ValueError("cx targets must be distinct")
-        for target in gate.targets:
-            _check_bit(state, target)
-            _apply_cx(state, gate.control, target)
+        _apply_x(state, gate.targets, gate.control)
     elif gate.kind == "phase":
         if gate.angles is None:
             raise ValueError("phase gate needs angles")
@@ -204,7 +201,8 @@ def apply_diagonal_phase(state: StateVector, angles: DephasingAngles) -> StateVe
         )
     for k, theta_k in enumerate(theta, start=1):
         if theta_k != 0.0:
-            _bit_view(state.amplitudes, k)[:, 1, :] *= complex(math.cos(theta_k), math.sin(theta_k))
+            _, one = _halves(state, k)
+            one *= complex(math.cos(theta_k), math.sin(theta_k))
     return state
 
 
@@ -213,8 +211,7 @@ def probability_of(state: StateVector, site: int, bit: int) -> float:
     _check_bit(state, site)
     if bit not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    view = _bit_view(state.amplitudes, site)
-    return float(np.sum(np.abs(view[:, bit, :]) ** 2))
+    return float(np.sum(np.abs(_halves(state, site)[bit]) ** 2))
 
 
 # --- density-matrix channel checks -----------------------------------------

@@ -390,6 +390,20 @@ class TestRangeErrors:
         assert code == 2
         assert "--param freq" in one_line_error(capsys)
 
+    @pytest.mark.parametrize("backend", ["branch", "statevector"])
+    def test_protocol_dphi_overflow(self, tmp_path, capsys, backend):
+        # every angle is finite, but their sum overflows
+        path = scenario_file(
+            tmp_path,
+            qubits={"frequency_ghz": 1e8},
+            perturbation={"kind": "delta_g", "delta_g": 1e300},
+            run={"time_s": 1, "shots": 1000, "seed": 1, "backend": backend},
+        )
+        code, out, err = run_with_stderr(capsys, ["protocol", path])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert "analytic_delta_phi_rad" in err
+
     def test_required_qubits_underflow_is_one_qubit(self, capsys):
         code, out = run_cli(capsys, "required-qubits", "--tc", "1e300")
         assert code == 0

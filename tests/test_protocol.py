@@ -102,14 +102,14 @@ class TestCircuit:
         assert x_targets(build_circuit(angles)) == [1, 3]
 
     def test_gate_count(self):
-        # 3 single-qubit ancilla gates, |minus| X gates, an entangling and a
-        # disentangling controlled-X layer of n gates each, 1 phase
+        # 3 single-qubit ancilla gates, one X gate when there are minus sites,
+        # an entangling and a disentangling controlled-X fan-out, 1 phase
         rng = np.random.default_rng(23)
         for n in (1, 2, 5, 8):
             angles = angles_of(*rng.normal(size=n))
             minus = int(np.count_nonzero(angles.angles < 0))
             gates = build_circuit(angles)
-            assert len(gates) == 3 + minus + 2 * n + 1
+            assert len(gates) == 6 + (minus > 0)
 
 
 class TestExpectedDeltaPhi:

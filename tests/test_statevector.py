@@ -53,6 +53,12 @@ def cx_matrix(control: int, target: int, m: int) -> np.ndarray:
     return mat
 
 
+def random_subset(rng, bits) -> list[int]:
+    """A non-empty subset of `bits` in random order."""
+    pool = rng.permutation(list(bits))
+    return [int(b) for b in pool[: rng.integers(1, len(pool) + 1)]]
+
+
 def random_state(m: int, seed: int):
     rng = np.random.default_rng(seed)
     vec = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
@@ -113,14 +119,14 @@ class TestGates:
         state = apply_gate(state, controlled_x(0, 1, 2, 3))
         assert state.amplitudes[0b1111] == 1.0
 
-    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("m", [2, 3, 4])
     def test_against_kron_oracle(self, m):
         rng = np.random.default_rng(m)
         for trial in range(25):
             state = random_state(m, seed=100 * m + trial)
             expected = state.amplitudes.copy()
             for _ in range(6):
-                choice = rng.integers(0, 4)
+                choice = rng.integers(0, 6)
                 if choice == 0:
                     bit = int(rng.integers(0, m))
                     apply_gate(state, hadamard(bit))
@@ -133,11 +139,46 @@ class TestGates:
                     bit = int(rng.integers(0, m))
                     apply_gate(state, x_gate(bit))
                     expected = kron_on(X, bit, m) @ expected
-                else:
+                elif choice == 3:
                     control, target = rng.choice(m, size=2, replace=False)
                     apply_gate(state, controlled_x(int(control), int(target)))
                     expected = cx_matrix(int(control), int(target), m) @ expected
+                elif choice == 4:
+                    targets = random_subset(rng, range(m))
+                    apply_gate(state, x_gate(*targets))
+                    for target in targets:
+                        expected = kron_on(X, target, m) @ expected
+                else:
+                    # the control lands below, above or between the targets
+                    control = int(rng.integers(0, m))
+                    targets = random_subset(rng, [b for b in range(m) if b != control])
+                    apply_gate(state, controlled_x(control, *targets))
+                    for target in targets:
+                        expected = cx_matrix(control, target, m) @ expected
             np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
+
+    @pytest.mark.parametrize(
+        "control, targets",
+        [
+            (0, (1, 2, 3, 4)),  # control below every target: the circuit's fan-out
+            (4, (2, 0, 1)),  # control above
+            (2, (4, 0, 3, 1)),  # control between
+            (None, (3, 1, 4)),
+            (None, (0, 1, 2, 3, 4)),
+            (1, ()),  # no targets: identity
+            (None, ()),
+        ],
+    )
+    def test_fan_out_equals_one_target_at_a_time(self, control, targets):
+        def gate(*bits):
+            return x_gate(*bits) if control is None else controlled_x(control, *bits)
+
+        fan_out = random_state(5, seed=31)
+        one_at_a_time = fan_out.copy()
+        apply_gate(fan_out, gate(*targets))
+        for target in targets:
+            apply_gate(one_at_a_time, gate(target))
+        np.testing.assert_array_equal(fan_out.amplitudes, one_at_a_time.amplitudes)
 
     def test_norm_preserved_random_circuit(self):
         state = random_state(6, seed=3)
@@ -155,6 +196,24 @@ class TestGates:
     def test_cx_duplicate_targets_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
             apply_gate(init_zero(3), controlled_x(0, 1, 1))
+
+    @pytest.mark.parametrize(
+        "gate, error, match",
+        [
+            (x_gate(1, 2, 1), ValueError, "distinct"),
+            (controlled_x(0, 2, 1, 2), ValueError, "distinct"),
+            (controlled_x(1, 2, 1), ValueError, "distinct"),  # control is also a target
+            (x_gate(0, 1, 3), IndexError, "out of range"),
+            (controlled_x(0, 1, 3, 2), IndexError, "out of range"),
+            (controlled_x(3, 1, 2), IndexError, "out of range"),
+        ],
+    )
+    def test_bad_fan_out_rejected_before_any_pass(self, gate, error, match):
+        state = random_state(3, seed=5)
+        before = state.amplitudes.copy()
+        with pytest.raises(error, match=match):
+            apply_gate(state, gate)
+        np.testing.assert_array_equal(state.amplitudes, before)
 
 
 class TestDiagonalPhase:

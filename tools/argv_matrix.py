@@ -1,0 +1,220 @@
+"""Run a fixed matrix of `qredshift` commands against one checkout and record every output.
+
+    python3 tools/argv_matrix.py CHECKOUT OUT.jsonl
+
+Each command runs as `python -m qredshift.cli ...` with CHECKOUT/src on
+PYTHONPATH, in a fresh temporary directory that holds the scenario and
+constants files the matrix uses.  OUT.jsonl gets one JSON line per command:
+argv, exit code, stdout, stderr and the text of the sweep file it wrote
+(null when it wrote none).  The temporary directory and the checkout path
+are replaced by `<tmp>` and `<checkout>` in every output, so two runs on
+one checkout give identical files and two checkouts can be diffed line by
+line.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SWEEP_FILE = "sweep.csv"
+
+
+def _scenario(geometry=None, qubits=None, perturbation=None, run=None, **extra) -> dict:
+    doc = {
+        "version": 1,
+        "geometry": {"layout": "line", "n": 8, "spacing_m": 1e-3, "orientation_deg": 0.0},
+        "qubits": {"frequency_ghz": 10.0},
+        "perturbation": {"kind": "rotation", "angle_deg": 90.0},
+        "run": {"time_s": 1e-3, "shots": 100000, "seed": 42, "backend": "branch"},
+    }
+    for key, value in (("geometry", geometry), ("qubits", qubits), ("perturbation", perturbation), ("run", run)):
+        if value is not None:
+            doc[key] = value
+    doc.update(extra)
+    return doc
+
+
+_RUN_1S = {"time_s": 1.0, "shots": 1000, "seed": 1, "backend": "branch"}
+
+FILES = {
+    "rotation.json": _scenario(),
+    "delta_g.json": _scenario(perturbation={"kind": "delta_g", "delta_g": 1e-3}, run=_RUN_1S),
+    "mass.json": _scenario(perturbation={"kind": "mass", "mass_kg": 1000.0, "distance_m": 0.1}, run=_RUN_1S),
+    "translation.json": _scenario(perturbation={"kind": "translation", "delta_x_m": 0.01}, run=_RUN_1S),
+    "strain.json": _scenario(perturbation={"kind": "strain", "strain": 1e-6, "angle_deg": 30.0}),
+    "grid.json": _scenario(geometry={"layout": "grid", "n": 9, "spacing_m": 1e-3, "orientation_deg": 10.0}),
+    "sv.json": _scenario(run={"time_s": 1e-3, "shots": 100000, "seed": 42, "backend": "statevector"}),
+    "per_site.json": _scenario(qubits={"frequency_ghz": [4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5]}),
+    "constants.json": _scenario(constants={"c": 3.0e8, "g0": 9.81}),
+    "saturated.json": _scenario(run={"time_s": 1e-3, "shots": 1, "seed": 3, "backend": "branch"}),
+    "range.json": _scenario(perturbation={"kind": "delta_g", "delta_g": 10.0}, run=_RUN_1S),
+    "overflow.json": _scenario(qubits={"frequency_ghz": 1e8}, perturbation={"kind": "delta_g", "delta_g": 1e300},
+                               run=_RUN_1S),
+    "huge_n.json": _scenario(geometry={"layout": "line", "n": 10**13, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    "dense_cap.json": _scenario(geometry={"layout": "line", "n": 30, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    "unknown_key.json": _scenario(geometry={"layout": "line", "n": 8, "spacing_m": 1e-3, "frobnicate": 1}),
+    "bad_layout.json": _scenario(geometry={"layout": "ring", "n": 8, "spacing_m": 1e-3}),
+    "consts.json": {"c": 299792458.0, "g0": 9.81},
+    "bad_consts.json": {"c": True},
+}
+
+R = "--reproducible"
+
+
+def _sweep(target: str, param: str, start: str, stop: str, steps: str = "3", *extra: str) -> list[str]:
+    return [R, "sweep", "--target", target, "--param", param, f"--from={start}", f"--to={stop}",
+            "--steps", steps, "--out", SWEEP_FILE, *extra]
+
+
+def _commands() -> list[list[str]]:
+    cmds: list[list[str]] = []
+    for out in ("csv", "json"):
+        cmds += [
+            [R, "--out", out, "redshift", "--delta-x", "0.01", "--freq-ghz", "10"],
+            [R, "--out", out, "redshift", "--mass", "1000", "--distance", "0.1"],
+            [R, "--out", out, "gravimeter", "--n", "1e3", "--tc", "1e-3", "--freq-ghz", "10"],
+            [R, "--out", out, "gravimeter", "--delta-g", "1e-7", "--time-s", "1e-3"],
+            [R, "--out", out, "strain"],
+            [R, "--out", out, "strain", "--strain", "1e-9", "--time-s", "1"],
+            [R, "--out", out, "required-qubits", "--geometry", "1d", "--tc", "1"],
+            [R, "--out", out, "required-qubits", "--geometry", "2d", "--tc", "1e-3"],
+        ]
+    cmds += [
+        [R, "redshift", "--delta-x", "0"],
+        [R, "--constants-file", "consts.json", "redshift", "--delta-x", "0.01"],
+        [R, "--constants-file", "consts.json", "gravimeter", "--n", "100"],
+        [R, "--constants-file", "consts.json", "strain", "--n", "100"],
+        [R, "--constants-file", "consts.json", "required-qubits", "--geometry", "2d"],
+        [R, "--constants-file", "bad_consts.json", "gravimeter"],
+        [R, "--constants-file", "missing.json", "gravimeter"],
+        [R, "required-qubits", "--tc", "1e300"],
+    ]
+    # protocol: every perturbation kind and layout on both backends, plus overrides
+    for name in ("rotation", "delta_g", "mass", "translation", "strain", "grid", "per_site", "constants"):
+        for backend in ("branch", "statevector"):
+            cmds.append([R, "protocol", f"{name}.json", "--backend", backend])
+    cmds += [
+        [R, "--out", "json", "protocol", "rotation.json"],
+        [R, "--out", "json", "protocol", "per_site.json", "--backend", "statevector"],
+        [R, "--seed", "7", "protocol", "rotation.json"],
+        [R, "--seed", "7", "protocol", "rotation.json", "--backend", "statevector"],
+        [R, "protocol", "rotation.json", "--shots", "262145", "--time-s", "2e-3"],
+        [R, "protocol", "saturated.json"],
+        [R, "protocol", "saturated.json", "--backend", "statevector"],
+        [R, "protocol", "range.json"],
+        [R, "protocol", "range.json", "--backend", "statevector"],
+        [R, "protocol", "overflow.json"],
+        [R, "protocol", "overflow.json", "--backend", "statevector"],
+        [R, "protocol", "huge_n.json"],
+        [R, "protocol", "dense_cap.json", "--backend", "statevector"],
+        [R, "protocol", "rotation.json", "--shots", "1e11"],
+        [R, "protocol", "rotation.json", "--shots", "0"],
+        [R, "protocol", "rotation.json", "--shots", "2.7"],
+        [R, "protocol", "unknown_key.json"],
+        [R, "protocol", "bad_layout.json"],
+        [R, "protocol", "missing.json"],
+    ]
+    # sweeps: every target/param pair, linear and log, both geometries, both backends
+    cmds += [
+        _sweep("gravimeter", "n", "10", "1000"),
+        _sweep("gravimeter", "n", "10", "1000", "3", "--log"),
+        _sweep("gravimeter", "tc", "1e-4", "1e-2", "3", "--log"),
+        _sweep("gravimeter", "freq", "4", "8"),
+        _sweep("gravimeter", "ell", "1e-4", "1e-2", "3", "--geometry", "2d"),
+        _sweep("strain", "n", "10", "1000", "4"),
+        _sweep("strain", "tc", "1e-4", "1e-2"),
+        _sweep("strain", "freq", "4", "8", "3", "--log"),
+        _sweep("strain", "ell", "1e-4", "1e-2"),
+        _sweep("required-qubits", "tc", "1e-4", "1", "3", "--log"),
+        _sweep("required-qubits", "freq", "4", "8", "3", "--geometry", "2d"),
+        _sweep("required-qubits", "ell", "1e-4", "1e-2"),
+        _sweep("phase", "n", "2", "100"),
+        _sweep("phase", "n", "4", "400", "3", "--geometry", "2d"),
+        _sweep("phase", "freq", "4", "8", "3", "--time-s", "1"),
+        _sweep("phase", "ell", "1e-4", "1e-2", "3", "--log"),
+        _sweep("phase", "time", "1e-3", "1", "3", "--log"),
+        _sweep("protocol", "n", "2", "8", "4", "--scenario", "rotation.json"),
+        _sweep("protocol", "n", "2", "8", "4", "--scenario", "sv.json"),
+        [R, "--seed", "5", *_sweep("protocol", "freq", "4", "8", "3", "--scenario", "rotation.json")[1:]],
+        _sweep("protocol", "freq", "4", "8", "3", "--scenario", "sv.json", "--shots", "5000"),
+        _sweep("protocol", "ell", "1e-4", "1e-2", "3", "--scenario", "delta_g.json", "--log"),
+        _sweep("protocol", "shots", "1", "1000", "3", "--scenario", "rotation.json"),
+        _sweep("protocol", "shots", "10", "1e5", "3", "--scenario", "mass.json", "--log"),
+        _sweep("protocol", "time", "1e-3", "1", "3", "--scenario", "translation.json"),
+        _sweep("protocol", "time", "1e-3", "1", "3", "--scenario", "sv.json", "--shots", "1000"),
+        _sweep("protocol", "ell", "1e-4", "1e-2", "2", "--scenario", "strain.json", "--time-s", "1"),
+        _sweep("protocol", "time", "1", "2", "2", "--scenario", "overflow.json"),
+        _sweep("protocol", "n", "2", "1e13", "2", "--scenario", "rotation.json"),
+        _sweep("protocol", "n", "2", "8"),
+        _sweep("protocol", "freq", "4", "8", "3", "--scenario", "grid.json"),
+        _sweep("phase", "n", "1", "1e300", "2"),
+        _sweep("phase", "freq", "-1.7e308", "1.7e308", "3"),
+        _sweep("phase", "n", "1", "2", "1e7"),
+        _sweep("phase", "n", "1", "2", "2.5"),
+        _sweep("required-qubits", "n", "1", "2"),
+    ]
+    cmds += [
+        ["redshift", "--mass", "10"],
+        ["redshift", "--delta-x", "1", "--mass", "1"],
+        ["redshift", "--delta-x", "nan"],
+        ["redshift", "--mass", "1e300", "--distance", "1e-300"],
+        ["gravimeter", "--tc", "inf"],
+        ["gravimeter", "--tc", "1e-320"],
+        ["gravimeter", "--n", "2.7"],
+        ["strain", "--tc", "1e300"],
+        ["required-qubits", "--tc", "1e-320"],
+        ["frobnicate"],
+        [],
+        ["--help"],
+        *([name, "--help"] for name in ("redshift", "protocol", "gravimeter", "strain", "required-qubits", "sweep")),
+    ]
+    return cmds
+
+
+def _run(argv: list[str], workdir: Path, env: dict[str, str], checkout: Path) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "-m", "qredshift.cli", *argv],
+        cwd=workdir, env=env, capture_output=True, text=True, check=False,
+    )
+    sweep_path = workdir / SWEEP_FILE
+    sweep = sweep_path.read_text(encoding="utf-8") if sweep_path.exists() else None
+    sweep_path.unlink(missing_ok=True)
+
+    def scrub(text: str | None) -> str | None:
+        if text is None:
+            return None
+        return text.replace(str(workdir), "<tmp>").replace(str(checkout), "<checkout>")
+
+    return {"argv": argv, "exit": proc.returncode, "stdout": scrub(proc.stdout),
+            "stderr": scrub(proc.stderr), "sweep": scrub(sweep)}
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else argv
+    if len(args) != 2:
+        print("usage: python3 tools/argv_matrix.py CHECKOUT OUT.jsonl", file=sys.stderr)
+        return 2
+    checkout, out_path = Path(args[0]).resolve(), Path(args[1])
+    src = checkout / "src"
+    if not (src / "qredshift").is_dir():
+        print(f"error: {src / 'qredshift'} is not a directory", file=sys.stderr)
+        return 2
+    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
+    env.update(PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    with tempfile.TemporaryDirectory(prefix="argv_matrix_") as tmp:
+        workdir = Path(tmp).resolve()
+        for name, doc in FILES.items():
+            (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+        lines = [json.dumps(_run(cmd, workdir, env, checkout), sort_keys=True) for cmd in _commands()]
+    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines)} commands -> {out_path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
