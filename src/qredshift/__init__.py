@@ -28,6 +28,7 @@ from .gravity import (
     phase_rate,
     potential_changes,
     redshift_factor,
+    uniform_delta_phi,
     universal_rate,
     vertical_displacements,
 )

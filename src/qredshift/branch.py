@@ -7,8 +7,9 @@ diagonal, so it only rotates the two branch phases.  The ancilla then
 reads out nothing but their difference dphi = phi_plus - phi_minus, which
 for the sign partition is sum_k |theta_k| (protocol.expected_delta_phi).
 Evaluating the sine law on that one number reproduces the dense
-simulation exactly at O(n) numpy cost, which is what makes register sizes
-of 1e5..1e7 tractable.
+simulation exactly.  On a chip with one qubit frequency the number has a
+closed form (gravity.uniform_delta_phi), so a register of any size costs
+O(1); per-site frequencies cost one O(n) numpy pass over the angles.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ file.  The `phase` row (the rotated-chip closed form) is a sweep target
 only.
 
 Exit codes: 0 success, 2 validation or usage error (including results out
-of the floating-point range), 3 resource cap (chip sites, dense register
-size, shot count, sweep points), 4 I/O error; an error is one stderr line.
+of the floating-point range), 3 resource cap (sites of a chip with per-site
+frequencies, dense register size, shot count, sweep points), 4 I/O error;
+an error is one stderr line.
 A warning the run raises (estimator saturation or range, a time beyond the
 coherence time) is one `warning: <message>` line on stderr.
 """
@@ -215,9 +216,9 @@ def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocu
         geometry = scenario.geometry
         if geometry.layout != "line":
             raise ValueError("protocol sweeps only support line geometries")
-        if "freq_ghz" not in p and not np.all(geometry.frequencies == geometry.frequencies[0]):
+        omega = _omega(p["freq_ghz"]) if "freq_ghz" in p else geometry.uniform_frequency
+        if omega is None:
             raise ValueError("protocol sweeps need a uniform qubit frequency")
-        omega = _omega(p["freq_ghz"]) if "freq_ghz" in p else float(geometry.frequencies[0])
         chip = line_chip(p.get("n", geometry.qubit_count), p.get("ell_m", geometry.spacing),
                          omega, geometry.orientation)
         scenario = replace(scenario, geometry=chip)

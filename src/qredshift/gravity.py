@@ -8,7 +8,9 @@ accumulation time t, register site k picks up the phase angle
     theta_k = -(t / c^2) * dPhi_k * omega_k
 
 relative to its calibrated frame.  These angles parameterize the diagonal
-dephasing channel consumed by the simulation engines.
+dephasing channel consumed by the simulation engines.  On a chip with one
+qubit frequency, uniform_delta_phi gives their absolute sum in closed form
+at O(1) cost, so only per-site paths build per-site arrays.
 
 Supported perturbations of a calibrated chip:
 
@@ -29,6 +31,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from math import isqrt
+from numbers import Real
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,18 +60,27 @@ __all__ = [
     "vertical_displacements",
     "potential_changes",
     "dephasing_angles",
+    "uniform_delta_phi",
 ]
 
 
-# Most sites a chip may have; above it building the chip raises
-# ResourceCapError (CLI exit code 3) before any per-site array exists.
-# `qredshift protocol` on the branch backend at the cap took 3.0 s and
-# peaked at 1.56 GB RSS on a 2-vCPU machine (numpy 2.4, Python 3.11).
+# Most sites a per-site array may cover: per-site frequencies, axis
+# coordinates, potential changes and dephasing angles raise ResourceCapError
+# (CLI exit code 3) above it, before any such array exists.  A chip with one
+# frequency is not capped on the paths that need no array (the branch
+# backend, uniform_delta_phi).  At the cap, a branch run on the array path
+# took 3.0 s and peaked at 1.56 GB RSS on a 2-vCPU machine (numpy 2.4,
+# Python 3.11).
 MAX_SITES = 5 * 10**7
 
 
 class ResourceCapError(RuntimeError):
-    """A run exceeds a documented cap: chip sites, dense or density-matrix size, or shots."""
+    """A run exceeds a documented cap: per-site arrays, dense or density-matrix size, or shots."""
+
+
+def _check_sites(n: int) -> None:
+    if n > MAX_SITES:
+        raise ResourceCapError(f"{n} sites exceed the cap of {MAX_SITES}")
 
 
 @dataclass(frozen=True)
@@ -80,14 +92,17 @@ class ChipGeometry:
     (line axis, or grid row axis) away from horizontal: 0 keeps every site
     at the same height, pi/2 stands the axis fully vertical.
 
-    `frequencies` holds one angular frequency per site.
+    `frequency` is the chip's one angular frequency (rad/s), kept as a
+    float, or one frequency per site; per-site values that are all equal
+    are kept as one float too.  `frequencies` hands out the per-site array
+    either way.
     """
 
     layout: str
     qubit_count: int
     spacing: float
     orientation: float
-    frequencies: np.ndarray = field(repr=False)
+    frequency: float | np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         if self.layout not in ("line", "grid"):
@@ -98,12 +113,28 @@ class ChipGeometry:
             raise ValueError(f"grid layout needs a perfect-square qubit count, got {self.qubit_count}")
         if not self.spacing > 0.0:
             raise ValueError(f"spacing must be positive, got {self.spacing!r}")
-        freqs = np.asarray(self.frequencies, dtype=float)
-        if freqs.shape != (self.qubit_count,):
-            raise ValueError(f"expected {self.qubit_count} site frequencies, got shape {freqs.shape}")
-        if not np.all(freqs > 0.0):
+        freq = self.frequency
+        if not isinstance(freq, Real):  # one frequency per site
+            _check_sites(self.qubit_count)
+            freq = np.asarray(freq, dtype=float)
+            if freq.shape != (self.qubit_count,):
+                raise ValueError(f"expected {self.qubit_count} site frequencies, got shape {freq.shape}")
+            if np.all(freq == freq[0]):
+                freq = freq[0]
+        if not np.all(freq > 0.0):
             raise ValueError("all site frequencies must be positive")
-        object.__setattr__(self, "frequencies", freqs)
+        object.__setattr__(self, "frequency", freq if isinstance(freq, np.ndarray) else float(freq))
+
+    @property
+    def uniform_frequency(self) -> float | None:
+        """The chip's one angular frequency (rad/s), or None when its sites differ."""
+        return self.frequency if isinstance(self.frequency, float) else None
+
+    @property
+    def frequencies(self) -> np.ndarray:
+        """One angular frequency per site (rad/s); read-only, a zero-copy view on a uniform chip."""
+        _check_sites(self.qubit_count)
+        return np.broadcast_to(self.frequency, (self.qubit_count,))
 
     def axis_coordinates(self) -> np.ndarray:
         """Chip-frame coordinate of each site along the rotation axis, m.
@@ -114,21 +145,13 @@ class ChipGeometry:
         every site of a row shares the row coordinate.
         """
         n, ell = self.qubit_count, self.spacing
+        _check_sites(n)
         if self.layout == "line":
             k = np.arange(1, n + 1)
             return (n + 1 - 2 * k) * (ell / 2.0)
         m = isqrt(n)
         rows = np.arange(n) // m + 1
         return (m + 1 - 2 * rows) * (ell / 2.0)
-
-
-def _frequency_array(n: int, frequency: float | Sequence[float]) -> np.ndarray:
-    if n > MAX_SITES:
-        raise ResourceCapError(f"{n} sites exceed the cap of {MAX_SITES}")
-    arr = np.asarray(frequency, dtype=float)
-    if arr.ndim == 0:
-        return np.full(n, float(arr))
-    return arr
 
 
 def line_chip(
@@ -138,7 +161,7 @@ def line_chip(
     orientation: float = 0.0,
 ) -> ChipGeometry:
     """A 1D chip of n sites with uniform spacing; frequency in rad/s (scalar or per site)."""
-    return ChipGeometry("line", n, spacing, orientation, _frequency_array(n, frequency))
+    return ChipGeometry("line", n, spacing, orientation, frequency)
 
 
 def grid_chip(
@@ -148,7 +171,7 @@ def grid_chip(
     orientation: float = 0.0,
 ) -> ChipGeometry:
     """A square-grid chip of n sites (n must be a perfect square)."""
-    return ChipGeometry("grid", n, spacing, orientation, _frequency_array(n, frequency))
+    return ChipGeometry("grid", n, spacing, orientation, frequency)
 
 
 @dataclass(frozen=True)
@@ -288,22 +311,39 @@ def vertical_displacements(geometry: ChipGeometry, angle: float | None = None) -
     return geometry.axis_coordinates() * math.sin(tilt)
 
 
-def potential_changes(scenario: GravScenario) -> np.ndarray:
-    """Per-site change dPhi_k (m^2/s^2) of the local potential under the scenario."""
+# perturbations whose dPhi_k grows with the site's coordinate along the chip axis
+_TILTS = (VerticalRotation, UniformStrain)
+
+
+def _potential_change(scenario: GravScenario, coordinates: np.ndarray | float) -> np.ndarray | float:
+    """dPhi (m^2/s^2) of sites at chip-axis `coordinates` (m); the other perturbations ignore them."""
     cst = scenario.constants
-    geom = scenario.geometry
     pert = scenario.perturbation
     if isinstance(pert, VerticalRotation):
-        return cst.g0 * vertical_displacements(geom, pert.angle)
-    if isinstance(pert, VerticalTranslation):
-        return np.full(geom.qubit_count, cst.g0 * pert.delta_x)
-    if isinstance(pert, UniformDeltaG):
-        return np.full(geom.qubit_count, -cst.earth_radius * pert.delta_g)
-    if isinstance(pert, ProximalMass):
-        return np.full(geom.qubit_count, -cst.G * pert.mass / pert.distance)
+        return cst.g0 * (coordinates * math.sin(pert.angle))
     if isinstance(pert, UniformStrain):
-        return cst.g0 * vertical_displacements(geom, pert.angle) * (1.0 + pert.strain)
+        return cst.g0 * (coordinates * math.sin(pert.angle)) * (1.0 + pert.strain)
+    if isinstance(pert, VerticalTranslation):
+        return cst.g0 * pert.delta_x
+    if isinstance(pert, UniformDeltaG):
+        return -cst.earth_radius * pert.delta_g
+    if isinstance(pert, ProximalMass):
+        return -cst.G * pert.mass / pert.distance
     raise TypeError(f"unknown perturbation type {type(pert).__name__}")
+
+
+def potential_changes(scenario: GravScenario) -> np.ndarray:
+    """Per-site change dPhi_k (m^2/s^2) of the local potential under the scenario."""
+    geom = scenario.geometry
+    _check_sites(geom.qubit_count)
+    if isinstance(scenario.perturbation, _TILTS):
+        return _potential_change(scenario, geom.axis_coordinates())
+    return np.full(geom.qubit_count, _potential_change(scenario, 0.0))
+
+
+def _check_time(t: float) -> None:
+    if t < 0.0:
+        raise ValueError(f"accumulation time must be >= 0, got {t!r}")
 
 
 def dephasing_angles(scenario: GravScenario, t: float) -> DephasingAngles:
@@ -312,9 +352,45 @@ def dephasing_angles(scenario: GravScenario, t: float) -> DephasingAngles:
     The minus sign matches the convention that a raised qubit (dPhi > 0)
     runs fast, so its excited state advances and the recorded angle for
     the rotation scenario is theta_k = -(g t / c^2) * omega_k * x_k.
+    Builds per-site arrays, so a chip above MAX_SITES raises ResourceCapError.
     """
-    if t < 0.0:
-        raise ValueError(f"accumulation time must be >= 0, got {t!r}")
+    _check_time(t)
     dphi = potential_changes(scenario)
     theta = -(t / scenario.constants.c_squared) * dphi * scenario.geometry.frequencies
     return DephasingAngles(angles=theta, time=t)
+
+
+def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
+    """sum_k |theta_k| of a chip with one qubit frequency, in closed form: O(1), no per-site array.
+
+    Every angle is then (t * omega / c^2) * |dPhi_k|.  A rotation or strain
+    moves site k in proportion to its axis coordinate (spacing / 2) * j_k,
+    j_k = n + 1 - 2k (per row on an m x m grid), so the sum is the angle of
+    a j = 1 site, computed as dephasing_angles computes it, times the exact
+    integer sum_k |j_k|: floor(n^2 / 2) on a line, m * floor(m^2 / 2) on a
+    grid.  The other perturbations shift all n sites alike: n times one
+    angle.  Agrees with the sum of dephasing_angles to a few ulp at any n;
+    a sum beyond the float range is inf.
+    """
+    geom = scenario.geometry
+    omega = geom.uniform_frequency
+    if omega is None:
+        raise ValueError("uniform_delta_phi needs a chip with one qubit frequency")
+    _check_time(t)
+    n = geom.qubit_count
+    if not isinstance(scenario.perturbation, _TILTS):
+        count, dphi = n, _potential_change(scenario, 0.0)
+    else:
+        m = n if geom.layout == "line" else isqrt(n)
+        count = m * m // 2 * (1 if geom.layout == "line" else m)
+        if count == 0:  # a single site sits on the pivot
+            return 0.0
+        dphi = _potential_change(scenario, geom.spacing / 2.0)
+    angle = t / scenario.constants.c_squared * abs(dphi) * omega
+    # count may lie beyond the float range while angle * count does not:
+    # scale it by a power of two first
+    shift = max(0, count.bit_length() - 1000)
+    try:
+        return math.ldexp(angle * (count >> shift), shift)
+    except OverflowError:
+        return math.inf

@@ -20,7 +20,10 @@ P(1) = 1/2 regardless of dphi.
 
 The statevector backend runs that circuit densely; the branch backend
 evaluates the sine law on dphi = sum_k |theta_k| directly and never builds
-the circuit.  run_protocol counts the shots against the exact ancilla
+the circuit.  On a chip with one qubit frequency that dphi comes from
+gravity.uniform_delta_phi in O(1), so the branch backend builds no per-site
+array at any register size; per-site frequencies take one numpy pass over
+the angles.  run_protocol counts the shots against the exact ancilla
 probability in fixed-size chunks of the counter-based streams of
 qredshift.rng, so its memory does not grow with the shot count and a run
 is reproducible from (seed, shot index) alone on either backend.
@@ -44,6 +47,7 @@ from .gravity import (
     ResourceCapError,
     VerticalRotation,
     dephasing_angles,
+    uniform_delta_phi,
 )
 from .rng import count_below
 from .sensing import closed_form_phase
@@ -135,29 +139,34 @@ def run_protocol(
     seed: int,
     backend: str = "branch",
 ) -> ProtocolOutcome:
-    """Execute the protocol on `backend` ("branch" or "statevector") and estimate dphi."""
+    """Execute the protocol on `backend` ("branch" or "statevector") and estimate dphi.
+
+    The shot and dense-size caps are checked before any per-site work.
+    """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
-    angles = dephasing_angles(scenario, t)
-    analytic = expected_delta_phi(angles)
+    if backend not in ("branch", "statevector"):
+        raise ValueError(f"backend must be 'branch' or 'statevector', got {backend!r}")
+    qubit_count = scenario.geometry.qubit_count + 1
+    if backend == "statevector" and qubit_count > sv.MAX_QUBITS:
+        raise ResourceCapError(
+            f"{scenario.geometry.qubit_count} register qubits exceed the dense backend; use backend='branch'"
+        )
+    if backend == "branch" and scenario.geometry.uniform_frequency is not None:
+        analytic = uniform_delta_phi(scenario, t)
+    else:  # per-site frequencies, or the dense circuit, which needs the angles
+        angles = dephasing_angles(scenario, t)
+        analytic = expected_delta_phi(angles)
     if not math.isfinite(analytic):
         raise ArithmeticError(f"analytic_delta_phi_rad = {analytic}: the sum of |theta_k| overflows")
 
     if backend == "branch":
         _, p_one = branch_engine.ancilla_probabilities(analytic)
-    elif backend == "statevector":
-        qubit_count = scenario.geometry.qubit_count + 1
-        if qubit_count > sv.MAX_QUBITS:
-            raise ResourceCapError(
-                f"{scenario.geometry.qubit_count} register qubits exceed the dense backend; "
-                "use backend='branch'"
-            )
+    else:
         state = final_state(build_circuit(angles), qubit_count)
         p_one = sv.probability_of(state, 0, 1)
-    else:
-        raise ValueError(f"backend must be 'branch' or 'statevector', got {backend!r}")
 
     count_one = count_below(seed, shots, p_one)
     p_hat = count_one / shots
@@ -228,6 +237,8 @@ def cumulative_phase_1d(
         raise ValueError("cumulative_phase_1d assumes an even number of equally spaced sites")
     rotated = GravScenario(geometry, VerticalRotation(math.pi / 2.0), constants)
     exact = expected_delta_phi(dephasing_angles(rotated, t))
-    mean_omega = float(np.mean(geometry.frequencies))
+    mean_omega = geometry.uniform_frequency
+    if mean_omega is None:
+        mean_omega = float(np.mean(geometry.frequencies))
     closed = closed_form_phase(geometry.qubit_count, mean_omega, geometry.spacing, t, "1d", constants)
     return CumulativePhase(exact=exact, closed_form=closed)

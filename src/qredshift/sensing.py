@@ -113,9 +113,15 @@ def closed_form_phase(
     geometry: GeometryKind = "1d",
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Rotated-chip phase g * mean_omega * spacing * n^p * t / (4 c^2), p = 2 (1D) or 3/2 (2D)."""
-    power = 2.0 if geometry == "1d" else 1.5
-    return constants.g0 * mean_frequency * spacing * float(n) ** power * t / (4.0 * constants.c_squared)
+    """Rotated-chip phase g * mean_omega * spacing * n^p * t / (4 c^2), p = 2 (1D) or 3/2 (2D).
+
+    An n^p beyond the float range makes the phase inf, like any other overflow.
+    """
+    try:
+        scale = float(n) ** (2.0 if geometry == "1d" else 1.5)
+    except OverflowError:
+        scale = math.inf
+    return constants.g0 * mean_frequency * spacing * scale * t / (4.0 * constants.c_squared)
 
 
 def required_qubits(config: SensingConfig, geometry: GeometryKind = "1d") -> RequiredQubits:

@@ -146,19 +146,32 @@ class TestProtocol:
         assert captured.err.count("\n") == 1
         assert "shots" in captured.err
 
-    def test_site_cap_exit_code(self, tmp_path, capsys):
+    def test_huge_uniform_chip_runs_on_branch(self, tmp_path, capsys):
         geometry = {"layout": "line", "n": 10**13, "spacing_m": 1e-3, "orientation_deg": 0.0}
-        code = main(["protocol", scenario_file(tmp_path, geometry=geometry)])
-        assert code == 3
-        assert "sites" in one_line_error(capsys)
+        run = {"time_s": 1e-15, "shots": 1000, "seed": 42, "backend": "branch"}
+        code, out = run_cli(capsys, "--reproducible", "protocol", scenario_file(tmp_path, geometry=geometry, run=run))
+        assert code == 0
+        row = single_row(out)
+        assert row["n"] == 10**13
+        assert row["analytic_delta_phi_rad"] == pytest.approx(closed_form_phase(10**13, OMEGA_10GHZ, 1e-3, 1e-15),
+                                                             rel=1e-12)
+        assert all(math.isfinite(cell) for cell in row.values() if isinstance(cell, float))
 
-    def test_site_cap_in_sweep_writes_no_file(self, tmp_path, capsys):
-        out_csv = tmp_path / "x.csv"
-        code = main(["sweep", "--target", "protocol", "--param", "n", "--from", "2", "--to", "1e13",
-                     "--steps", "2", "--scenario", scenario_file(tmp_path), "--out", str(out_csv)])
+    def test_huge_chip_on_statevector_exit_code(self, tmp_path, capsys):
+        geometry = {"layout": "line", "n": 10**13, "spacing_m": 1e-3, "orientation_deg": 0.0}
+        code = main(["protocol", scenario_file(tmp_path, geometry=geometry), "--backend", "statevector"])
         assert code == 3
-        assert "sites" in one_line_error(capsys)
-        assert not out_csv.exists()
+        assert "dense backend" in one_line_error(capsys)
+
+    def test_sweep_to_huge_uniform_chip(self, tmp_path, capsys):
+        out_csv = tmp_path / "x.csv"
+        code = main(["--reproducible", "sweep", "--target", "protocol", "--param", "n", "--from", "2",
+                     "--to", "1e13", "--steps", "2", "--time-s", "1e-15", "--scenario", scenario_file(tmp_path),
+                     "--out", str(out_csv)])
+        assert code == 0
+        _, _, rows = read_result_csv(out_csv.read_text(encoding="utf-8"))
+        assert [row[0] for row in rows] == [2, 10**13]
+        assert all(math.isfinite(cell) for row in rows for cell in row if isinstance(cell, float))
 
     @pytest.mark.parametrize(
         "field, overrides",
@@ -381,8 +394,21 @@ class TestRangeErrors:
         code = main(["sweep", "--target", "phase", "--param", "n", "--from", "1", "--to", "1e300",
                      "--steps", "2", "--out", str(out_csv)])
         assert code == 2
-        assert "phase" in one_line_error(capsys)
+        err = one_line_error(capsys)
+        assert "phase_rad = inf" in err and "Numerical result" not in err
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["protocol", "sweep"])
+    def test_site_count_beyond_float_range(self, tmp_path, capsys, command):
+        if command == "protocol":  # a 400-digit n
+            geometry = {"layout": "line", "n": 10**400, "spacing_m": 1e-3, "orientation_deg": 0.0}
+            argv = ["protocol", scenario_file(tmp_path, geometry=geometry)]
+        else:
+            argv = ["sweep", "--target", "protocol", "--param", "n", "--from", "2", "--to", "1e300",
+                    "--steps", "2", "--scenario", scenario_file(tmp_path), "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        err = one_line_error(capsys)
+        assert "analytic_delta_phi_rad = inf" in err and "convert" not in err
 
     def test_sweep_grid_overflow(self, tmp_path, capsys):
         code = main(["sweep", "--target", "phase", "--param", "freq", "--from=-1.7e308", "--to=1.7e308",

@@ -6,6 +6,7 @@ M_earth = 5.972e24, R_earth = 6.371e6).
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -35,6 +36,7 @@ from qredshift import (
     vertical_displacements,
 )
 from qredshift import gravity
+from qredshift.gravity import uniform_delta_phi
 
 C2 = DEFAULT_CONSTANTS.c_squared
 G0 = DEFAULT_CONSTANTS.g0
@@ -223,25 +225,110 @@ class TestGeometry:
 
 
 class TestSiteCap:
+    """MAX_SITES caps the per-site arrays; a chip with one frequency is not capped itself."""
+
     def test_cap_boundary(self, monkeypatch):
         monkeypatch.setattr(gravity, "MAX_SITES", 16)
         sc = GravScenario(line_chip(16, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
         assert len(dephasing_angles(sc, 1e-3)) == 16
-        assert grid_chip(16, 1e-3, OMEGA_10GHZ).qubit_count == 16
+        assert len(line_chip(16, 1e-3, [OMEGA_10GHZ] * 16).frequencies) == 16
+        for chip in (line_chip(17, 1e-3, OMEGA_10GHZ), grid_chip(25, 1e-3, OMEGA_10GHZ)):
+            above = GravScenario(chip, VerticalRotation(math.pi / 2))
+            assert uniform_delta_phi(above, 1e-3) > 0.0
+            for array_path in (lambda: dephasing_angles(above, 1e-3), lambda: potential_changes(above),
+                               chip.axis_coordinates, lambda: chip.frequencies):
+                with pytest.raises(ResourceCapError, match=f"{chip.qubit_count} sites"):
+                    array_path()
         with pytest.raises(ResourceCapError, match="17 sites"):
-            line_chip(17, 1e-3, OMEGA_10GHZ)
-        with pytest.raises(ResourceCapError, match="25 sites"):
-            grid_chip(25, 1e-3, OMEGA_10GHZ)
+            line_chip(17, 1e-3, [OMEGA_10GHZ, 2 * OMEGA_10GHZ] * 8 + [OMEGA_10GHZ])
 
     def test_checked_before_any_array(self, monkeypatch):
         def no_array(*args, **kwargs):
             raise AssertionError("no per-site array may be built above the cap")
 
-        monkeypatch.setattr(np, "full", no_array)
-        monkeypatch.setattr(np, "asarray", no_array)
+        for name in ("full", "arange", "asarray", "broadcast_to"):
+            monkeypatch.setattr(np, name, no_array)
         for n in (gravity.MAX_SITES + 1, 10**13):
+            chip = line_chip(n, 1e-3, OMEGA_10GHZ)
+            for pert in (VerticalRotation(math.pi / 2), UniformDeltaG(1e-7)):
+                with pytest.raises(ResourceCapError, match="cap"):
+                    dephasing_angles(GravScenario(chip, pert), 1e-3)
             with pytest.raises(ResourceCapError, match="cap"):
-                line_chip(n, 1e-3, OMEGA_10GHZ)
+                chip.frequencies
+            with pytest.raises(ResourceCapError, match="cap"):
+                line_chip(n, 1e-3, range(1, n + 1))  # per-site frequencies
+
+
+class TestUniformFrequency:
+    def test_scalar_kept_as_one_float(self):
+        chip = line_chip(10**13, 1e-3, OMEGA_10GHZ)
+        assert chip.uniform_frequency == OMEGA_10GHZ
+        assert isinstance(chip.frequency, float)
+
+    def test_equal_per_site_values_are_one_frequency(self):
+        assert line_chip(4, 1e-3, [OMEGA_10GHZ] * 4).uniform_frequency == OMEGA_10GHZ
+        assert line_chip(2, 1e-3, [OMEGA_10GHZ, 2 * OMEGA_10GHZ]).uniform_frequency is None
+
+    def test_frequencies_view(self):
+        freqs = grid_chip(9, 1e-3, OMEGA_10GHZ).frequencies
+        assert freqs.shape == (9,) and freqs[0] == OMEGA_10GHZ and freqs.strides == (0,)
+        with pytest.raises(ValueError):
+            freqs[0] = 1.0
+        np.testing.assert_array_equal(line_chip(2, 1e-3, [1.0, 2.0]).frequencies, [1.0, 2.0])
+
+
+# one of each perturbation kind, at several angles and strains
+PERTURBATIONS = [
+    VerticalRotation(math.pi / 2),
+    VerticalRotation(-0.3),
+    VerticalRotation(2.5),
+    UniformStrain(1e-6, math.pi / 2),
+    UniformStrain(-0.4, 0.7),
+    UniformStrain(0.9, -1.2),
+    UniformDeltaG(1e-7),
+    UniformDeltaG(-3e-2),
+    ProximalMass(1e3, 0.1),
+    ProximalMass(7.5, 2.0),
+    VerticalTranslation(0.01),
+    VerticalTranslation(-2.5e-4),
+]
+
+
+class TestUniformDeltaPhi:
+    """The closed form against dephasing_angles, the independent per-site reference."""
+
+    @pytest.mark.parametrize("pert", PERTURBATIONS, ids=repr)
+    @pytest.mark.parametrize(
+        "chip",
+        [line_chip(n, 1e-3, OMEGA_10GHZ) for n in (1, 2, 3, 8, 101, 1000, 20001)]
+        + [grid_chip(m * m, 3e-4, 2 * math.pi * 7.3e9) for m in (1, 2, 3, 10, 45, 141)],
+        ids=lambda chip: f"{chip.layout}{chip.qubit_count}",
+    )
+    def test_matches_sum_of_angles(self, chip, pert):
+        for t in (1e-3, 0.37):
+            sc = GravScenario(chip, pert)
+            reference = math.fsum(np.abs(dephasing_angles(sc, t).angles))
+            assert uniform_delta_phi(sc, t) == pytest.approx(reference, rel=1e-15, abs=0.0)
+
+    def test_per_site_frequencies_rejected(self):
+        chip = line_chip(2, 1e-3, [OMEGA_10GHZ, 2 * OMEGA_10GHZ])
+        with pytest.raises(ValueError, match="one qubit frequency"):
+            uniform_delta_phi(GravScenario(chip, UniformDeltaG(1e-7)), 1e-3)
+
+    def test_negative_time_rejected(self):
+        sc = GravScenario(line_chip(2, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        with pytest.raises(ValueError, match="time"):
+            uniform_delta_phi(sc, -1.0)
+
+    def test_site_count_beyond_float_range(self):
+        huge = line_chip(10**400, 1e-3, OMEGA_10GHZ)
+        assert uniform_delta_phi(GravScenario(huge, VerticalRotation(0.5)), 1e-3) == math.inf
+        assert uniform_delta_phi(GravScenario(huge, VerticalRotation(0.0)), 1e-3) == 0.0
+        assert uniform_delta_phi(GravScenario(huge, VerticalRotation(0.5)), 0.0) == 0.0
+        # 10**350 sites times an angle of ~1e-100 rad: the count overflows a float, the sum does not
+        sc = GravScenario(line_chip(10**350, 1e-3, OMEGA_10GHZ), UniformDeltaG(1e-100))
+        angle = abs(dephasing_angles(GravScenario(line_chip(1, 1e-3, OMEGA_10GHZ), sc.perturbation), 1.0).angles[0])
+        assert uniform_delta_phi(sc, 1.0) == pytest.approx(float(Fraction(angle) * 10**350), rel=1e-15)
 
 
 class TestPotentialChanges:

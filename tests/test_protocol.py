@@ -7,13 +7,15 @@ import warnings
 import numpy as np
 import pytest
 
-from qredshift import protocol, rng
+from qredshift import gravity, protocol, rng
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
     DephasingAngles,
     GravScenario,
     UniformDeltaG,
     VerticalRotation,
+    dephasing_angles,
+    grid_chip,
     line_chip,
 )
 from qredshift.protocol import (
@@ -283,6 +285,59 @@ class TestRunProtocol:
             outcome = run_protocol(ghz_scenario(math.pi / 2), 1e-3, 50, seed=2)
         assert outcome.saturated
         assert math.isnan(outcome.std_error)
+
+
+class TestClosedFormPath:
+    """A chip with one frequency runs the branch backend in O(1); the other paths build the angles."""
+
+    @pytest.mark.parametrize("chip, geometry", [
+        pytest.param(lambda: line_chip(10**13, 1e-3, OMEGA_10GHZ), "1d", id="line-1e13"),
+        pytest.param(lambda: grid_chip(10**14, 1e-3, OMEGA_10GHZ), "2d", id="grid-1e14"),
+    ])
+    def test_no_per_site_array(self, monkeypatch, chip, geometry):
+        def no_array(*args, **kwargs):
+            raise AssertionError("the branch path of a uniform chip builds no per-site array")
+
+        for name in ("full", "arange", "asarray"):
+            monkeypatch.setattr(np, name, no_array)
+        # Philox seeding calls np.asarray; the shot count is tested elsewhere
+        monkeypatch.setattr(protocol, "count_below", lambda seed, count, threshold: count // 2)
+        sc = GravScenario(chip(), VerticalRotation(math.pi / 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # the phase lies far outside the estimator range
+            outcome = run_protocol(sc, 1e-12, 1000, seed=8, backend="branch")
+        closed = closed_form_phase(sc.geometry.qubit_count, OMEGA_10GHZ, 1e-3, 1e-12, geometry)
+        assert outcome.analytic_delta_phi == pytest.approx(closed, rel=1e-12)
+        assert math.isfinite(outcome.p_one)
+        assert outcome.p_one == 0.5 + 0.5 * math.sin(outcome.analytic_delta_phi)
+
+    def test_dense_cap_checked_before_any_angle(self, monkeypatch):
+        def no_angles(*args, **kwargs):
+            raise AssertionError("no angle may be built above the dense cap")
+
+        monkeypatch.setattr(protocol, "dephasing_angles", no_angles)
+        for n in (30, 2 * 10**7):
+            sc = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+            with pytest.raises(ResourceCapError, match="dense backend"):
+                run_protocol(sc, 1e-3, 10, seed=1, backend="statevector")
+
+    def test_array_paths_keep_the_site_cap(self, monkeypatch):
+        per_site = line_chip(5, 1e-3, [OMEGA_10GHZ, 2 * OMEGA_10GHZ, OMEGA_10GHZ, OMEGA_10GHZ, OMEGA_10GHZ])
+        uniform = line_chip(5, 1e-3, OMEGA_10GHZ)
+        monkeypatch.setattr(gravity, "MAX_SITES", 4)
+        pert = VerticalRotation(math.pi / 2)
+        for chip, backend in ((per_site, "branch"), (per_site, "statevector"), (uniform, "statevector")):
+            with pytest.raises(ResourceCapError, match="5 sites"):
+                run_protocol(GravScenario(chip, pert), 1e-3, 10, seed=1, backend=backend)
+        assert run_protocol(GravScenario(uniform, pert), 1e-3, 10, seed=1).analytic_delta_phi > 0.0
+
+    def test_angle_sum_where_angles_are_built(self):
+        per_site = line_chip(6, 1e-3, [4e10, 5e10, 6e10, 7e10, 8e10, 9e10])
+        uniform = line_chip(6, 1e-3, OMEGA_10GHZ)
+        for chip, backend in ((per_site, "branch"), (per_site, "statevector"), (uniform, "statevector")):
+            sc = GravScenario(chip, VerticalRotation(0.8))
+            outcome = run_protocol(sc, 1e-3, 10, seed=1, backend=backend)
+            assert outcome.analytic_delta_phi == expected_delta_phi(dephasing_angles(sc, 1e-3))
 
 
 def count_of(shots: int, seed: int) -> tuple[int, int]:

@@ -56,6 +56,10 @@ FILES = {
     "overflow.json": _scenario(qubits={"frequency_ghz": 1e8}, perturbation={"kind": "delta_g", "delta_g": 1e300},
                                run=_RUN_1S),
     "huge_n.json": _scenario(geometry={"layout": "line", "n": 10**13, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    # the sensing scales `required-qubits` reports at T_c = 1 ms: 241 547 sites (1D), 3879^2 sites (2D)
+    "paper_1d.json": _scenario(geometry={"layout": "line", "n": 241547, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    "paper_2d.json": _scenario(geometry={"layout": "grid", "n": 3879**2, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    "digits_400.json": _scenario(geometry={"layout": "line", "n": 10**400, "spacing_m": 1e-3, "orientation_deg": 0.0}),
     "dense_cap.json": _scenario(geometry={"layout": "line", "n": 30, "spacing_m": 1e-3, "orientation_deg": 0.0}),
     "unknown_key.json": _scenario(geometry={"layout": "line", "n": 8, "spacing_m": 1e-3, "frobnicate": 1}),
     "bad_layout.json": _scenario(geometry={"layout": "ring", "n": 8, "spacing_m": 1e-3}),
@@ -111,6 +115,10 @@ def _commands() -> list[list[str]]:
         [R, "protocol", "overflow.json"],
         [R, "protocol", "overflow.json", "--backend", "statevector"],
         [R, "protocol", "huge_n.json"],
+        [R, "protocol", "huge_n.json", "--backend", "statevector"],
+        [R, "protocol", "paper_1d.json"],
+        [R, "protocol", "paper_2d.json"],
+        [R, "protocol", "digits_400.json"],
         [R, "protocol", "dense_cap.json", "--backend", "statevector"],
         [R, "protocol", "rotation.json", "--shots", "1e11"],
         [R, "protocol", "rotation.json", "--shots", "0"],
@@ -150,6 +158,7 @@ def _commands() -> list[list[str]]:
         _sweep("protocol", "ell", "1e-4", "1e-2", "2", "--scenario", "strain.json", "--time-s", "1"),
         _sweep("protocol", "time", "1", "2", "2", "--scenario", "overflow.json"),
         _sweep("protocol", "n", "2", "1e13", "2", "--scenario", "rotation.json"),
+        _sweep("protocol", "n", "1e3", "1e13", "6", "--scenario", "rotation.json", "--log", "--time-s", "1e-15"),
         _sweep("protocol", "n", "2", "8"),
         _sweep("protocol", "freq", "4", "8", "3", "--scenario", "grid.json"),
         _sweep("phase", "n", "1", "1e300", "2"),
