@@ -141,7 +141,9 @@ def run_protocol(
 ) -> ProtocolOutcome:
     """Execute the protocol on `backend` ("branch" or "statevector") and estimate dphi.
 
-    The shot and dense-size caps are checked before any per-site work.
+    The shot and dense-size caps are checked before any per-site work.  An
+    infinite dphi raises ArithmeticError, a NaN one (zero times an infinite
+    factor) ValueError.
     """
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
@@ -159,7 +161,10 @@ def run_protocol(
     else:  # per-site frequencies, or the dense circuit, which needs the angles
         angles = dephasing_angles(scenario, t)
         analytic = expected_delta_phi(angles)
-    if not math.isfinite(analytic):
+    if math.isnan(analytic):
+        raise ValueError("analytic_delta_phi_rad = nan: theta_k = t * dPhi_k * omega_k / c^2 "
+                         "multiplies zero by infinity, which is undefined")
+    if math.isinf(analytic):
         raise ArithmeticError(f"analytic_delta_phi_rad = {analytic}: the sum of |theta_k| overflows")
 
     if backend == "branch":

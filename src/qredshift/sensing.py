@@ -130,7 +130,8 @@ def required_qubits(config: SensingConfig, geometry: GeometryKind = "1d") -> Req
     Inverts the closed forms: n = s^(1/2) for 1D and n = s^(2/3) for 2D,
     with s = 4 * phase_resolution * c^2 / (g * mean_omega * spacing * T_c),
     rounded up and at least 1.  The chip dimension is n * spacing (1D) or
-    sqrt(n) * spacing (2D).
+    sqrt(n) * spacing (2D).  A count beyond the float range raises
+    OverflowError naming `n_required`.
     """
     if geometry not in ("1d", "2d"):
         raise ValueError(f"geometry must be '1d' or '2d', got {geometry!r}")
@@ -141,7 +142,10 @@ def required_qubits(config: SensingConfig, geometry: GeometryKind = "1d") -> Req
         * cst.c_squared
         / (cst.g0 * config.mean_frequency * config.spacing * config.coherence_time)
     )
-    n = max(1, math.ceil(scale ** (0.5 if geometry == "1d" else 2.0 / 3.0)))
+    root = scale ** (0.5 if geometry == "1d" else 2.0 / 3.0)
+    if not math.isfinite(root):
+        raise OverflowError(f"n_required = {root}: the qubit count overflows")
+    n = max(1, math.ceil(root))
     length = n * config.spacing if geometry == "1d" else math.sqrt(n) * config.spacing
     return RequiredQubits(n=n, length=length)
 

@@ -6,7 +6,9 @@ work on the two halves that one bit splits it into (optionally within
 control = 1): H mixes them, S and each phase angle scale the bit = 1
 half, and one X kernel swaps them.  That kernel flips any number of
 targets at once, so an X layer and a controlled-X fan-out are each one
-whole-register pass, and no 2^n x 2^n matrix is ever built.
+whole-register pass, and no 2^n x 2^n matrix is ever built.  H and X run
+in place, over blocks of at most 2^15 amplitudes (512 KB), so no gate
+allocates a temporary of the state's size.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -17,9 +19,10 @@ composition) on small registers.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,6 +52,7 @@ MAX_QUBITS = 24
 DENSITY_MAX_QUBITS = 6
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
+_BLOCK = 1 << 15  # amplitudes per block: 512 KB of complex128, cache-sized
 
 
 @dataclass
@@ -137,22 +141,51 @@ def _halves(state: StateVector, bit: int, control: int | None = None) -> tuple[n
     return zero, tensor[tuple(index)]
 
 
+def _block_pairs(
+    zero: np.ndarray, one: np.ndarray, flip_axes: tuple[int, ...] = ()
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Walk two `_halves` views in matching blocks of at most _BLOCK amplitudes.
+
+    The halves split along their leading size-2 axes until a block holds
+    at most _BLOCK amplitudes.  Each zero-block is paired with the one-block
+    mirrored along `flip_axes`: its index is mirrored on the split axes
+    among them, and the view is flipped on all of them (a no-op on the
+    split axes, which have size 1 in a block), so pair by pair the blocks
+    cover `zero` and `np.flip(one, flip_axes)`.
+    """
+    split, size = [], zero.size
+    for axis, length in enumerate(zero.shape):
+        if size <= _BLOCK:
+            break
+        if length == 2:
+            split.append(axis)
+            size //= 2
+    index = [slice(None)] * zero.ndim
+    mirror = [slice(None)] * zero.ndim
+    for bits in itertools.product((0, 1), repeat=len(split)):
+        for axis, b in zip(split, bits):
+            index[axis] = slice(b, b + 1)
+            m = 1 - b if axis in flip_axes else b
+            mirror[axis] = slice(m, m + 1)
+        yield zero[tuple(index)], np.flip(one[tuple(mirror)], flip_axes)
+
+
 def _apply_x(state: StateVector, targets: tuple[int, ...], control: int | None = None) -> None:
     """Flip every target bit (where `control` is set) in one whole-register pass.
 
     The halves on either side of the first target swap, each mirrored along
-    the other target axes.  The swap allocates in half-size blocks, as a
-    single-target swap does; `view[...] = np.flip(view, axes)` would copy
-    the whole state into one temporary and raise the peak memory.
+    the other target axes, one block pair at a time through a block-size
+    copy.  `view[...] = np.flip(view, axes)` would instead copy the whole
+    state into one temporary.
     """
     if not targets:
         return
     first, *rest = targets
     axes = tuple(state.qubit_count - 1 - k for k in rest)
-    zero, one = _halves(state, first, control)
-    flipped_zero = np.flip(zero, axes).copy()
-    zero[...] = np.flip(one, axes)
-    one[...] = flipped_zero
+    for zero, one in _block_pairs(*_halves(state, first, control), axes):
+        swap = zero.copy()
+        zero[...] = one
+        one[...] = swap
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
@@ -164,10 +197,11 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         raise ValueError(f"{gate.kind} gate bits must be distinct, got {bits}")
     if gate.kind == "h":
         (target,) = gate.targets
-        zero, one = _halves(state, target)
-        old_zero = zero.copy()
-        zero[...] = (old_zero + one) * _SQRT1_2
-        one[...] = (old_zero - one) * _SQRT1_2
+        for zero, one in _block_pairs(*_halves(state, target)):
+            total = zero + one
+            np.subtract(zero, one, out=one)
+            one *= _SQRT1_2
+            np.multiply(total, _SQRT1_2, out=zero)
     elif gate.kind == "s":
         (target,) = gate.targets
         _, one = _halves(state, target)

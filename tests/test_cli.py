@@ -430,6 +430,31 @@ class TestRangeErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "analytic_delta_phi_rad" in err
 
+    @pytest.mark.parametrize(
+        "time_s, message",
+        [(0, "analytic_delta_phi_rad = nan: "), (1, "analytic_delta_phi_rad = inf: the sum of |theta_k| overflows")],
+    )
+    def test_protocol_infinite_potential(self, tmp_path, capsys, time_s, message):
+        # -G M / d overflows to -inf; 0 s times it is undefined, 1 s times it overflows
+        path = scenario_file(
+            tmp_path,
+            perturbation={"kind": "mass", "mass_kg": 1e300, "distance_m": 1e-300},
+            run={"time_s": time_s, "shots": 1000, "seed": 1, "backend": "branch"},
+        )
+        code, out, err = run_with_stderr(capsys, ["--reproducible", "protocol", path])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert message in err
+        assert ("overflow" in err) == (time_s == 1)
+
+    @pytest.mark.parametrize("geometry", ["1d", "2d"])
+    def test_required_qubits_overflow_names_n_required(self, capsys, geometry):
+        code, out, err = run_with_stderr(capsys, ["--reproducible", "required-qubits", "--tc", "1e-320",
+                                                  "--geometry", geometry])
+        assert code == 2 and out == ""
+        assert err == ("error: required-qubits: the inputs leave the floating-point range "
+                       "(n_required = inf: the qubit count overflows)\n")
+
     def test_required_qubits_underflow_is_one_qubit(self, capsys):
         code, out = run_cli(capsys, "required-qubits", "--tc", "1e300")
         assert code == 0

@@ -12,6 +12,7 @@ from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
     DephasingAngles,
     GravScenario,
+    ProximalMass,
     UniformDeltaG,
     VerticalRotation,
     dephasing_angles,
@@ -272,6 +273,15 @@ class TestRunProtocol:
             run_protocol(ghz_scenario(0.1), 1e-3, 0, seed=1)
         with pytest.raises(ValueError, match="backend"):
             run_protocol(ghz_scenario(0.1), 1e-3, 10, seed=1, backend="tensor")
+
+    @pytest.mark.parametrize(
+        "t, error, match",
+        [(0.0, ValueError, "nan: .* undefined"), (1.0, ArithmeticError, "inf: the sum of .* overflows")],
+    )
+    def test_infinite_potential(self, t, error, match):
+        sc = GravScenario(line_chip(8, 1e-3, OMEGA_10GHZ), ProximalMass(1e300, 1e-300))
+        with pytest.raises(error, match=match):
+            run_protocol(sc, t, 10, seed=1)
 
     def test_range_exceeded_flagged(self):
         with warnings.catch_warnings():

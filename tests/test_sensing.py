@@ -133,6 +133,11 @@ class TestRequiredQubits:
         assert result.n == 1
         assert result.length == pytest.approx(1e-3, rel=1e-15)
 
+    @pytest.mark.parametrize("geometry", ["1d", "2d"])
+    def test_count_beyond_float_range_names_n_required(self, geometry):
+        with pytest.raises(OverflowError, match="n_required = inf"):
+            required_qubits(near_term(n=1, tc=1e-320), geometry)
+
 
 class TestStrain:
     def test_baseline_phase(self):

@@ -6,6 +6,7 @@ kernels it checks.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -214,6 +215,77 @@ class TestGates:
         with pytest.raises(error, match=match):
             apply_gate(state, gate)
         np.testing.assert_array_equal(state.amplitudes, before)
+
+
+def h_oracle(amplitudes: np.ndarray, bit: int) -> np.ndarray:
+    """H on `bit` through full-size temporaries, the formula the blocked kernel must reproduce."""
+    pairs = amplitudes.reshape(-1, 2, 1 << bit)
+    zero, one = pairs[:, 0, :].copy(), pairs[:, 1, :].copy()
+    out = np.empty_like(pairs)
+    out[:, 0, :] = (zero + one) * (1.0 / math.sqrt(2.0))
+    out[:, 1, :] = (zero - one) * (1.0 / math.sqrt(2.0))
+    return out.reshape(-1)
+
+
+def x_oracle(amplitudes: np.ndarray, targets: tuple[int, ...], control: int | None) -> np.ndarray:
+    """X on every target (where `control` is set) as one gather by flipped basis index."""
+    index = np.arange(amplitudes.size)
+    flipped = index ^ sum(1 << t for t in targets)
+    return amplitudes[flipped if control is None else np.where((index >> control) & 1, flipped, index)]
+
+
+class TestBlockedKernels:
+    """H, X and CX walk the state in blocks of at most 2^15 amplitudes.
+
+    On 18 qubits each half holds 2^17 amplitudes (2^16 within a control), so
+    a gate splits it along the two (one) leading size-2 axes, the top bits
+    that are neither target nor control; a target on such an axis pairs
+    mirrored blocks, every other target is flipped inside a block.
+    """
+
+    QUBITS = 18
+
+    @pytest.mark.parametrize("bit", [0, 9, 17])
+    def test_hadamard_matches_full_temporaries(self, bit):
+        state = random_state(self.QUBITS, seed=bit)
+        expected = h_oracle(state.amplitudes, bit)
+        apply_gate(state, hadamard(bit))
+        np.testing.assert_array_equal(state.amplitudes, expected)
+
+    @pytest.mark.parametrize(
+        "control, targets",
+        [
+            (None, (0,)),
+            (None, (9,)),
+            (None, (17,)),
+            (None, (0, 17)),  # bit 17 mirrors a split axis
+            (None, (17, 16, 0)),  # first target on the top bit; 16 mirrors a split axis
+            (None, (3, 16, 15, 8)),  # 16 on a split axis, 15 inside a block
+            (None, tuple(range(18))),
+            (0, tuple(range(1, 18))),  # the circuit's fan-out: 17 on the split axis
+            (17, (16, 2)),  # control and first target take the top axes; bit 15 splits, unflipped
+            (9, (0, 17, 15)),
+            (16, (17,)),
+            (5, (9,)),
+        ],
+    )
+    def test_x_matches_index_oracle(self, control, targets):
+        state = random_state(self.QUBITS, seed=len(targets))
+        expected = x_oracle(state.amplitudes, targets, control)
+        apply_gate(state, x_gate(*targets) if control is None else controlled_x(control, *targets))
+        np.testing.assert_array_equal(state.amplitudes, expected)
+
+    def test_no_state_size_temporary(self):
+        state = init_zero(21)  # 2^21 amplitudes: 32 MiB
+        state.amplitudes[:] = np.linspace(0.0, 1.0, state.amplitudes.size)
+        for gate in (hadamard(0), hadamard(10), hadamard(20), x_gate(*range(1, 21)), controlled_x(0, *range(1, 21))):
+            tracemalloc.start()
+            try:
+                apply_gate(state, gate)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 2 << 20, f"{gate.kind} {gate.targets} allocated {peak} bytes"
 
 
 class TestDiagonalPhase:

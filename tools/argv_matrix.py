@@ -40,6 +40,7 @@ def _scenario(geometry=None, qubits=None, perturbation=None, run=None, **extra) 
 
 
 _RUN_1S = {"time_s": 1.0, "shots": 1000, "seed": 1, "backend": "branch"}
+_RUN_SV = {"time_s": 1e-3, "shots": 100000, "seed": 42, "backend": "statevector"}
 
 FILES = {
     "rotation.json": _scenario(),
@@ -48,13 +49,23 @@ FILES = {
     "translation.json": _scenario(perturbation={"kind": "translation", "delta_x_m": 0.01}, run=_RUN_1S),
     "strain.json": _scenario(perturbation={"kind": "strain", "strain": 1e-6, "angle_deg": 30.0}),
     "grid.json": _scenario(geometry={"layout": "grid", "n": 9, "spacing_m": 1e-3, "orientation_deg": 10.0}),
-    "sv.json": _scenario(run={"time_s": 1e-3, "shots": 100000, "seed": 42, "backend": "statevector"}),
+    "sv.json": _scenario(run=_RUN_SV),
+    # dense registers of several 2^15-amplitude blocks: 17, 21 and 17 qubits
+    "sv_16.json": _scenario(geometry={"layout": "line", "n": 16, "spacing_m": 1e-3, "orientation_deg": 0.0},
+                            run=_RUN_SV),
+    "sv_20.json": _scenario(geometry={"layout": "line", "n": 20, "spacing_m": 1e-3, "orientation_deg": 10.0},
+                            run=_RUN_SV),
+    "sv_grid.json": _scenario(geometry={"layout": "grid", "n": 16, "spacing_m": 1e-3, "orientation_deg": 10.0},
+                              run=_RUN_SV),
     "per_site.json": _scenario(qubits={"frequency_ghz": [4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5]}),
     "constants.json": _scenario(constants={"c": 3.0e8, "g0": 9.81}),
     "saturated.json": _scenario(run={"time_s": 1e-3, "shots": 1, "seed": 3, "backend": "branch"}),
     "range.json": _scenario(perturbation={"kind": "delta_g", "delta_g": 10.0}, run=_RUN_1S),
     "overflow.json": _scenario(qubits={"frequency_ghz": 1e8}, perturbation={"kind": "delta_g", "delta_g": 1e300},
                                run=_RUN_1S),
+    # -G M / d overflows to -inf; 0 s times it is undefined
+    "nan_dphi.json": _scenario(perturbation={"kind": "mass", "mass_kg": 1e300, "distance_m": 1e-300},
+                               run={"time_s": 0, "shots": 1000, "seed": 1, "backend": "branch"}),
     "huge_n.json": _scenario(geometry={"layout": "line", "n": 10**13, "spacing_m": 1e-3, "orientation_deg": 0.0}),
     # the sensing scales `required-qubits` reports at T_c = 1 ms: 241 547 sites (1D), 3879^2 sites (2D)
     "paper_1d.json": _scenario(geometry={"layout": "line", "n": 241547, "spacing_m": 1e-3, "orientation_deg": 0.0}),
@@ -108,12 +119,17 @@ def _commands() -> list[list[str]]:
         [R, "--seed", "7", "protocol", "rotation.json"],
         [R, "--seed", "7", "protocol", "rotation.json", "--backend", "statevector"],
         [R, "protocol", "rotation.json", "--shots", "262145", "--time-s", "2e-3"],
+        [R, "protocol", "sv_16.json"],
+        [R, "protocol", "sv_20.json"],
+        [R, "protocol", "sv_grid.json"],
         [R, "protocol", "saturated.json"],
         [R, "protocol", "saturated.json", "--backend", "statevector"],
         [R, "protocol", "range.json"],
         [R, "protocol", "range.json", "--backend", "statevector"],
         [R, "protocol", "overflow.json"],
         [R, "protocol", "overflow.json", "--backend", "statevector"],
+        [R, "protocol", "nan_dphi.json"],
+        [R, "protocol", "nan_dphi.json", "--backend", "statevector"],
         [R, "protocol", "huge_n.json"],
         [R, "protocol", "huge_n.json", "--backend", "statevector"],
         [R, "protocol", "paper_1d.json"],
