@@ -46,10 +46,11 @@ import numpy as np
 from . import __version__
 from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import ResourceCapError, fractional_shift_mass, fractional_shift_vertical, line_chip
-from .protocol import run_protocol
+from .protocol import BACKENDS, run_protocol
 from .rng import substream_seed
 from .scenario import ScenarioDocument, load_scenario, parse_constants
 from .sensing import (
+    PHASE_EXPONENTS,
     SensingConfig,
     closed_form_phase,
     gravimeter_phase,
@@ -427,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", help="scenario JSON file")
     p.add_argument("--shots", type=_int_arg, default=None, help="override run.shots")
     p.add_argument("--time-s", type=_finite_float, default=None, help="override run.time_s")
-    p.add_argument("--backend", choices=("branch", "statevector"), default=None,
+    p.add_argument("--backend", choices=BACKENDS, default=None,
                    help="override run.backend")
     p.set_defaults(func=_cmd_row)
 
@@ -444,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
-    p.add_argument("--geometry", choices=("1d", "2d"), default="1d")
+    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS), default="1d")
     _add_sensing_flags(p, with_n=False)
     p.set_defaults(func=_cmd_row)
 
@@ -456,7 +457,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_arg, required=True)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--out", dest="out_path", required=True, help="output CSV path")
-    p.add_argument("--geometry", choices=("1d", "2d"), default="1d")
+    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS), default="1d")
     p.add_argument("--scenario", default=None, help="scenario file for --target protocol")
     p.add_argument("--time-s", dest="time_s", type=_finite_float, default=None,
                    help="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")

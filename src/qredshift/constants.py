@@ -8,7 +8,7 @@ reproduce back-of-the-envelope estimates that use round numbers
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 __all__ = ["PhysicalConstants", "DEFAULT_CONSTANTS", "CONSTANT_NAMES"]
 
@@ -39,10 +39,6 @@ class PhysicalConstants:
     @property
     def c_squared(self) -> float:
         return self.c * self.c
-
-    def with_overrides(self, **overrides: float) -> "PhysicalConstants":
-        """A copy with some constants replaced (validated again)."""
-        return replace(self, **overrides)
 
 
 DEFAULT_CONSTANTS = PhysicalConstants()

@@ -39,6 +39,7 @@ import numpy as np
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 
 __all__ = [
+    "LAYOUTS",
     "MAX_SITES",
     "ResourceCapError",
     "ChipGeometry",
@@ -59,6 +60,7 @@ __all__ = [
     "universal_rate",
     "vertical_displacements",
     "potential_changes",
+    "site_angles",
     "dephasing_angles",
     "uniform_delta_phi",
 ]
@@ -83,6 +85,9 @@ def _check_sites(n: int) -> None:
         raise ResourceCapError(f"{n} sites exceed the cap of {MAX_SITES}")
 
 
+LAYOUTS = ("line", "grid")
+
+
 @dataclass(frozen=True)
 class ChipGeometry:
     """A line or square-grid chip, rotated by `orientation` about its center of gravity.
@@ -105,8 +110,8 @@ class ChipGeometry:
     frequency: float | np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        if self.layout not in ("line", "grid"):
-            raise ValueError(f"layout must be 'line' or 'grid', got {self.layout!r}")
+        if self.layout not in LAYOUTS:
+            raise ValueError(f"layout must be {' or '.join(map(repr, LAYOUTS))}, got {self.layout!r}")
         if self.qubit_count < 1:
             raise ValueError(f"qubit_count must be >= 1, got {self.qubit_count}")
         if self.layout == "grid" and isqrt(self.qubit_count) ** 2 != self.qubit_count:
@@ -123,6 +128,8 @@ class ChipGeometry:
                 freq = freq[0]
         if not np.all(freq > 0.0):
             raise ValueError("all site frequencies must be positive")
+        if not np.all(np.isfinite(freq)):  # 2 pi 1e9 times a GHz value can overflow
+            raise ValueError("all site frequencies must be finite")
         object.__setattr__(self, "frequency", freq if isinstance(freq, np.ndarray) else float(freq))
 
     @property
@@ -346,18 +353,24 @@ def _check_time(t: float) -> None:
         raise ValueError(f"accumulation time must be >= 0, got {t!r}")
 
 
-def dephasing_angles(scenario: GravScenario, t: float) -> DephasingAngles:
+def site_angles(scenario: GravScenario, t: float) -> np.ndarray:
     """Channel angles theta_k = -(t/c^2) * dPhi_k * omega_k after accumulating for t seconds.
 
     The minus sign matches the convention that a raised qubit (dPhi > 0)
     runs fast, so its excited state advances and the recorded angle for
     the rotation scenario is theta_k = -(g t / c^2) * omega_k * x_k.
     Builds per-site arrays, so a chip above MAX_SITES raises ResourceCapError.
+    Unchecked: an overflow is +-inf and 0 * inf is NaN, without a warning.
     """
     _check_time(t)
-    dphi = potential_changes(scenario)
-    theta = -(t / scenario.constants.c_squared) * dphi * scenario.geometry.frequencies
-    return DephasingAngles(angles=theta, time=t)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dphi = potential_changes(scenario)
+        return -(t / scenario.constants.c_squared) * dphi * scenario.geometry.frequencies
+
+
+def dephasing_angles(scenario: GravScenario, t: float) -> DephasingAngles:
+    """The site_angles as a DephasingAngles, which rejects a non-finite angle."""
+    return DephasingAngles(angles=site_angles(scenario, t), time=t)
 
 
 def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
@@ -370,23 +383,30 @@ def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
     integer sum_k |j_k|: floor(n^2 / 2) on a line, m * floor(m^2 / 2) on a
     grid.  The other perturbations shift all n sites alike: n times one
     angle.  Agrees with the sum of dephasing_angles to a few ulp at any n;
-    a sum beyond the float range is inf.
+    a sum beyond the float range is inf.  Up to MAX_SITES sites it is inf or NaN
+    exactly when the sum of site_angles is: then the largest, outermost angle is.
     """
     geom = scenario.geometry
     omega = geom.uniform_frequency
     if omega is None:
         raise ValueError("uniform_delta_phi needs a chip with one qubit frequency")
     _check_time(t)
+
+    def site_angle(coordinate: float) -> float:
+        return t / scenario.constants.c_squared * abs(_potential_change(scenario, coordinate)) * omega
+
     n = geom.qubit_count
     if not isinstance(scenario.perturbation, _TILTS):
-        count, dphi = n, _potential_change(scenario, 0.0)
+        count, angle = n, site_angle(0.0)
     else:
         m = n if geom.layout == "line" else isqrt(n)
         count = m * m // 2 * (1 if geom.layout == "line" else m)
         if count == 0:  # a single site sits on the pivot
             return 0.0
-        dphi = _potential_change(scenario, geom.spacing / 2.0)
-    angle = t / scenario.constants.c_squared * abs(dphi) * omega
+        outer = site_angle((m - 1) * (geom.spacing / 2.0)) if n <= MAX_SITES else 0.0
+        if not math.isfinite(outer):
+            return outer
+        angle = site_angle(geom.spacing / 2.0)
     # count may lie beyond the float range while angle * count does not:
     # scale it by a power of two first
     shift = max(0, count.bit_length() - 1000)

@@ -47,12 +47,14 @@ from .gravity import (
     ResourceCapError,
     VerticalRotation,
     dephasing_angles,
+    site_angles,
     uniform_delta_phi,
 )
 from .rng import count_below
 from .sensing import closed_form_phase
 
 __all__ = [
+    "BACKENDS",
     "MAX_SHOTS",
     "ProtocolOutcome",
     "CumulativePhase",
@@ -69,6 +71,8 @@ __all__ = [
 # bounds run time: 1e9 shots took 9.5 s on one core of a 2-vCPU machine,
 # so the cap is about a hundred seconds.
 MAX_SHOTS = 10**10
+
+BACKENDS = ("branch", "statevector")
 
 
 @dataclass(frozen=True)
@@ -87,15 +91,16 @@ class ProtocolOutcome:
     range_exceeded: bool = False
 
 
-def expected_delta_phi(angles: DephasingAngles) -> float:
+def expected_delta_phi(angles: DephasingAngles | np.ndarray) -> float:
     """dphi = phi_plus - phi_minus = sum of |theta_k|.
 
     numpy's pairwise summation keeps the rounding error at O(eps log n).
     Finite angles can still sum past the float range; the result is then
-    inf, which run_protocol rejects.
+    inf, which run_protocol rejects, as it rejects the NaN of a NaN angle.
     """
+    theta = angles.angles if isinstance(angles, DephasingAngles) else angles
     with np.errstate(over="ignore"):
-        return float(np.abs(angles.angles).sum())
+        return float(np.abs(theta).sum())
 
 
 def build_circuit(angles: DephasingAngles) -> list[sv.Gate]:
@@ -149,8 +154,8 @@ def run_protocol(
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
-    if backend not in ("branch", "statevector"):
-        raise ValueError(f"backend must be 'branch' or 'statevector', got {backend!r}")
+    if backend not in BACKENDS:
+        raise ValueError(f"backend must be {' or '.join(map(repr, BACKENDS))}, got {backend!r}")
     qubit_count = scenario.geometry.qubit_count + 1
     if backend == "statevector" and qubit_count > sv.MAX_QUBITS:
         raise ResourceCapError(
@@ -159,8 +164,8 @@ def run_protocol(
     if backend == "branch" and scenario.geometry.uniform_frequency is not None:
         analytic = uniform_delta_phi(scenario, t)
     else:  # per-site frequencies, or the dense circuit, which needs the angles
-        angles = dephasing_angles(scenario, t)
-        analytic = expected_delta_phi(angles)
+        theta = site_angles(scenario, t)
+        analytic = expected_delta_phi(theta)
     if math.isnan(analytic):
         raise ValueError("analytic_delta_phi_rad = nan: theta_k = t * dPhi_k * omega_k / c^2 "
                          "multiplies zero by infinity, which is undefined")
@@ -170,7 +175,7 @@ def run_protocol(
     if backend == "branch":
         _, p_one = branch_engine.ancilla_probabilities(analytic)
     else:
-        state = final_state(build_circuit(angles), qubit_count)
+        state = final_state(build_circuit(DephasingAngles(theta, t)), qubit_count)
         p_one = sv.probability_of(state, 0, 1)
 
     count_one = count_below(seed, shots, p_one)

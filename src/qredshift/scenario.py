@@ -1,20 +1,21 @@
 """Strict JSON scenario documents for protocol runs.
 
-Schema (version 1), all keys validated, unknown keys rejected:
+Schema (version 1), all keys validated, unknown keys rejected; `= x` marks
+an optional key and its default:
 
     {
       "version": 1,
       "geometry": {"layout": "line"|"grid", "n": int,
-                   "spacing_m": float, "orientation_deg": float},
+                   "spacing_m": float, "orientation_deg": float = 0},
       "qubits": {"frequency_ghz": number | [number, ...]},
       "perturbation": {"kind": "rotation",    "angle_deg": float}
                     | {"kind": "delta_g",     "delta_g": float}
                     | {"kind": "mass",        "mass_kg": float, "distance_m": float}
                     | {"kind": "translation", "delta_x_m": float}
-                    | {"kind": "strain",      "strain": float, "angle_deg": float},
-      "constants": {optional overrides: c, G, g0, earth_mass, earth_radius},
+                    | {"kind": "strain",      "strain": float, "angle_deg": float = 90},
+      "constants": {overrides of any of c, G, g0, earth_mass, earth_radius} = {},
       "run": {"time_s": float, "shots": int, "seed": int,
-              "backend": "statevector"|"branch"}
+              "backend": "branch"|"statevector" = "branch"}
     }
 
 Frequencies are given in GHz and converted to angular rad/s internally;
@@ -25,33 +26,36 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import (
+    LAYOUTS,
     ChipGeometry,
     GravScenario,
+    Perturbation,
     ProximalMass,
     UniformDeltaG,
     UniformStrain,
     VerticalRotation,
     VerticalTranslation,
-    grid_chip,
-    line_chip,
 )
+from .protocol import BACKENDS
 
 __all__ = ["ScenarioError", "RunSettings", "ScenarioDocument", "load_scenario", "parse_constants", "parse_scenario"]
 
 SCHEMA_VERSION = 1
 
-_PERTURBATION_KEYS = {
-    "rotation": {"angle_deg"},
-    "delta_g": {"delta_g"},
-    "mass": {"mass_kg", "distance_m"},
-    "translation": {"delta_x_m"},
-    "strain": {"strain", "angle_deg"},
+# kind -> (dataclass, {JSON key: field}).  A `*_deg` key is read in degrees;
+# a key is optional exactly when its field has a default.
+_PERTURBATIONS = {
+    "rotation": (VerticalRotation, {"angle_deg": "angle"}),
+    "delta_g": (UniformDeltaG, {"delta_g": "delta_g"}),
+    "mass": (ProximalMass, {"mass_kg": "mass", "distance_m": "distance"}),
+    "translation": (VerticalTranslation, {"delta_x_m": "delta_x"}),
+    "strain": (UniformStrain, {"strain": "strain", "angle_deg": "angle"}),
 }
 
 
@@ -81,10 +85,20 @@ def _require(mapping: dict[str, Any], key: str, where: str) -> Any:
     return mapping[key]
 
 
-def _reject_unknown(mapping: dict[str, Any], allowed: set[str], where: str) -> None:
+def _reject_unknown(mapping: dict[str, Any], allowed: Iterable[str], where: str) -> None:
     for key in mapping:
         if key not in allowed:
             raise ScenarioError(f"scenario: unknown key '{key}' in {where}")
+
+
+def _section(doc: dict[str, Any], name: str, allowed: Iterable[str] | None = None) -> dict[str, Any]:
+    """The object under `name`; with `allowed`, a key outside it is rejected."""
+    section = _require(doc, name, "scenario")
+    if not isinstance(section, dict):
+        raise ScenarioError(f"scenario: '{name}' must be an object")
+    if allowed is not None:
+        _reject_unknown(section, allowed, name)
+    return section
 
 
 def _number(value: Any, where: str, source: str = "scenario") -> float:
@@ -120,6 +134,24 @@ def parse_constants(overrides: Any, source: str) -> PhysicalConstants:
         raise ScenarioError(f"{source}: {exc}") from exc
 
 
+def _perturbation(pert_doc: dict[str, Any]) -> Perturbation:
+    kind = _require(pert_doc, "kind", "perturbation")
+    if kind not in _PERTURBATIONS:
+        raise ScenarioError(f"scenario: perturbation.kind must be one of {sorted(_PERTURBATIONS)}, got {kind!r}")
+    cls, keys = _PERTURBATIONS[kind]
+    _reject_unknown(pert_doc, {"kind", *keys}, f"perturbation ({kind})")
+    optional = {f.name for f in fields(cls) if f.default is not MISSING}
+    values = {}
+    for key, name in keys.items():
+        if key in pert_doc or name not in optional:
+            value = _number(_require(pert_doc, key, "perturbation"), f"perturbation.{key}")
+            values[name] = math.radians(value) if key.endswith("_deg") else value
+    try:
+        return cls(**values)
+    except ValueError as exc:
+        raise ScenarioError(f"scenario: {exc}") from exc
+
+
 def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")
@@ -132,76 +164,29 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
     if "constants" in doc:
         constants = parse_constants(doc["constants"], "scenario")
 
-    geo = _require(doc, "geometry", "scenario")
-    if not isinstance(geo, dict):
-        raise ScenarioError("scenario: 'geometry' must be an object")
-    _reject_unknown(geo, {"layout", "n", "spacing_m", "orientation_deg"}, "geometry")
+    geo = _section(doc, "geometry", {"layout", "n", "spacing_m", "orientation_deg"})
     layout = _require(geo, "layout", "geometry")
-    if layout not in ("line", "grid"):
-        raise ScenarioError(f"scenario: geometry.layout must be 'line' or 'grid', got {layout!r}")
+    if layout not in LAYOUTS:
+        raise ScenarioError(f"scenario: geometry.layout must be {' or '.join(map(repr, LAYOUTS))}, got {layout!r}")
     n = _integer(_require(geo, "n", "geometry"), "geometry.n")
     spacing = _number(_require(geo, "spacing_m", "geometry"), "geometry.spacing_m")
     orientation = math.radians(_number(geo.get("orientation_deg", 0.0), "geometry.orientation_deg"))
 
-    qubits = _require(doc, "qubits", "scenario")
-    if not isinstance(qubits, dict):
-        raise ScenarioError("scenario: 'qubits' must be an object")
-    _reject_unknown(qubits, {"frequency_ghz"}, "qubits")
-    freq = _require(qubits, "frequency_ghz", "qubits")
+    freq = _require(_section(doc, "qubits", {"frequency_ghz"}), "frequency_ghz", "qubits")
     if isinstance(freq, list):
         if len(freq) != n:
-            raise ScenarioError(
-                f"scenario: qubits.frequency_ghz lists {len(freq)} values for {n} sites"
-            )
+            raise ScenarioError(f"scenario: qubits.frequency_ghz lists {len(freq)} values for {n} sites")
         omega = [2.0 * math.pi * 1e9 * _number(f, "qubits.frequency_ghz[]") for f in freq]
     else:
         omega = 2.0 * math.pi * 1e9 * _number(freq, "qubits.frequency_ghz")
-
     try:
-        builder = line_chip if layout == "line" else grid_chip
-        geometry: ChipGeometry = builder(n, spacing, omega, orientation)
+        geometry = ChipGeometry(layout, n, spacing, orientation, omega)
     except ValueError as exc:
         raise ScenarioError(f"scenario: {exc}") from exc
 
-    pert_doc = _require(doc, "perturbation", "scenario")
-    if not isinstance(pert_doc, dict):
-        raise ScenarioError("scenario: 'perturbation' must be an object")
-    kind = _require(pert_doc, "kind", "perturbation")
-    if kind not in _PERTURBATION_KEYS:
-        raise ScenarioError(
-            f"scenario: perturbation.kind must be one of {sorted(_PERTURBATION_KEYS)}, got {kind!r}"
-        )
-    _reject_unknown(pert_doc, _PERTURBATION_KEYS[kind] | {"kind"}, f"perturbation ({kind})")
-    try:
-        if kind == "rotation":
-            pert = VerticalRotation(
-                angle=math.radians(_number(_require(pert_doc, "angle_deg", "perturbation"), "perturbation.angle_deg"))
-            )
-        elif kind == "delta_g":
-            pert = UniformDeltaG(delta_g=_number(_require(pert_doc, "delta_g", "perturbation"), "perturbation.delta_g"))
-        elif kind == "mass":
-            pert = ProximalMass(
-                mass=_number(_require(pert_doc, "mass_kg", "perturbation"), "perturbation.mass_kg"),
-                distance=_number(_require(pert_doc, "distance_m", "perturbation"), "perturbation.distance_m"),
-            )
-        elif kind == "translation":
-            pert = VerticalTranslation(
-                delta_x=_number(_require(pert_doc, "delta_x_m", "perturbation"), "perturbation.delta_x_m")
-            )
-        else:
-            pert = UniformStrain(
-                strain=_number(_require(pert_doc, "strain", "perturbation"), "perturbation.strain"),
-                angle=math.radians(_number(pert_doc.get("angle_deg", 90.0), "perturbation.angle_deg")),
-            )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"scenario: {exc}") from exc
+    pert = _perturbation(_section(doc, "perturbation"))
 
-    run_doc = _require(doc, "run", "scenario")
-    if not isinstance(run_doc, dict):
-        raise ScenarioError("scenario: 'run' must be an object")
-    _reject_unknown(run_doc, {"time_s", "shots", "seed", "backend"}, "run")
+    run_doc = _section(doc, "run", {"time_s", "shots", "seed", "backend"})
     time_s = _number(_require(run_doc, "time_s", "run"), "run.time_s")
     if time_s < 0.0:
         raise ScenarioError(f"scenario: run.time_s must be >= 0, got {time_s}")
@@ -210,10 +195,8 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
         raise ScenarioError(f"scenario: run.shots must be >= 1, got {shots}")
     seed = _integer(_require(run_doc, "seed", "run"), "run.seed")
     backend = run_doc.get("backend", "branch")
-    if backend not in ("branch", "statevector"):
-        raise ScenarioError(
-            f"scenario: run.backend must be 'branch' or 'statevector', got {backend!r}"
-        )
+    if backend not in BACKENDS:
+        raise ScenarioError(f"scenario: run.backend must be {' or '.join(map(repr, BACKENDS))}, got {backend!r}")
 
     return ScenarioDocument(
         scenario=GravScenario(geometry=geometry, perturbation=pert, constants=constants),

@@ -19,11 +19,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Literal
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 
 __all__ = [
+    "PHASE_EXPONENTS",
     "SensingConfig",
     "SensitivityReport",
     "RequiredQubits",
@@ -35,7 +35,8 @@ __all__ = [
     "min_detectable_strain",
 ]
 
-GeometryKind = Literal["1d", "2d"]
+# p of the rotated-chip phase ~ n^p, per chip geometry
+PHASE_EXPONENTS = {"1d": 2.0, "2d": 1.5}
 
 
 @dataclass(frozen=True)
@@ -80,13 +81,23 @@ class RequiredQubits:
     length: float
 
 
-def gravimeter_phase(config: SensingConfig, delta_g: float, t: float) -> float:
-    """Phase R_earth * delta_g * t * mean_omega * n / c^2 picked up by the GHZ register."""
+def _warn_past_coherence(config: SensingConfig, t: float) -> None:
     if t > config.coherence_time:
         warnings.warn(
             f"accumulation time {t} s exceeds the coherence time {config.coherence_time} s",
-            stacklevel=2,
+            stacklevel=3,
         )
+
+
+def _exponent(geometry: str) -> float:
+    if geometry not in PHASE_EXPONENTS:
+        raise ValueError(f"geometry must be {' or '.join(map(repr, PHASE_EXPONENTS))}, got {geometry!r}")
+    return PHASE_EXPONENTS[geometry]
+
+
+def gravimeter_phase(config: SensingConfig, delta_g: float, t: float) -> float:
+    """Phase R_earth * delta_g * t * mean_omega * n / c^2 picked up by the GHZ register."""
+    _warn_past_coherence(config, t)
     cst = config.constants
     return cst.earth_radius * delta_g * t * config.mean_frequency * config.n / cst.c_squared
 
@@ -94,15 +105,10 @@ def gravimeter_phase(config: SensingConfig, delta_g: float, t: float) -> float:
 def gravimeter_sensitivity(config: SensingConfig) -> SensitivityReport:
     """Smallest delta_g whose phase reaches the resolution within one coherence window."""
     cst = config.constants
-    delta_g = (
-        config.phase_resolution
-        * cst.c_squared
-        / (cst.earth_radius * config.coherence_time * config.mean_frequency * config.n)
-    )
-    return SensitivityReport(
-        phase=config.phase_resolution,
-        sensitivity={"delta_g": delta_g, "delta_g_over_g": delta_g / cst.g0},
-    )
+    delta_g = config.phase_resolution * cst.c_squared / (
+        cst.earth_radius * config.coherence_time * config.mean_frequency * config.n)
+    return SensitivityReport(phase=config.phase_resolution,
+                             sensitivity={"delta_g": delta_g, "delta_g_over_g": delta_g / cst.g0})
 
 
 def closed_form_phase(
@@ -110,21 +116,22 @@ def closed_form_phase(
     mean_frequency: float,
     spacing: float,
     t: float,
-    geometry: GeometryKind = "1d",
+    geometry: str = "1d",
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Rotated-chip phase g * mean_omega * spacing * n^p * t / (4 c^2), p = 2 (1D) or 3/2 (2D).
+    """Rotated-chip phase g * mean_omega * spacing * n^p * t / (4 c^2), p = PHASE_EXPONENTS[geometry].
 
     An n^p beyond the float range makes the phase inf, like any other overflow.
     """
+    p = _exponent(geometry)
     try:
-        scale = float(n) ** (2.0 if geometry == "1d" else 1.5)
+        scale = float(n) ** p
     except OverflowError:
         scale = math.inf
     return constants.g0 * mean_frequency * spacing * scale * t / (4.0 * constants.c_squared)
 
 
-def required_qubits(config: SensingConfig, geometry: GeometryKind = "1d") -> RequiredQubits:
+def required_qubits(config: SensingConfig, geometry: str = "1d") -> RequiredQubits:
     """Qubits needed for the rotated-chip phase to reach the resolution in one T_c.
 
     Inverts the closed forms: n = s^(1/2) for 1D and n = s^(2/3) for 2D,
@@ -133,16 +140,11 @@ def required_qubits(config: SensingConfig, geometry: GeometryKind = "1d") -> Req
     sqrt(n) * spacing (2D).  A count beyond the float range raises
     OverflowError naming `n_required`.
     """
-    if geometry not in ("1d", "2d"):
-        raise ValueError(f"geometry must be '1d' or '2d', got {geometry!r}")
+    p = _exponent(geometry)
     cst = config.constants
-    scale = (
-        4.0
-        * config.phase_resolution
-        * cst.c_squared
-        / (cst.g0 * config.mean_frequency * config.spacing * config.coherence_time)
-    )
-    root = scale ** (0.5 if geometry == "1d" else 2.0 / 3.0)
+    scale = 4.0 * config.phase_resolution * cst.c_squared / (
+        cst.g0 * config.mean_frequency * config.spacing * config.coherence_time)
+    root = scale ** (1.0 / p)
     if not math.isfinite(root):
         raise OverflowError(f"n_required = {root}: the qubit count overflows")
     n = max(1, math.ceil(root))
@@ -154,16 +156,9 @@ def strain_phase(config: SensingConfig, t: float, strain: float) -> float:
     """Phase g * spacing * mean_omega * n * t / c^2 * (1 + strain) of the strained GHZ register."""
     if not abs(strain) < 1.0:
         raise ValueError(f"|strain| must be < 1, got {strain!r}")
+    _warn_past_coherence(config, t)
     cst = config.constants
-    return (
-        cst.g0
-        * config.spacing
-        * config.mean_frequency
-        * config.n
-        * t
-        / cst.c_squared
-        * (1.0 + strain)
-    )
+    return cst.g0 * config.spacing * config.mean_frequency * config.n * t / cst.c_squared * (1.0 + strain)
 
 
 def min_detectable_strain(config: SensingConfig) -> SensitivityReport:
@@ -173,7 +168,4 @@ def min_detectable_strain(config: SensingConfig) -> SensitivityReport:
     strain gauges (MEMS devices resolve about 1e-6) at this resolution.
     """
     baseline = strain_phase(config, config.coherence_time, 0.0)
-    return SensitivityReport(
-        phase=baseline,
-        sensitivity={"min_strain": config.phase_resolution / baseline},
-    )
+    return SensitivityReport(phase=baseline, sensitivity={"min_strain": config.phase_resolution / baseline})

@@ -430,16 +430,20 @@ class TestRangeErrors:
         assert err.count("\n") == 1 and err.startswith("error: ")
         assert "analytic_delta_phi_rad" in err
 
+    @pytest.mark.parametrize("backend", ["branch", "statevector"])
+    @pytest.mark.parametrize("frequency_ghz", [10.0, [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0]])
     @pytest.mark.parametrize(
         "time_s, message",
         [(0, "analytic_delta_phi_rad = nan: "), (1, "analytic_delta_phi_rad = inf: the sum of |theta_k| overflows")],
     )
-    def test_protocol_infinite_potential(self, tmp_path, capsys, time_s, message):
-        # -G M / d overflows to -inf; 0 s times it is undefined, 1 s times it overflows
+    def test_protocol_infinite_potential(self, tmp_path, capsys, backend, frequency_ghz, time_s, message):
+        # -G M / d overflows to -inf; 0 s times it is undefined, 1 s times it overflows.
+        # Every backend and frequency layout prints the same one line, with no numpy warning.
         path = scenario_file(
             tmp_path,
+            qubits={"frequency_ghz": frequency_ghz},
             perturbation={"kind": "mass", "mass_kg": 1e300, "distance_m": 1e-300},
-            run={"time_s": time_s, "shots": 1000, "seed": 1, "backend": "branch"},
+            run={"time_s": time_s, "shots": 1000, "seed": 1, "backend": backend},
         )
         code, out, err = run_with_stderr(capsys, ["--reproducible", "protocol", path])
         assert code == 2 and out == ""
@@ -505,6 +509,14 @@ class TestWarningLines:
         assert err and all(line.startswith("warning: ") for line in err.splitlines())
         assert run_with_stderr(capsys, argv, shown=False) == (0, "", "")
         assert out_csv.read_text(encoding="utf-8") == written
+
+    @pytest.mark.parametrize("command, flag", [("gravimeter", "--delta-g"), ("strain", "--strain")])
+    def test_time_past_coherence(self, capsys, command, flag):
+        argv = ["--reproducible", command, flag, "1e-9", "--time-s", "1"]
+        code, out, err = run_with_stderr(capsys, argv)
+        assert code == 0
+        assert err == "warning: accumulation time 1.0 s exceeds the coherence time 0.001 s\n"
+        assert run_with_stderr(capsys, argv, shown=False) == (0, out, "")
 
 
 class TestIntegerFlags:

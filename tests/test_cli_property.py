@@ -6,7 +6,10 @@ all finite floats.  A run either exits 0 with every float cell finite, or
 exits 2, 3 or 4 with exactly one `error:` line on stderr; no exception
 escapes `main`.  The same holds for `protocol` on scenario files whose
 numbers are drawn the same way, where the stderr of a run may also carry
-`warning: ` lines and a saturated row keeps its documented NaN.
+`warning: ` lines and a saturated row keeps its documented NaN.  On
+registers of at most 10 sites, uniform or per-site frequencies, the branch
+and statevector backends print the same exit code and `error:` line, and
+within the estimator range agree on `p_one` to 1e-12 and on `count_one`.
 """
 
 import contextlib
@@ -133,7 +136,7 @@ PERTURBATIONS = st.one_of(
     st.fixed_dictionaries({"kind": st.just("delta_g"), "delta_g": REALS}),
     st.fixed_dictionaries({"kind": st.just("mass"), "mass_kg": REALS, "distance_m": REALS}),
     st.fixed_dictionaries({"kind": st.just("translation"), "delta_x_m": REALS}),
-    st.fixed_dictionaries({"kind": st.just("strain"), "strain": REALS, "angle_deg": REALS}),
+    st.fixed_dictionaries({"kind": st.just("strain"), "strain": REALS}, optional={"angle_deg": REALS}),
 )
 SHOTS = st.one_of(st.integers(1, 10**4), st.integers(MAX_SHOTS + 1, 10**15))
 
@@ -187,3 +190,46 @@ def test_protocol_finite_cells_or_one_error_line(scenario_path, out, doc):
         assert code in (2, 3, 4), (doc, code)
         assert stdout.getvalue() == ""
         assert len(lines) == 1 and lines[0].startswith("error: "), (doc, stderr.getvalue())
+
+
+# registers the statevector backend runs: n <= 10 on a line, 1, 4 or 9 sites on a grid
+SMALL_LAYOUTS = st.one_of(st.tuples(st.just("line"), st.integers(1, 10)),
+                          st.tuples(st.just("grid"), st.sampled_from([1, 4, 9])))
+
+
+@st.composite
+def small_scenarios(draw) -> dict:
+    layout, n = draw(SMALL_LAYOUTS)
+    return {
+        "version": 1,
+        "geometry": {"layout": layout, "n": n, "spacing_m": draw(REALS), "orientation_deg": draw(REALS)},
+        "qubits": {"frequency_ghz": draw(st.one_of(REALS, st.lists(REALS, min_size=n, max_size=n)))},
+        "perturbation": draw(PERTURBATIONS),
+        "run": {"time_s": draw(REALS), "shots": draw(st.integers(1, 10**4)), "seed": draw(st.integers(0, 2**64))},
+    }
+
+
+def protocol_run(path, backend: str) -> tuple[int, dict | None, list[str]]:
+    """(exit code, the result row or None, stderr lines other than warnings) of one protocol run."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), warnings.catch_warnings():
+        warnings.showwarning = process_display
+        code = main(["--reproducible", "protocol", str(path), "--backend", backend])
+    lines = [line for line in stderr.getvalue().splitlines() if not line.startswith("warning: ")]
+    if code != 0:
+        return code, None, lines
+    _, columns, (values,) = read_result_csv(stdout.getvalue())
+    return code, dict(zip(columns, values)), lines
+
+
+@settings(max_examples=150)  # two runs an example: about 1.6 s on a 2-vCPU machine
+@given(small_scenarios())
+def test_protocol_backends_agree(scenario_path, doc):
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    code, row, lines = protocol_run(scenario_path, "branch")
+    dense_code, dense_row, dense_lines = protocol_run(scenario_path, "statevector")
+    assert (code, lines) == (dense_code, dense_lines), doc
+    # beyond the estimator range the rounding of dphi, ~ n * eps * dphi, may exceed 1e-12 in sin(dphi)
+    if code == 0 and not row["range_exceeded"]:
+        assert abs(row["p_one"] - dense_row["p_one"]) <= 1e-12, (doc, row, dense_row)
+        assert row["count_one"] == dense_row["count_one"], (doc, row, dense_row)

@@ -6,6 +6,8 @@ M_earth = 5.972e24, R_earth = 6.371e6).
 """
 
 import math
+import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -36,7 +38,7 @@ from qredshift import (
     vertical_displacements,
 )
 from qredshift import gravity
-from qredshift.gravity import uniform_delta_phi
+from qredshift.gravity import site_angles, uniform_delta_phi
 
 C2 = DEFAULT_CONSTANTS.c_squared
 G0 = DEFAULT_CONSTANTS.g0
@@ -53,7 +55,7 @@ class TestConstants:
         assert c.earth_radius == 6.371e6
 
     def test_overrides(self):
-        rounded = DEFAULT_CONSTANTS.with_overrides(g0=9.8)
+        rounded = replace(DEFAULT_CONSTANTS, g0=9.8)
         assert rounded.g0 == 9.8
         assert rounded.c == DEFAULT_CONSTANTS.c
 
@@ -222,6 +224,9 @@ class TestGeometry:
             line_chip(3, 1e-3, [1.0, 2.0])
         with pytest.raises(ValueError, match="positive"):
             line_chip(2, 1e-3, -5.0)
+        for frequency in (math.inf, [1.0, math.inf]):
+            with pytest.raises(ValueError, match="^all site frequencies must be finite$"):
+                line_chip(2, 1e-3, frequency)
 
 
 class TestSiteCap:
@@ -319,6 +324,29 @@ class TestUniformDeltaPhi:
         sc = GravScenario(line_chip(2, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
         with pytest.raises(ValueError, match="time"):
             uniform_delta_phi(sc, -1.0)
+
+    @pytest.mark.parametrize(
+        "chip, pert, t",
+        [
+            # the outermost coordinate, 7 * 5e307 m, overflows; 1e-300 rad keeps the j = 1 angle small
+            (line_chip(8, 1e308, OMEGA_10GHZ), VerticalRotation(1e-300), 1e-3),
+            # at angle 0 the overflowed coordinate times sin(0) is NaN
+            (line_chip(8, 1e308, OMEGA_10GHZ), UniformStrain(0.5, 0.0), 1e-3),
+            # g0 * x_k overflows on the outer rows only, and 0 s times it is NaN
+            (grid_chip(9, 4.893498587044238e307, OMEGA_10GHZ), VerticalRotation(math.radians(202.0)), 0.0),
+            (grid_chip(9, 4.893498587044238e307, OMEGA_10GHZ), VerticalRotation(math.radians(202.0)), 1.0),
+        ],
+    )
+    def test_non_finite_exactly_when_the_angles_are(self, chip, pert, t):
+        sc = GravScenario(chip, pert)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # site_angles warns about nothing
+            theta = site_angles(sc, t)
+        reference = float(np.abs(theta).sum())
+        assert not math.isfinite(reference)
+        assert repr(uniform_delta_phi(sc, t)) == repr(reference)
+        with pytest.raises(ValueError, match="dephasing angles must be finite"):
+            dephasing_angles(sc, t)
 
     def test_site_count_beyond_float_range(self):
         huge = line_chip(10**400, 1e-3, OMEGA_10GHZ)

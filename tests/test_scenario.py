@@ -2,11 +2,18 @@
 
 import json
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from qredshift.gravity import ProximalMass, UniformDeltaG, UniformStrain, VerticalRotation
+from qredshift.gravity import (
+    ProximalMass,
+    UniformDeltaG,
+    UniformStrain,
+    VerticalRotation,
+    VerticalTranslation,
+)
 from qredshift.scenario import ScenarioError, load_scenario, parse_scenario
 
 
@@ -47,18 +54,40 @@ class TestParsing:
             parse_scenario(raw)
 
     @pytest.mark.parametrize(
-        "kind,payload,expected",
+        "payload, expected, values",
         [
-            ("delta_g", {"delta_g": 1e-6}, UniformDeltaG),
-            ("mass", {"mass_kg": 1e3, "distance_m": 0.1}, ProximalMass),
-            ("strain", {"strain": 0.1, "angle_deg": 90.0}, UniformStrain),
+            ({"kind": "rotation", "angle_deg": 30.0}, VerticalRotation, {"angle": math.pi / 6}),
+            ({"kind": "delta_g", "delta_g": 1e-6}, UniformDeltaG, {"delta_g": 1e-6}),
+            ({"kind": "mass", "mass_kg": 1e3, "distance_m": 0.1}, ProximalMass, {"mass": 1e3, "distance": 0.1}),
+            ({"kind": "translation", "delta_x_m": -0.01}, VerticalTranslation, {"delta_x": -0.01}),
+            ({"kind": "strain", "strain": 0.1, "angle_deg": 30.0}, UniformStrain, {"strain": 0.1, "angle": math.pi / 6}),
+            # angle_deg left out: UniformStrain's default, 90 degrees
+            ({"kind": "strain", "strain": 0.1}, UniformStrain, {"strain": 0.1, "angle": math.pi / 2}),
         ],
     )
-    def test_perturbation_kinds(self, kind, payload, expected):
+    def test_perturbation_kinds(self, payload, expected, values):
         raw = base_doc()
-        raw["perturbation"] = {"kind": kind, **payload}
-        doc = parse_scenario(raw)
-        assert isinstance(doc.scenario.perturbation, expected)
+        raw["perturbation"] = payload
+        pert = parse_scenario(raw).scenario.perturbation
+        assert type(pert) is expected
+        assert asdict(pert) == pytest.approx(values, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "payload, key",
+        [
+            ({"kind": "rotation"}, "angle_deg"),
+            ({"kind": "delta_g"}, "delta_g"),
+            ({"kind": "mass", "distance_m": 0.1}, "mass_kg"),
+            ({"kind": "mass", "mass_kg": 1e3}, "distance_m"),
+            ({"kind": "translation"}, "delta_x_m"),
+            ({"kind": "strain", "angle_deg": 30.0}, "strain"),
+        ],
+    )
+    def test_perturbation_key_without_default_required(self, payload, key):
+        raw = base_doc()
+        raw["perturbation"] = payload
+        with pytest.raises(ScenarioError, match=f"^scenario: missing key '{key}' in perturbation$"):
+            parse_scenario(raw)
 
     def test_constants_overrides(self):
         raw = base_doc()

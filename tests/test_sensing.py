@@ -38,8 +38,9 @@ class TestGravimeterPhase:
         assert double == pytest.approx(2 * single, rel=1e-14)
 
     def test_warns_beyond_coherence(self):
-        with pytest.warns(UserWarning, match="coherence"):
+        with pytest.warns(UserWarning, match="coherence") as record:
             gravimeter_phase(near_term(tc=1e-3), 0.01, 2e-3)
+        assert record[0].filename == __file__
 
     def test_matches_protocol_stack(self):
         # a uniform delta-g scenario accumulates exactly the gravimeter phase
@@ -124,8 +125,10 @@ class TestRequiredQubits:
         assert short < config.phase_resolution
 
     def test_bad_geometry(self):
-        with pytest.raises(ValueError, match="geometry"):
+        with pytest.raises(ValueError, match="geometry must be '1d' or '2d', got '3d'"):
             required_qubits(near_term(), "3d")
+        with pytest.raises(ValueError, match="geometry must be '1d' or '2d', got '3d'"):
+            closed_form_phase(100, OMEGA_10GHZ, 1e-3, 1.0, "3d")
 
     @pytest.mark.parametrize("geometry", ["1d", "2d"])
     def test_at_least_one_qubit_when_the_scale_underflows(self, geometry):
@@ -156,6 +159,11 @@ class TestStrain:
     def test_strain_bound(self):
         with pytest.raises(ValueError, match="strain"):
             strain_phase(near_term(), 1e-3, 1.0)
+
+    def test_warns_beyond_coherence(self):
+        with pytest.warns(UserWarning, match="accumulation time 1.0 s exceeds the coherence time 0.001 s") as record:
+            strain_phase(near_term(tc=1e-3), 1.0, 1e-9)
+        assert record[0].filename == __file__  # the warning names the caller, as gravimeter_phase's does
 
     def test_min_detectable_reference(self):
         report = min_detectable_strain(near_term())

@@ -41,6 +41,9 @@ def _scenario(geometry=None, qubits=None, perturbation=None, run=None, **extra) 
 
 _RUN_1S = {"time_s": 1.0, "shots": 1000, "seed": 1, "backend": "branch"}
 _RUN_SV = {"time_s": 1e-3, "shots": 100000, "seed": 42, "backend": "statevector"}
+_RUN_0S = {"time_s": 0, "shots": 1000, "seed": 1, "backend": "branch"}
+_PER_SITE = {"frequency_ghz": [4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5]}
+_INF_POTENTIAL = {"kind": "mass", "mass_kg": 1e300, "distance_m": 1e-300}
 
 FILES = {
     "rotation.json": _scenario(),
@@ -57,15 +60,25 @@ FILES = {
                             run=_RUN_SV),
     "sv_grid.json": _scenario(geometry={"layout": "grid", "n": 16, "spacing_m": 1e-3, "orientation_deg": 10.0},
                               run=_RUN_SV),
-    "per_site.json": _scenario(qubits={"frequency_ghz": [4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5]}),
+    "strain_default_angle.json": _scenario(perturbation={"kind": "strain", "strain": 1e-6}),
+    "per_site.json": _scenario(qubits=_PER_SITE),
     "constants.json": _scenario(constants={"c": 3.0e8, "g0": 9.81}),
     "saturated.json": _scenario(run={"time_s": 1e-3, "shots": 1, "seed": 3, "backend": "branch"}),
     "range.json": _scenario(perturbation={"kind": "delta_g", "delta_g": 10.0}, run=_RUN_1S),
     "overflow.json": _scenario(qubits={"frequency_ghz": 1e8}, perturbation={"kind": "delta_g", "delta_g": 1e300},
                                run=_RUN_1S),
-    # -G M / d overflows to -inf; 0 s times it is undefined
-    "nan_dphi.json": _scenario(perturbation={"kind": "mass", "mass_kg": 1e300, "distance_m": 1e-300},
-                               run={"time_s": 0, "shots": 1000, "seed": 1, "backend": "branch"}),
+    # -G M / d overflows to -inf; 0 s times it is undefined, 1 s times it overflows
+    "nan_dphi.json": _scenario(perturbation=_INF_POTENTIAL, run=_RUN_0S),
+    "nan_dphi_per_site.json": _scenario(qubits=_PER_SITE, perturbation=_INF_POTENTIAL, run=_RUN_0S),
+    "inf_dphi.json": _scenario(perturbation=_INF_POTENTIAL, run=_RUN_1S),
+    "inf_dphi_per_site.json": _scenario(qubits=_PER_SITE, perturbation=_INF_POTENTIAL, run=_RUN_1S),
+    # g0 * x_k overflows on the outer grid rows, not at the closed form's j = 1 coordinate
+    "outer_overflow.json": _scenario(geometry={"layout": "grid", "n": 9, "spacing_m": 4.893498587044238e307,
+                                               "orientation_deg": 0.0},
+                                     perturbation={"kind": "rotation", "angle_deg": 202.0}, run=_RUN_1S),
+    # 2 pi 1e9 * 1e299 GHz overflows the angular frequency
+    "inf_omega.json": _scenario(geometry={"layout": "line", "n": 1, "spacing_m": 1e-3, "orientation_deg": 0.0},
+                                qubits={"frequency_ghz": 1e299}),
     "huge_n.json": _scenario(geometry={"layout": "line", "n": 10**13, "spacing_m": 1e-3, "orientation_deg": 0.0}),
     # the sensing scales `required-qubits` reports at T_c = 1 ms: 241 547 sites (1D), 3879^2 sites (2D)
     "paper_1d.json": _scenario(geometry={"layout": "line", "n": 241547, "spacing_m": 1e-3, "orientation_deg": 0.0}),
@@ -110,7 +123,9 @@ def _commands() -> list[list[str]]:
         [R, "required-qubits", "--tc", "1e300"],
     ]
     # protocol: every perturbation kind and layout on both backends, plus overrides
-    for name in ("rotation", "delta_g", "mass", "translation", "strain", "grid", "per_site", "constants"):
+    for name in ("rotation", "delta_g", "mass", "translation", "strain", "strain_default_angle", "grid", "per_site",
+                 "constants", "nan_dphi", "nan_dphi_per_site", "inf_dphi", "inf_dphi_per_site", "outer_overflow",
+                 "inf_omega"):
         for backend in ("branch", "statevector"):
             cmds.append([R, "protocol", f"{name}.json", "--backend", backend])
     cmds += [
@@ -128,8 +143,6 @@ def _commands() -> list[list[str]]:
         [R, "protocol", "range.json", "--backend", "statevector"],
         [R, "protocol", "overflow.json"],
         [R, "protocol", "overflow.json", "--backend", "statevector"],
-        [R, "protocol", "nan_dphi.json"],
-        [R, "protocol", "nan_dphi.json", "--backend", "statevector"],
         [R, "protocol", "huge_n.json"],
         [R, "protocol", "huge_n.json", "--backend", "statevector"],
         [R, "protocol", "paper_1d.json"],
