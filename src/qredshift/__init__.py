@@ -11,7 +11,6 @@ from .branch import ancilla_probabilities
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import (
     ChipGeometry,
-    DephasingAngles,
     GravScenario,
     ProximalMass,
     ResourceCapError,
@@ -33,10 +32,8 @@ from .gravity import (
     vertical_displacements,
 )
 from .protocol import (
-    CumulativePhase,
     ProtocolOutcome,
     build_circuit,
-    cumulative_phase_1d,
     expected_delta_phi,
     run_protocol,
     standard_pea_probabilities,

@@ -7,10 +7,10 @@ accumulation time t, register site k picks up the phase angle
 
     theta_k = -(t / c^2) * dPhi_k * omega_k
 
-relative to its calibrated frame.  These angles parameterize the diagonal
-dephasing channel consumed by the simulation engines.  On a chip with one
-qubit frequency, uniform_delta_phi gives their absolute sum in closed form
-at O(1) cost, so only per-site paths build per-site arrays.
+relative to its calibrated frame.  The float array of these angles alone
+fixes the diagonal dephasing channel the simulation engines apply.  On a
+chip with one qubit frequency, uniform_delta_phi gives their absolute sum
+in closed form at O(1) cost, so only per-site paths build per-site arrays.
 
 Supported perturbations of a calibrated chip:
 
@@ -51,7 +51,6 @@ __all__ = [
     "VerticalTranslation",
     "UniformStrain",
     "GravScenario",
-    "DephasingAngles",
     "newtonian_potential",
     "redshift_factor",
     "fractional_shift_vertical",
@@ -60,7 +59,6 @@ __all__ = [
     "universal_rate",
     "vertical_displacements",
     "potential_changes",
-    "site_angles",
     "dephasing_angles",
     "uniform_delta_phi",
 ]
@@ -238,23 +236,6 @@ class GravScenario:
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
 
-@dataclass(frozen=True)
-class DephasingAngles:
-    """Per-site phase angles theta_k (rad) accumulated over `time` (s)."""
-
-    angles: np.ndarray
-    time: float
-
-    def __post_init__(self) -> None:
-        arr = np.asarray(self.angles, dtype=float)
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("dephasing angles must be finite")
-        object.__setattr__(self, "angles", arr)
-
-    def __len__(self) -> int:
-        return self.angles.size
-
-
 def newtonian_potential(
     mass: float, distance: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
@@ -353,24 +334,21 @@ def _check_time(t: float) -> None:
         raise ValueError(f"accumulation time must be >= 0, got {t!r}")
 
 
-def site_angles(scenario: GravScenario, t: float) -> np.ndarray:
+def dephasing_angles(scenario: GravScenario, t: float) -> np.ndarray:
     """Channel angles theta_k = -(t/c^2) * dPhi_k * omega_k after accumulating for t seconds.
 
-    The minus sign matches the convention that a raised qubit (dPhi > 0)
-    runs fast, so its excited state advances and the recorded angle for
-    the rotation scenario is theta_k = -(g t / c^2) * omega_k * x_k.
+    The angles fix the channel Sigma = (x) diag(1, e^{i theta_k}).  The
+    minus sign matches the convention that a raised qubit (dPhi > 0) runs
+    fast, so its excited state advances and the recorded angle for the
+    rotation scenario is theta_k = -(g t / c^2) * omega_k * x_k.
     Builds per-site arrays, so a chip above MAX_SITES raises ResourceCapError.
-    Unchecked: an overflow is +-inf and 0 * inf is NaN, without a warning.
+    Unchecked: an overflow is +-inf and 0 * inf is NaN, without a warning;
+    the kernels that apply the angles reject them.
     """
     _check_time(t)
     with np.errstate(over="ignore", invalid="ignore"):
         dphi = potential_changes(scenario)
         return -(t / scenario.constants.c_squared) * dphi * scenario.geometry.frequencies
-
-
-def dephasing_angles(scenario: GravScenario, t: float) -> DephasingAngles:
-    """The site_angles as a DephasingAngles, which rejects a non-finite angle."""
-    return DephasingAngles(angles=site_angles(scenario, t), time=t)
 
 
 def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
@@ -383,8 +361,9 @@ def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
     integer sum_k |j_k|: floor(n^2 / 2) on a line, m * floor(m^2 / 2) on a
     grid.  The other perturbations shift all n sites alike: n times one
     angle.  Agrees with the sum of dephasing_angles to a few ulp at any n;
-    a sum beyond the float range is inf.  Up to MAX_SITES sites it is inf or NaN
-    exactly when the sum of site_angles is: then the largest, outermost angle is.
+    a sum beyond the float range is inf.  Up to MAX_SITES sites it is inf
+    or NaN exactly when the sum of dephasing_angles is: then the largest,
+    outermost angle is.
     """
     geom = scenario.geometry
     omega = geom.uniform_frequency

@@ -23,7 +23,8 @@ evaluates the sine law on dphi = sum_k |theta_k| directly and never builds
 the circuit.  On a chip with one qubit frequency that dphi comes from
 gravity.uniform_delta_phi in O(1), so the branch backend builds no per-site
 array at any register size; per-site frequencies take one numpy pass over
-the angles.  run_protocol counts the shots against the exact ancilla
+the angle array of gravity.dephasing_angles, which is also what the dense
+circuit applies.  run_protocol counts the shots against the exact ancilla
 probability in fixed-size chunks of the counter-based streams of
 qredshift.rng, so its memory does not grow with the shot count and a run
 is reproducible from (seed, shot index) alone on either backend.
@@ -39,31 +40,18 @@ import numpy as np
 
 from . import branch as branch_engine
 from . import statevector as sv
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import (
-    ChipGeometry,
-    DephasingAngles,
-    GravScenario,
-    ResourceCapError,
-    VerticalRotation,
-    dephasing_angles,
-    site_angles,
-    uniform_delta_phi,
-)
+from .gravity import GravScenario, ResourceCapError, dephasing_angles, uniform_delta_phi
 from .rng import count_below
-from .sensing import closed_form_phase
 
 __all__ = [
     "BACKENDS",
     "MAX_SHOTS",
     "ProtocolOutcome",
-    "CumulativePhase",
     "expected_delta_phi",
     "build_circuit",
     "final_state",
     "run_protocol",
     "standard_pea_probabilities",
-    "cumulative_phase_1d",
 ]
 
 # Most shots run_protocol takes; above it the run raises ResourceCapError
@@ -91,29 +79,28 @@ class ProtocolOutcome:
     range_exceeded: bool = False
 
 
-def expected_delta_phi(angles: DephasingAngles | np.ndarray) -> float:
+def expected_delta_phi(theta: np.ndarray) -> float:
     """dphi = phi_plus - phi_minus = sum of |theta_k|.
 
     numpy's pairwise summation keeps the rounding error at O(eps log n).
     Finite angles can still sum past the float range; the result is then
     inf, which run_protocol rejects, as it rejects the NaN of a NaN angle.
     """
-    theta = angles.angles if isinstance(angles, DephasingAngles) else angles
     with np.errstate(over="ignore"):
         return float(np.abs(theta).sum())
 
 
-def build_circuit(angles: DephasingAngles) -> list[sv.Gate]:
+def build_circuit(theta: np.ndarray) -> list[sv.Gate]:
     """Gate sequence of the measurement circuit (ancilla = bit 0, site k = bit k).
 
     One X gate flips the minus sites, theta_k < 0 (exact zeros count as
     plus; no minus sites, no X gate), and each controlled-X layer is one
     fan-out onto every site, so the circuit has at most 7 gates.
     """
-    minus = tuple(int(k) + 1 for k in np.flatnonzero(angles.angles < 0.0))
-    fan_out = sv.controlled_x(0, *range(1, len(angles) + 1))
+    minus = tuple(int(k) + 1 for k in np.flatnonzero(theta < 0.0))
+    fan_out = sv.controlled_x(0, *range(1, len(theta) + 1))
     gates = [sv.hadamard(0)] + ([sv.x_gate(*minus)] if minus else [])
-    return gates + [sv.s_gate(0), fan_out, sv.diagonal_phase(angles), fan_out, sv.hadamard(0)]
+    return gates + [sv.s_gate(0), fan_out, sv.diagonal_phase(theta), fan_out, sv.hadamard(0)]
 
 
 def final_state(circuit: list[sv.Gate], qubit_count: int) -> sv.StateVector:
@@ -164,7 +151,7 @@ def run_protocol(
     if backend == "branch" and scenario.geometry.uniform_frequency is not None:
         analytic = uniform_delta_phi(scenario, t)
     else:  # per-site frequencies, or the dense circuit, which needs the angles
-        theta = site_angles(scenario, t)
+        theta = dephasing_angles(scenario, t)
         analytic = expected_delta_phi(theta)
     if math.isnan(analytic):
         raise ValueError("analytic_delta_phi_rad = nan: theta_k = t * dPhi_k * omega_k / c^2 "
@@ -175,7 +162,7 @@ def run_protocol(
     if backend == "branch":
         _, p_one = branch_engine.ancilla_probabilities(analytic)
     else:
-        state = final_state(build_circuit(DephasingAngles(theta, t)), qubit_count)
+        state = final_state(build_circuit(theta), qubit_count)
         p_one = sv.probability_of(state, 0, 1)
 
     count_one = count_below(seed, shots, p_one)
@@ -216,39 +203,3 @@ def standard_pea_probabilities(delta_phi: float) -> tuple[float, float]:
     """
     p_zero = 0.5 + 0.5 * math.cos(delta_phi)
     return p_zero, 1.0 - p_zero
-
-
-@dataclass(frozen=True)
-class CumulativePhase:
-    """Exact site sum and closed-form approximation of the rotated-chip dphi."""
-
-    exact: float
-    closed_form: float
-
-
-def cumulative_phase_1d(
-    geometry: ChipGeometry,
-    t: float,
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> CumulativePhase:
-    """dphi accumulated by a 1D chip rotated from horizontal to vertical.
-
-    exact       = expected_delta_phi of the VerticalRotation(pi/2) angles
-                = (g t / c^2) * sum_k omega_k |x_k|
-    closed_form = sensing.closed_form_phase(n, mean(omega), spacing, t, "1d")
-                = g * mean(omega) * spacing * n^2 * t / (4 c^2)
-
-    For uniform frequencies and even n the two coincide, because the
-    centered heights satisfy sum_k |x_k| = n^2 * spacing / 4.
-    """
-    if geometry.layout != "line":
-        raise ValueError("cumulative_phase_1d needs a 1D line geometry")
-    if geometry.qubit_count % 2 != 0:
-        raise ValueError("cumulative_phase_1d assumes an even number of equally spaced sites")
-    rotated = GravScenario(geometry, VerticalRotation(math.pi / 2.0), constants)
-    exact = expected_delta_phi(dephasing_angles(rotated, t))
-    mean_omega = geometry.uniform_frequency
-    if mean_omega is None:
-        mean_omega = float(np.mean(geometry.frequencies))
-    closed = closed_form_phase(geometry.qubit_count, mean_omega, geometry.spacing, t, "1d", constants)
-    return CumulativePhase(exact=exact, closed_form=closed)

@@ -26,7 +26,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gravity import DephasingAngles, ResourceCapError
+from .gravity import ResourceCapError
 
 __all__ = [
     "MAX_QUBITS",
@@ -82,7 +82,7 @@ class Gate:
     kind: str
     targets: tuple[int, ...] = ()
     control: int | None = None
-    angles: DephasingAngles | None = None
+    angles: np.ndarray | None = None
 
 
 def hadamard(target: int) -> Gate:
@@ -102,7 +102,7 @@ def controlled_x(control: int, *targets: int) -> Gate:
     return Gate("cx", tuple(targets), control=control)
 
 
-def diagonal_phase(angles: DephasingAngles) -> Gate:
+def diagonal_phase(angles: np.ndarray) -> Gate:
     return Gate("phase", angles=angles)
 
 
@@ -221,13 +221,20 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def apply_diagonal_phase(state: StateVector, angles: DephasingAngles) -> StateVector:
+def _finite_angles(angles: np.ndarray | Sequence[float]) -> np.ndarray:
+    theta = np.asarray(angles, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("dephasing angles must be finite")
+    return theta
+
+
+def apply_diagonal_phase(state: StateVector, angles: np.ndarray) -> StateVector:
     """Multiply each basis amplitude by exp(i * sum of theta_k over set register bits).
 
     Angles address register bits 1..n; the ancilla (bit 0) picks up no
-    phase.  Requires len(angles) == qubit_count - 1.
+    phase.  Requires len(angles) == qubit_count - 1 and finite angles.
     """
-    theta = np.asarray(angles.angles, dtype=float)
+    theta = _finite_angles(angles)
     if theta.size != state.qubit_count - 1:
         raise ValueError(
             f"expected {state.qubit_count - 1} angles for a {state.qubit_count}-qubit state, "
@@ -295,16 +302,14 @@ def _basis_phases(theta: np.ndarray) -> np.ndarray:
     return bits @ theta
 
 
-def apply_channel(
-    rho: DensityMatrix, angles: DephasingAngles | Sequence[float]
-) -> DensityMatrix:
+def apply_channel(rho: DensityMatrix, angles: np.ndarray | Sequence[float]) -> DensityMatrix:
     """Dephasing channel rho -> Sigma rho Sigma^dagger with Sigma = (x) diag(1, e^{i theta_k}).
 
     One angle per qubit of rho (bit k of the basis index carries theta[k]).
     Diagonal entries are preserved exactly; coherences pick up unit-modulus
-    factors e^{i(phi_j - phi_l)}.
+    factors e^{i(phi_j - phi_l)}.  Rejects a non-finite angle.
     """
-    theta = np.asarray(angles.angles if isinstance(angles, DephasingAngles) else angles, dtype=float)
+    theta = _finite_angles(angles)
     if theta.size != rho.qubit_count:
         raise ValueError(f"expected {rho.qubit_count} angles, got {theta.size}")
     if rho.qubit_count > DENSITY_MAX_QUBITS:

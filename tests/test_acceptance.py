@@ -18,10 +18,9 @@ import pytest
 from qredshift.branch import ancilla_probabilities
 from qredshift.cli import main, read_result_csv
 from qredshift.constants import DEFAULT_CONSTANTS
-from qredshift.gravity import DephasingAngles, GravScenario, UniformDeltaG, line_chip
+from qredshift.gravity import GravScenario, UniformDeltaG, VerticalRotation, dephasing_angles, line_chip
 from qredshift.protocol import (
     build_circuit,
-    cumulative_phase_1d,
     expected_delta_phi,
     final_state,
     run_protocol,
@@ -70,10 +69,9 @@ def test_criterion_1_protocol_exactness():
         for n in range(1, 11):
             for _ in range(50):
                 theta = rng.uniform(-3.0, 3.0, size=n)
-                angles = DephasingAngles(angles=theta, time=1.0)
-                state = final_state(build_circuit(angles), n + 1)
+                state = final_state(build_circuit(theta), n + 1)
                 p_one = probability_of(state, 0, 1)
-                expected = 0.5 + 0.5 * math.sin(expected_delta_phi(angles))
+                expected = 0.5 + 0.5 * math.sin(expected_delta_phi(theta))
                 assert abs(p_one - expected) < 1e-12
 
 
@@ -181,8 +179,10 @@ def test_criterion_5_reference_numbers():
 def test_criterion_6_scaling_laws():
     with criterion(6, "log-log slopes: 2.00 for 1D chips, 1.50 for 2D", 2.0):
         counts = np.array([10, 20, 50, 100, 200, 500, 1000, 2000])
+        chips = [line_chip(int(n), 1e-3, OMEGA_10GHZ) for n in counts]
         phases = np.array(
-            [cumulative_phase_1d(line_chip(int(n), 1e-3, OMEGA_10GHZ), 1e-3).exact for n in counts]
+            [expected_delta_phi(dephasing_angles(GravScenario(chip, VerticalRotation(math.pi / 2)), 1e-3))
+             for chip in chips]
         )
         slope_1d = np.polyfit(np.log(counts), np.log(phases), 1)[0]
         assert slope_1d == pytest.approx(2.0, abs=0.01)

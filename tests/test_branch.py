@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from qredshift.branch import ancilla_probabilities
-from qredshift.gravity import DephasingAngles
 from qredshift.protocol import build_circuit, final_state
 from qredshift.statevector import probability_of
 
@@ -44,8 +43,7 @@ class TestSubspaceExactness:
         rng = np.random.default_rng(1000 + n)
         for _ in range(5):
             theta = rng.uniform(-2.5, 2.5, size=n)
-            angles = DephasingAngles(angles=theta, time=1.0)
-            state = final_state(build_circuit(angles), n + 1)
+            state = final_state(build_circuit(theta), n + 1)
             p1_dense = probability_of(state, 0, 1)
             phi_plus = float(theta[theta >= 0].sum())
             phi_minus = float(theta[theta < 0].sum())

@@ -21,7 +21,7 @@ import warnings
 from math import isqrt
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qredshift.cli import MAX_SWEEP_POINTS, main, read_result_csv
 from qredshift.gravity import MAX_SITES
@@ -222,6 +222,29 @@ def protocol_run(path, backend: str) -> tuple[int, dict | None, list[str]]:
     return code, dict(zip(columns, values)), lines
 
 
+def small_doc(layout: str, n: int, spacing_m: float, frequency_ghz: float, perturbation: dict,
+              time_s: float) -> dict:
+    """One fixed small_scenarios document."""
+    return {
+        "version": 1,
+        "geometry": {"layout": layout, "n": n, "spacing_m": spacing_m, "orientation_deg": 0.0},
+        "qubits": {"frequency_ghz": frequency_ghz},
+        "perturbation": perturbation,
+        "run": {"time_s": time_s, "shots": 1000, "seed": 1},
+    }
+
+
+# g0 * x_k overflows on the outer grid rows only, not at the closed form's j = 1 coordinate
+OUTER_OVERFLOW = ("grid", 9, 4.893498587044238e307, 10.0, {"kind": "rotation", "angle_deg": 202.0})
+
+
+# Shapes that once split the backends (the outer_overflow and inf_omega files of
+# tools/argv_matrix.py, and a one-site angle that overflows), pinned because the
+# drawn examples shift with the source literals hypothesis reads.
+@example(doc=small_doc(*OUTER_OVERFLOW, time_s=0.0))
+@example(doc=small_doc(*OUTER_OVERFLOW, time_s=1.0))
+@example(doc=small_doc("line", 1, 1e-3, 1e299, {"kind": "rotation", "angle_deg": 90.0}, 1e-3))
+@example(doc=small_doc("line", 1, 1e-3, 10.0, {"kind": "delta_g", "delta_g": 1.09e25}, 3.7e283))
 @settings(max_examples=150)  # two runs an example: about 1.6 s on a 2-vCPU machine
 @given(small_scenarios())
 def test_protocol_backends_agree(scenario_path, doc):

@@ -10,7 +10,6 @@ import pytest
 from qredshift import gravity, protocol, rng
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
-    DephasingAngles,
     GravScenario,
     ProximalMass,
     UniformDeltaG,
@@ -22,7 +21,6 @@ from qredshift.gravity import (
 from qredshift.protocol import (
     MAX_SHOTS,
     build_circuit,
-    cumulative_phase_1d,
     expected_delta_phi,
     final_state,
     run_protocol,
@@ -36,8 +34,8 @@ C2 = DEFAULT_CONSTANTS.c_squared
 CHUNK = rng._COUNT_CHUNK  # uniforms per chunk of the streamed shot count
 
 
-def angles_of(*theta: float) -> DephasingAngles:
-    return DephasingAngles(angles=np.array(theta), time=1.0)
+def angles_of(*theta: float) -> np.ndarray:
+    return np.array(theta)
 
 
 def delta_g_for_phase(target_phi: float, n: int, omega: float, t: float) -> float:
@@ -70,8 +68,6 @@ class TestPartition:
     def test_rotation_splits_at_midline(self):
         geom = line_chip(4, 1e-3, OMEGA_10GHZ)
         sc = GravScenario(geom, VerticalRotation(math.pi / 2))
-        from qredshift.gravity import dephasing_angles
-
         gates = build_circuit(dephasing_angles(sc, 1e-3))
         assert x_targets(gates) == [1, 2]  # upper half of the chip
         assert cx_targets(gates) == [1, 2, 3, 4] * 2  # the lower half (3, 4) stays plus
@@ -110,7 +106,7 @@ class TestCircuit:
         rng = np.random.default_rng(23)
         for n in (1, 2, 5, 8):
             angles = angles_of(*rng.normal(size=n))
-            minus = int(np.count_nonzero(angles.angles < 0))
+            minus = int(np.count_nonzero(angles < 0))
             gates = build_circuit(angles)
             assert len(gates) == 6 + (minus > 0)
 
@@ -133,7 +129,7 @@ class TestExpectedDeltaPhi:
     def test_million_angles_match_fsum(self):
         theta = np.random.default_rng(53).normal(scale=1e-10, size=10**6)
         exact = math.fsum(np.abs(theta))
-        assert abs(expected_delta_phi(DephasingAngles(theta, 1.0)) - exact) <= 1e-14 * exact
+        assert abs(expected_delta_phi(theta) - exact) <= 1e-14 * exact
 
     def test_branch_phases_split(self):
         theta = np.array([0.5, -0.25, 0.125])
@@ -386,31 +382,26 @@ class TestStreamedCount:
             run_protocol(ghz_scenario(0.1), 1e-3, MAX_SHOTS + 1, seed=1)
 
 
-class TestCumulativePhase:
+def rotated_line_phase(n: int, spacing: float, omega: float, t: float) -> float:
+    """dphi of a line chip rotated from horizontal to vertical: the site sum of |theta_k|."""
+    sc = GravScenario(line_chip(n, spacing, omega), VerticalRotation(math.pi / 2))
+    return expected_delta_phi(dephasing_angles(sc, t))
+
+
+class TestRotatedLinePhase:
+    """The rotated line's site sum against sensing.closed_form_phase, g omega ell n^2 t / (4 c^2)."""
+
     def test_two_site_hand_sum(self):
-        geom = line_chip(2, 1.0, 1.0)
-        result = cumulative_phase_1d(geom, 1.0)
-        assert result.exact == pytest.approx(1.0911369672198217e-16, rel=1e-14)
+        assert rotated_line_phase(2, 1.0, 1.0, 1.0) == pytest.approx(1.0911369672198217e-16, rel=1e-14)
 
     def test_closed_form_large_chip(self):
-        geom = line_chip(10**5, 1e-3, OMEGA_10GHZ)
-        result = cumulative_phase_1d(geom, 1e-3)
-        assert result.closed_form == pytest.approx(0.017139539401390194, rel=1e-14)
+        closed = closed_form_phase(10**5, OMEGA_10GHZ, 1e-3, 1e-3, "1d")
+        assert closed == pytest.approx(0.017139539401390194, rel=1e-14)
         # headline scale: ~1e5 qubits reach a 0.1 rad resolution within a factor 10
-        assert 0.01 < result.closed_form < 1.0
+        assert 0.01 < closed < 1.0
 
     @pytest.mark.parametrize("n", [2, 4, 10, 100, 1000])
     def test_exact_equals_closed_form_for_uniform_even(self, n):
-        geom = line_chip(n, 1e-3, OMEGA_10GHZ)
-        result = cumulative_phase_1d(geom, 1e-3)
-        assert result.exact / result.closed_form == pytest.approx(1.0, rel=1e-13)
-
-    def test_odd_count_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            cumulative_phase_1d(line_chip(3, 1e-3, OMEGA_10GHZ), 1e-3)
-
-    def test_grid_rejected(self):
-        from qredshift.gravity import grid_chip
-
-        with pytest.raises(ValueError, match="line"):
-            cumulative_phase_1d(grid_chip(4, 1e-3, OMEGA_10GHZ), 1e-3)
+        # even n: the centered heights satisfy sum_k |x_k| = n^2 * spacing / 4
+        exact = rotated_line_phase(n, 1e-3, OMEGA_10GHZ, 1e-3)
+        assert exact / closed_form_phase(n, OMEGA_10GHZ, 1e-3, 1e-3, "1d") == pytest.approx(1.0, rel=1e-13)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from qredshift.gravity import GravScenario, UniformDeltaG, dephasing_angles, line_chip
-from qredshift.protocol import cumulative_phase_1d, expected_delta_phi
+from qredshift.gravity import GravScenario, UniformDeltaG, VerticalRotation, dephasing_angles, line_chip
+from qredshift.protocol import expected_delta_phi
 from qredshift.sensing import (
     SensingConfig,
     closed_form_phase,
@@ -117,12 +117,12 @@ class TestRequiredQubits:
         config = near_term(n=1, tc=1.0)
         result = required_qubits(config, "1d")
         n_even = result.n + result.n % 2
-        geom = line_chip(n_even, config.spacing, OMEGA_10GHZ)
-        reached = cumulative_phase_1d(geom, config.coherence_time).exact
-        assert reached >= config.phase_resolution
-        geom_small = line_chip(n_even - 2, config.spacing, OMEGA_10GHZ)
-        short = cumulative_phase_1d(geom_small, config.coherence_time).exact
-        assert short < config.phase_resolution
+        def rotated_phase(n: int) -> float:
+            sc = GravScenario(line_chip(n, config.spacing, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+            return expected_delta_phi(dephasing_angles(sc, config.coherence_time))
+
+        assert rotated_phase(n_even) >= config.phase_resolution
+        assert rotated_phase(n_even - 2) < config.phase_resolution
 
     def test_bad_geometry(self):
         with pytest.raises(ValueError, match="geometry must be '1d' or '2d', got '3d'"):

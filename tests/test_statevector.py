@@ -11,7 +11,6 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qredshift.gravity import DephasingAngles
 from qredshift.rng import shot_uniforms
 from qredshift.statevector import (
     DENSITY_MAX_QUBITS,
@@ -292,7 +291,7 @@ class TestDiagonalPhase:
     def test_zero_angles_identity(self):
         state = random_state(3, seed=9)
         before = state.amplitudes.copy()
-        apply_diagonal_phase(state, DephasingAngles(angles=np.zeros(2), time=0.0))
+        apply_diagonal_phase(state, np.zeros(2))
         np.testing.assert_array_equal(state.amplitudes, before)
 
     def test_pi_flips_x_expectation(self):
@@ -305,7 +304,7 @@ class TestDiagonalPhase:
             return float(np.real(np.vdot(s.amplitudes, flipped.reshape(-1))))
 
         assert x_expectation(state) == pytest.approx(1.0, abs=1e-12)
-        apply_diagonal_phase(state, DephasingAngles(angles=np.array([math.pi]), time=1.0))
+        apply_diagonal_phase(state, np.array([math.pi]))
         assert x_expectation(state) == pytest.approx(-1.0, abs=1e-12)
 
     def test_composition_adds_angles(self):
@@ -313,24 +312,31 @@ class TestDiagonalPhase:
         theta1, theta2 = rng.uniform(-2, 2, size=(2, 4))
         a = random_state(5, seed=12)
         b = a.copy()
-        apply_diagonal_phase(a, DephasingAngles(angles=theta1, time=1.0))
-        apply_diagonal_phase(a, DephasingAngles(angles=theta2, time=1.0))
-        apply_diagonal_phase(b, DephasingAngles(angles=theta1 + theta2, time=2.0))
+        apply_diagonal_phase(a, theta1)
+        apply_diagonal_phase(a, theta2)
+        apply_diagonal_phase(b, theta1 + theta2)
         np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
 
     def test_norm_unchanged(self):
         state = random_state(4, seed=13)
-        apply_diagonal_phase(state, DephasingAngles(angles=np.array([0.3, -0.7, 2.1]), time=1.0))
+        apply_diagonal_phase(state, np.array([0.3, -0.7, 2.1]))
         assert abs(state.norm() - 1.0) < 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="angles"):
-            apply_diagonal_phase(init_zero(3), DephasingAngles(angles=np.zeros(3), time=0.0))
+            apply_diagonal_phase(init_zero(3), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        state = init_zero(3)
+        with pytest.raises(ValueError, match="^dephasing angles must be finite$"):
+            apply_diagonal_phase(state, np.array([0.0, bad]))
+        assert state.amplitudes[0] == 1.0
 
     def test_phase_gate_wrapper(self):
         state = random_state(3, seed=21)
         twin = state.copy()
-        angles = DephasingAngles(angles=np.array([0.4, -1.1]), time=1.0)
+        angles = np.array([0.4, -1.1])
         apply_gate(state, diagonal_phase(angles))
         apply_diagonal_phase(twin, angles)
         np.testing.assert_array_equal(state.amplitudes, twin.amplitudes)
@@ -397,13 +403,18 @@ class TestChannel:
         theta = np.random.default_rng(91).uniform(-2, 2, size=3)
         rho = density_from_amplitudes(state.amplitudes)
         rho_out = apply_channel(rho, np.concatenate(([0.0], theta)))
-        apply_diagonal_phase(state, DephasingAngles(angles=theta, time=1.0))
+        apply_diagonal_phase(state, theta)
         expected = np.outer(state.amplitudes, state.amplitudes.conj())
         np.testing.assert_allclose(rho_out.entries, expected, atol=1e-12)
 
     def test_angle_count_must_match(self):
         with pytest.raises(ValueError, match="angles"):
             apply_channel(random_density(2, seed=1), np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(ValueError, match="^dephasing angles must be finite$"):
+            apply_channel(random_density(2, seed=1), [0.0, bad])
 
     def test_density_cap(self):
         with pytest.raises(ResourceCapError):
