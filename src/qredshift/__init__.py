@@ -39,9 +39,7 @@ from .protocol import (
     standard_pea_probabilities,
 )
 from .sensing import (
-    RequiredQubits,
     SensingConfig,
-    SensitivityReport,
     closed_form_phase,
     gravimeter_phase,
     gravimeter_sensitivity,

@@ -12,12 +12,12 @@ parameters are the argparse dests, named after their columns (`tc_s`,
 `ell_m`, `phase_res_rad`, ...), so the parsed flag values are the row's
 arguments and the JSON `inputs` as they stand.  A protocol row's unset
 `time_s`, `shots`, `seed` and `backend` come from the scenario's `run`
-object.  Every row goes through `_run_row`, which turns a cell outside
-the floating-point range into an error.  A subcommand prints its one row
-with a provenance header as CSV or JSON; `sweep` evaluates a target's row
-at each grid value of one column and writes the result columns to a CSV
-file.  The `phase` row (the rotated-chip closed form) is a sweep target
-only.
+object, its constants from the scenario alone.  Every row goes through
+`_run_row`, which turns a cell outside the floating-point range into an
+error.  A subcommand prints its one row with a provenance header as CSV
+or JSON (`write_result_csv`); `sweep` evaluates a target's row at each
+grid value of one column and writes the result columns to a CSV file.
+The `phase` row (the rotated-chip closed form) is a sweep target only.
 
 Exit codes: 0 success, 2 validation or usage error (including results out
 of the floating-point range), 3 resource cap (sites of a chip with per-site
@@ -36,7 +36,7 @@ import os
 import sys
 import tempfile
 import warnings
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, NoReturn, TextIO
@@ -48,7 +48,7 @@ from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import ResourceCapError, fractional_shift_mass, fractional_shift_vertical, line_chip
 from .protocol import BACKENDS, run_protocol
 from .rng import substream_seed
-from .scenario import ScenarioDocument, load_scenario, parse_constants
+from .scenario import ScenarioDocument, load_constants, load_scenario
 from .sensing import (
     PHASE_EXPONENTS,
     SensingConfig,
@@ -60,7 +60,7 @@ from .sensing import (
     strain_phase,
 )
 
-__all__ = ["MAX_SWEEP_POINTS", "ResultTable", "main", "read_result_csv"]
+__all__ = ["MAX_SWEEP_POINTS", "main", "read_result_csv", "write_result_csv"]
 
 _FLOAT_FMT = ".17g"
 # accumulation time of `sweep --target phase` when --time-s is not given
@@ -78,29 +78,17 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-@dataclass
-class ResultTable:
-    """Rectangular, deterministic output: named columns, typed rows, provenance header."""
-
-    columns: list[str]
-    rows: list[tuple] = field(default_factory=list)
-    provenance: dict[str, str] = field(default_factory=dict)
-
-    def add_row(self, *values: Any) -> None:
-        if len(values) != len(self.columns):
-            raise ValueError(f"row has {len(values)} values for {len(self.columns)} columns")
-        self.rows.append(tuple(values))
-
-    def write_csv(self, stream: TextIO) -> None:
-        for key, value in self.provenance.items():
-            stream.write(f"# {key}={value}\n")
-        stream.write(",".join(self.columns) + "\n")
-        for row in self.rows:
-            stream.write(",".join(_fmt(v) for v in row) + "\n")
+def write_result_csv(stream: TextIO, provenance: dict[str, str], columns: list[str], rows: list[tuple]) -> None:
+    """Write `# key=value` provenance lines, the header and the rows; floats at 17 significant digits."""
+    for key, value in provenance.items():
+        stream.write(f"# {key}={value}\n")
+    stream.write(",".join(columns) + "\n")
+    for row in rows:
+        stream.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def read_result_csv(text: str) -> tuple[dict[str, str], list[str], list[tuple]]:
-    """Parse a ResultTable CSV back into (provenance, columns, typed rows)."""
+    """Parse what write_result_csv wrote back into (provenance, columns, typed rows)."""
     provenance: dict[str, str] = {}
     columns: list[str] = []
     rows: list[tuple] = []
@@ -141,17 +129,6 @@ def _provenance(constants: PhysicalConstants, seed: int | None, reproducible: bo
     if not reproducible:
         info["timestamp"] = datetime.now(timezone.utc).isoformat()
     return info
-
-
-def _load_constants(args: argparse.Namespace) -> PhysicalConstants:
-    if not args.constants_file:
-        return DEFAULT_CONSTANTS
-    source = f"constants file {args.constants_file}"
-    try:
-        overrides = json.loads(Path(args.constants_file).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{source}: invalid JSON: {exc}") from exc
-    return parse_constants(overrides, source)
 
 
 def _finite_float(text: str) -> float:
@@ -236,7 +213,7 @@ def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocu
 
 def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
     config = _sensing_config(p, constants)
-    results = dict(gravimeter_sensitivity(config).sensitivity)
+    results = gravimeter_sensitivity(config)
     if p["delta_g"] is not None:
         results["phase_rad"] = gravimeter_phase(config, p["delta_g"], _accumulation_time(p, config))
     return {key: p[key] for key in _SENSING}, results
@@ -244,16 +221,14 @@ def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDo
 
 def _strain(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
     config = _sensing_config(p, constants)
-    report = min_detectable_strain(config)
-    results = {"baseline_phase_rad": report.phase, **report.sensitivity}
+    results = min_detectable_strain(config)
     if p["strain"] is not None:
         results["phase_rad"] = strain_phase(config, _accumulation_time(p, config), p["strain"])
     return {key: p[key] for key in _SENSING}, results
 
 
 def _required_qubits(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
-    result = required_qubits(_sensing_config(p, constants), p["geometry"])
-    return dict(p), {"n_required": result.n, "length_m": result.length}
+    return dict(p), required_qubits(_sensing_config(p, constants), p["geometry"])
 
 
 def _phase(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
@@ -291,7 +266,11 @@ def _row_inputs(
 ) -> tuple[dict[str, Any], PhysicalConstants, ScenarioDocument | None]:
     """(the row's parameters, constants, scenario); a protocol's unset run settings are set on `args`."""
     if "scenario" not in row.params:
-        return {key: getattr(args, key, None) for key in row.params}, _load_constants(args), None
+        constants = load_constants(args.constants_file) if args.constants_file else DEFAULT_CONSTANTS
+        return {key: getattr(args, key, None) for key in row.params}, constants, None
+    if args.constants_file:
+        raise ValueError("--constants-file does not apply to protocol runs; "
+                         "use the scenario's \"constants\" object")
     if not args.scenario:
         raise ValueError("sweep --target protocol needs --scenario")
     doc = load_scenario(args.scenario)
@@ -319,14 +298,12 @@ def _run_row(name: str, p: dict[str, Any], constants: PhysicalConstants, doc: Sc
 def _cmd_row(args: argparse.Namespace) -> int:
     p, constants, doc = _row_inputs(args, _ROWS[args.command])
     echo, results = _run_row(args.command, p, constants, doc)
-    table = ResultTable([*echo, *results], provenance=_provenance(constants, args.seed, args.reproducible))
-    table.add_row(*echo.values(), *results.values())
+    provenance = _provenance(constants, args.seed, args.reproducible)
     if args.out == "json":
-        out = {"inputs": {"command": args.command, **p}, "results": {**echo, **results},
-               "provenance": table.provenance}
+        out = {"inputs": {"command": args.command, **p}, "results": {**echo, **results}, "provenance": provenance}
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     else:
-        table.write_csv(sys.stdout)
+        write_result_csv(sys.stdout, provenance, [*echo, *results], [(*echo.values(), *results.values())])
     return 0
 
 
@@ -365,13 +342,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             point["seed"] = substream_seed(args.seed, index)
         _, results = _run_row(args.target, point, constants, doc)
         rows.append((value, *results.values()))
-    table = ResultTable([column, *results], rows, _provenance(constants, args.seed, args.reproducible))
+    provenance = _provenance(constants, args.seed, args.reproducible)
 
     out_path = Path(args.out_path)
     fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as stream:
-            table.write_csv(stream)
+            write_result_csv(stream, provenance, [column, *results], rows)
         os.replace(tmp_name, out_path)
     except OSError:
         if os.path.exists(tmp_name):

@@ -44,7 +44,8 @@ from .gravity import (
 )
 from .protocol import BACKENDS
 
-__all__ = ["ScenarioError", "RunSettings", "ScenarioDocument", "load_scenario", "parse_constants", "parse_scenario"]
+__all__ = ["ScenarioError", "RunSettings", "ScenarioDocument",
+           "load_constants", "load_scenario", "parse_constants", "parse_scenario"]
 
 SCHEMA_VERSION = 1
 
@@ -60,7 +61,7 @@ _PERTURBATIONS = {
 
 
 class ScenarioError(ValueError):
-    """A scenario document failed validation; the message names the field."""
+    """A scenario or constants document failed to decode or validate; the message names the file or field."""
 
 
 @dataclass(frozen=True)
@@ -204,10 +205,19 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
     )
 
 
+def _read_json(path: str | Path, invalid: str) -> Any:
+    """The JSON value in a file; undecodable or too deeply nested text raises `<invalid>: <reason>`."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ScenarioError(f"{invalid}: {exc}") from exc
+
+
 def load_scenario(path: str | Path) -> ScenarioDocument:
     """Parse and validate a scenario file."""
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(f"scenario: {path} is not valid JSON: {exc}") from exc
-    return parse_scenario(doc)
+    return parse_scenario(_read_json(path, f"scenario: {path} is not valid JSON"))
+
+
+def load_constants(path: str | Path) -> PhysicalConstants:
+    """Constants from a JSON file of overrides (the CLI's --constants-file)."""
+    return parse_constants(_read_json(path, f"constants file {path}: invalid JSON"), f"constants file {path}")

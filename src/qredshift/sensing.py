@@ -18,15 +18,14 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .gravity import _check_time
 
 __all__ = [
     "PHASE_EXPONENTS",
     "SensingConfig",
-    "SensitivityReport",
-    "RequiredQubits",
     "gravimeter_phase",
     "gravimeter_sensitivity",
     "closed_form_phase",
@@ -65,23 +64,9 @@ class SensingConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
-@dataclass(frozen=True)
-class SensitivityReport:
-    """One sensing estimate: the phase at threshold and the derived figure of merit."""
-
-    phase: float
-    sensitivity: dict[str, float] = field(default_factory=dict)
-
-
-@dataclass(frozen=True)
-class RequiredQubits:
-    """Qubit count needed to reach the phase resolution, and the chip dimension it implies."""
-
-    n: int
-    length: float
-
-
-def _warn_past_coherence(config: SensingConfig, t: float) -> None:
+def _check_accumulation(config: SensingConfig, t: float) -> None:
+    """Reject a negative t as `gravity` does; warn when t exceeds the coherence time."""
+    _check_time(t)
     if t > config.coherence_time:
         warnings.warn(
             f"accumulation time {t} s exceeds the coherence time {config.coherence_time} s",
@@ -97,18 +82,20 @@ def _exponent(geometry: str) -> float:
 
 def gravimeter_phase(config: SensingConfig, delta_g: float, t: float) -> float:
     """Phase R_earth * delta_g * t * mean_omega * n / c^2 picked up by the GHZ register."""
-    _warn_past_coherence(config, t)
+    _check_accumulation(config, t)
     cst = config.constants
     return cst.earth_radius * delta_g * t * config.mean_frequency * config.n / cst.c_squared
 
 
-def gravimeter_sensitivity(config: SensingConfig) -> SensitivityReport:
-    """Smallest delta_g whose phase reaches the resolution within one coherence window."""
+def gravimeter_sensitivity(config: SensingConfig) -> dict[str, float]:
+    """Smallest delta_g whose phase reaches the resolution within one coherence window.
+
+    Returns {"delta_g": delta_g in m/s^2, "delta_g_over_g": delta_g / g0}.
+    """
     cst = config.constants
     delta_g = config.phase_resolution * cst.c_squared / (
         cst.earth_radius * config.coherence_time * config.mean_frequency * config.n)
-    return SensitivityReport(phase=config.phase_resolution,
-                             sensitivity={"delta_g": delta_g, "delta_g_over_g": delta_g / cst.g0})
+    return {"delta_g": delta_g, "delta_g_over_g": delta_g / cst.g0}
 
 
 def closed_form_phase(
@@ -124,6 +111,7 @@ def closed_form_phase(
     An n^p beyond the float range makes the phase inf, like any other overflow.
     """
     p = _exponent(geometry)
+    _check_time(t)
     try:
         scale = float(n) ** p
     except OverflowError:
@@ -131,14 +119,15 @@ def closed_form_phase(
     return constants.g0 * mean_frequency * spacing * scale * t / (4.0 * constants.c_squared)
 
 
-def required_qubits(config: SensingConfig, geometry: str = "1d") -> RequiredQubits:
+def required_qubits(config: SensingConfig, geometry: str = "1d") -> dict[str, float]:
     """Qubits needed for the rotated-chip phase to reach the resolution in one T_c.
 
     Inverts the closed forms: n = s^(1/2) for 1D and n = s^(2/3) for 2D,
     with s = 4 * phase_resolution * c^2 / (g * mean_omega * spacing * T_c),
-    rounded up and at least 1.  The chip dimension is n * spacing (1D) or
-    sqrt(n) * spacing (2D).  A count beyond the float range raises
-    OverflowError naming `n_required`.
+    rounded up and at least 1.  Returns {"n_required": that int count,
+    "length_m": the chip dimension n * spacing (1D) or sqrt(n) * spacing
+    (2D)}.  A count beyond the float range raises OverflowError naming
+    `n_required`.
     """
     p = _exponent(geometry)
     cst = config.constants
@@ -149,23 +138,25 @@ def required_qubits(config: SensingConfig, geometry: str = "1d") -> RequiredQubi
         raise OverflowError(f"n_required = {root}: the qubit count overflows")
     n = max(1, math.ceil(root))
     length = n * config.spacing if geometry == "1d" else math.sqrt(n) * config.spacing
-    return RequiredQubits(n=n, length=length)
+    return {"n_required": n, "length_m": length}
 
 
 def strain_phase(config: SensingConfig, t: float, strain: float) -> float:
     """Phase g * spacing * mean_omega * n * t / c^2 * (1 + strain) of the strained GHZ register."""
     if not abs(strain) < 1.0:
         raise ValueError(f"|strain| must be < 1, got {strain!r}")
-    _warn_past_coherence(config, t)
+    _check_accumulation(config, t)
     cst = config.constants
     return cst.g0 * config.spacing * config.mean_frequency * config.n * t / cst.c_squared * (1.0 + strain)
 
 
-def min_detectable_strain(config: SensingConfig) -> SensitivityReport:
+def min_detectable_strain(config: SensingConfig) -> dict[str, float]:
     """Strain whose phase contribution over one T_c equals the phase resolution.
 
-    Values far above 1 mean the device cannot compete with existing
-    strain gauges (MEMS devices resolve about 1e-6) at this resolution.
+    Returns {"baseline_phase_rad": the unstrained phase over T_c,
+    "min_strain": phase_resolution / that phase}.  Values far above 1 mean
+    the device cannot compete with existing strain gauges (MEMS devices
+    resolve about 1e-6) at this resolution.
     """
     baseline = strain_phase(config, config.coherence_time, 0.0)
-    return SensitivityReport(phase=baseline, sensitivity={"min_strain": config.phase_resolution / baseline})
+    return {"baseline_phase_rad": baseline, "min_strain": config.phase_resolution / baseline}

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, determinism, exit codes, sweeps."""
 
+import io
 import json
 import math
 import sys
@@ -8,10 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from qredshift.cli import main, read_result_csv
+from qredshift.cli import main, read_result_csv, write_result_csv
 from qredshift.sensing import closed_form_phase
 
 OMEGA_10GHZ = 2.0 * math.pi * 10e9
+# file contents no JSON reader accepts: nesting beyond the recursion limit, bytes that are not UTF-8
+BAD_JSON = {"nested": b"[" * 2000, "undecodable": b"\xff{}"}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str]:
@@ -120,6 +123,16 @@ class TestProtocol:
         path = scenario_file(tmp_path)
         code, _ = run_cli(capsys, "protocol", path, "--shots", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("content", BAD_JSON.values(), ids=BAD_JSON)
+    def test_scenario_file_that_does_not_decode(self, tmp_path, capsys, content):
+        path = tmp_path / "scenario.json"
+        path.write_bytes(content)
+        code = main(["protocol", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: scenario: {path} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_malformed_scenario_names_field(self, tmp_path, capsys):
         path = scenario_file(tmp_path, geometry={"layout": "line", "n": 8, "spacing_m": 1e-3, "frobnicate": 1})
@@ -242,6 +255,46 @@ class TestSensingCommands:
         assert code == 2
         assert next(iter(overrides)) in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", BAD_JSON.values(), ids=BAD_JSON)
+    def test_constants_file_that_does_not_decode(self, tmp_path, capsys, content):
+        path = tmp_path / "constants.json"
+        path.write_bytes(content)
+        code = main(["--constants-file", str(path), "gravimeter"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith(f"error: constants file {path}: invalid JSON: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("constants_file", ["constants.json", "missing.json"])
+    @pytest.mark.parametrize("command", ["protocol", "sweep"])
+    def test_scenario_runs_reject_constants_file(self, tmp_path, capsys, command, constants_file):
+        (tmp_path / "constants.json").write_text(json.dumps({"g0": 9.8}), encoding="utf-8")
+        scenario = scenario_file(tmp_path)
+        argv = {"protocol": ["protocol", scenario],
+                "sweep": ["sweep", "--target", "protocol", "--param", "n", "--from", "2", "--to", "8",
+                          "--steps", "2", "--scenario", scenario, "--out", str(tmp_path / "sweep.csv")]}[command]
+        code = main(["--constants-file", str(tmp_path / constants_file), *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: --constants-file does not apply to protocol runs; " \
+                               "use the scenario's \"constants\" object\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["constants.json", "scenario.json"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gravimeter", "--delta-g", "1", "--time-s=-1"],
+        ["strain", "--strain", "0.1", "--time-s=-1"],
+        ["sweep", "--target", "phase", "--param", "time", "--from=-1", "--to", "1", "--steps", "3"],
+    ], ids=["gravimeter", "strain", "sweep"])
+    def test_negative_time_rejected(self, tmp_path, capsys, argv):
+        out_csv = tmp_path / "sweep.csv"
+        code = main([*argv, *(["--out", str(out_csv)] if argv[0] == "sweep" else [])])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "error: accumulation time must be >= 0, got -1.0\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("overrides", [{"c": True}, {"g0": float("inf")}])
     def test_scenario_constants_non_finite_or_bool_rejected(self, tmp_path, capsys, overrides):
         path = scenario_file(tmp_path, constants=overrides)
@@ -258,15 +311,8 @@ class TestCsvFormat:
         assert provenance["tool"] == "qredshift"
         # parse -> re-serialize reproduces the CSV byte for byte: the
         # 17-significant-digit text pins the exact binary values
-        from qredshift.cli import ResultTable
-
-        table = ResultTable(columns=columns, provenance=provenance)
-        for row in rows:
-            table.add_row(*row)
-        import io
-
         buffer = io.StringIO()
-        table.write_csv(buffer)
+        write_result_csv(buffer, provenance, columns, rows)
         assert buffer.getvalue() == out
 
     def test_lf_line_endings(self, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 from dataclasses import asdict
 
 import numpy as np
@@ -14,7 +15,7 @@ from qredshift.gravity import (
     VerticalRotation,
     VerticalTranslation,
 )
-from qredshift.scenario import ScenarioError, load_scenario, parse_scenario
+from qredshift.scenario import ScenarioError, load_constants, load_scenario, parse_scenario
 
 
 def base_doc() -> dict:
@@ -207,11 +208,20 @@ class TestLoading:
         doc = load_scenario(path)
         assert doc.scenario.geometry.qubit_count == 4
 
-    def test_invalid_json(self, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [b"{not json", b"[" * 2000, b"\xff{}"],
+        ids=["malformed", "nested-beyond-recursion-limit", "not-utf-8"],
+    )
+    @pytest.mark.parametrize("load, invalid", [
+        (load_scenario, "scenario: {path} is not valid JSON: "),
+        (load_constants, "constants file {path}: invalid JSON: "),
+    ], ids=["scenario", "constants"])
+    def test_invalid_json(self, tmp_path, content, load, invalid):
         path = tmp_path / "broken.json"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.raises(ScenarioError, match="JSON"):
-            load_scenario(path)
+        path.write_bytes(content)
+        with pytest.raises(ScenarioError, match="^" + re.escape(invalid.format(path=path))):
+            load(path)
 
     def test_missing_file_is_io_error(self, tmp_path):
         with pytest.raises(OSError):

@@ -54,24 +54,24 @@ class TestGravimeterPhase:
 
 class TestGravimeterSensitivity:
     def test_near_term_values(self):
-        report = gravimeter_sensitivity(near_term())
-        assert report.sensitivity["delta_g"] == pytest.approx(0.02245194307414918, rel=1e-14)
-        assert report.sensitivity["delta_g_over_g"] == pytest.approx(
+        result = gravimeter_sensitivity(near_term())
+        assert result["delta_g"] == pytest.approx(0.02245194307414918, rel=1e-14)
+        assert result["delta_g_over_g"] == pytest.approx(
             0.0022894610365567425, rel=1e-14
         )
 
     def test_future_values(self):
-        report = gravimeter_sensitivity(near_term(n=10**5, tc=1.0))
-        assert report.sensitivity["delta_g_over_g"] == pytest.approx(
+        result = gravimeter_sensitivity(near_term(n=10**5, tc=1.0))
+        assert result["delta_g_over_g"] == pytest.approx(
             2.2894610365567428e-08, rel=1e-14
         )
 
     def test_scaling_inverse_in_n_and_tc(self):
-        base = gravimeter_sensitivity(near_term()).sensitivity["delta_g"]
-        assert gravimeter_sensitivity(near_term(n=2000)).sensitivity["delta_g"] == pytest.approx(
+        base = gravimeter_sensitivity(near_term())["delta_g"]
+        assert gravimeter_sensitivity(near_term(n=2000))["delta_g"] == pytest.approx(
             base / 2, rel=1e-14
         )
-        assert gravimeter_sensitivity(near_term(tc=2e-3)).sensitivity["delta_g"] == pytest.approx(
+        assert gravimeter_sensitivity(near_term(tc=2e-3))["delta_g"] == pytest.approx(
             base / 2, rel=1e-14
         )
 
@@ -84,21 +84,21 @@ class TestGravimeterSensitivity:
                 coherence_time=rng.uniform(1e-4, 10.0),
                 phase_resolution=rng.uniform(1e-3, 1.0),
             )
-            delta_g = gravimeter_sensitivity(config).sensitivity["delta_g"]
+            delta_g = gravimeter_sensitivity(config)["delta_g"]
             phase = gravimeter_phase(config, delta_g, config.coherence_time)
             assert phase == pytest.approx(config.phase_resolution, rel=1e-9)
 
 
-class TestRequiredQubits:
+class TestRequiredQubitCount:
     def test_near_term_1d(self):
         result = required_qubits(near_term(n=1), "1d")
-        assert result.n == 241547  # ~2.4e5
-        assert result.length == pytest.approx(241.547, rel=1e-12)
+        assert result["n_required"] == 241547  # ~2.4e5
+        assert result["length_m"] == pytest.approx(241.547, rel=1e-12)
 
     def test_future_1d(self):
         result = required_qubits(near_term(n=1, tc=1.0), "1d")
-        assert result.n == 7639
-        assert result.length == pytest.approx(7.639, rel=1e-12)
+        assert result["n_required"] == 7639
+        assert result["length_m"] == pytest.approx(7.639, rel=1e-12)
 
     def test_2d_threshold_check(self):
         phase = closed_form_phase(10**6, OMEGA_10GHZ, 1e-3, 1.0, "2d")
@@ -109,14 +109,14 @@ class TestRequiredQubits:
         config = near_term(n=1, tc=1.0)
         one_d = required_qubits(config, "1d")
         two_d = required_qubits(config, "2d")
-        assert two_d.n > one_d.n  # weaker scaling needs more qubits...
-        assert two_d.length < one_d.length  # ...but a much smaller chip
+        assert two_d["n_required"] > one_d["n_required"]  # weaker scaling needs more qubits...
+        assert two_d["length_m"] < one_d["length_m"]  # ...but a much smaller chip
 
     def test_inverse_check_even_lattice(self):
         # the returned count reaches the resolution; two fewer falls short
         config = near_term(n=1, tc=1.0)
         result = required_qubits(config, "1d")
-        n_even = result.n + result.n % 2
+        n_even = result["n_required"] + result["n_required"] % 2
         def rotated_phase(n: int) -> float:
             sc = GravScenario(line_chip(n, config.spacing, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
             return expected_delta_phi(dephasing_angles(sc, config.coherence_time))
@@ -133,8 +133,8 @@ class TestRequiredQubits:
     @pytest.mark.parametrize("geometry", ["1d", "2d"])
     def test_at_least_one_qubit_when_the_scale_underflows(self, geometry):
         result = required_qubits(near_term(n=1, tc=1e300), geometry)
-        assert result.n == 1
-        assert result.length == pytest.approx(1e-3, rel=1e-15)
+        assert result["n_required"] == 1
+        assert result["length_m"] == pytest.approx(1e-3, rel=1e-15)
 
     @pytest.mark.parametrize("geometry", ["1d", "2d"])
     def test_count_beyond_float_range_names_n_required(self, geometry):
@@ -166,20 +166,34 @@ class TestStrain:
         assert record[0].filename == __file__  # the warning names the caller, as gravimeter_phase's does
 
     def test_min_detectable_reference(self):
-        report = min_detectable_strain(near_term())
-        assert report.sensitivity["min_strain"] == pytest.approx(14586156.263903009, rel=1e-12)
+        result = min_detectable_strain(near_term())
+        assert result["min_strain"] == pytest.approx(14586156.263903009, rel=1e-12)
         # far above the ~1e-6 resolved by MEMS strain gauges
-        assert report.sensitivity["min_strain"] > 1e6
+        assert result["min_strain"] > 1e6
 
     def test_resolution_scaling(self):
-        base = min_detectable_strain(near_term()).sensitivity["min_strain"]
-        halved = min_detectable_strain(near_term(phase_resolution=0.05)).sensitivity["min_strain"]
+        base = min_detectable_strain(near_term())["min_strain"]
+        halved = min_detectable_strain(near_term(phase_resolution=0.05))["min_strain"]
         assert halved == pytest.approx(base / 2, rel=1e-14)
 
     def test_qubit_count_scaling(self):
-        base = min_detectable_strain(near_term(n=1000)).sensitivity["min_strain"]
-        doubled = min_detectable_strain(near_term(n=2000)).sensitivity["min_strain"]
+        base = min_detectable_strain(near_term(n=1000))["min_strain"]
+        doubled = min_detectable_strain(near_term(n=2000))["min_strain"]
         assert doubled == pytest.approx(base / 2, rel=1e-14)
+
+
+class TestNegativeTime:
+    @pytest.mark.parametrize("phase", [
+        lambda t: gravimeter_phase(near_term(), 0.01, t),
+        lambda t: strain_phase(near_term(), t, 0.1),
+        lambda t: closed_form_phase(100, OMEGA_10GHZ, 1e-3, t),
+    ], ids=["gravimeter_phase", "strain_phase", "closed_form_phase"])
+    def test_rejected_with_the_channel_angles_error(self, phase):
+        with pytest.raises(ValueError) as channel:
+            dephasing_angles(GravScenario(line_chip(2, 1e-3, OMEGA_10GHZ), UniformDeltaG(1.0)), -1.0)
+        with pytest.raises(ValueError) as sensing:
+            phase(-1.0)
+        assert str(sensing.value) == str(channel.value) == "accumulation time must be >= 0, got -1.0"
 
 
 class TestMonotonicity:
@@ -199,8 +213,8 @@ class TestMonotonicity:
             config = SensingConfig(**kwargs)
             results.append(
                 (
-                    gravimeter_sensitivity(config).sensitivity["delta_g"],
-                    min_detectable_strain(config).sensitivity["min_strain"],
+                    gravimeter_sensitivity(config)["delta_g"],
+                    min_detectable_strain(config)["min_strain"],
                 )
             )
         for prev, cur in zip(results, results[1:]):
@@ -208,7 +222,7 @@ class TestMonotonicity:
             assert cur[1] < prev[1]
 
     def test_required_qubits_drop_with_coherence(self):
-        counts = [required_qubits(near_term(n=1, tc=tc), "1d").n for tc in (1e-3, 1e-2, 1e-1, 1.0)]
+        counts = [required_qubits(near_term(n=1, tc=tc), "1d")["n_required"] for tc in (1e-3, 1e-2, 1e-1, 1.0)]
         assert counts == sorted(counts, reverse=True)
 
 

@@ -4,7 +4,7 @@
 
 Each command runs as `python -m qredshift.cli ...` with CHECKOUT/src on
 PYTHONPATH, in a fresh temporary directory that holds the scenario and
-constants files the matrix uses.  OUT.jsonl gets one JSON line per command:
+constants files the matrix uses, valid or not.  OUT.jsonl gets one JSON line per command:
 argv, exit code, stdout, stderr and the text of the sweep file it wrote
 (null when it wrote none).  The temporary directory and the checkout path
 are replaced by `<tmp>` and `<checkout>` in every output, so two runs on
@@ -90,6 +90,8 @@ FILES = {
     "consts.json": {"c": 299792458.0, "g0": 9.81},
     "bad_consts.json": {"c": True},
 }
+# files no JSON reader accepts: nesting beyond the recursion limit, bytes that are not UTF-8
+RAW_FILES = {"nested.json": b"[" * 2000, "undecodable.json": b"\xff{}"}
 
 R = "--reproducible"
 
@@ -211,6 +213,18 @@ def _commands() -> list[list[str]]:
         ["--help"],
         *([name, "--help"] for name in ("redshift", "protocol", "gravimeter", "strain", "required-qubits", "sweep")),
     ]
+    # --constants-file on scenario runs, input files that do not decode, negative accumulation times
+    scenario_sweep = _sweep("protocol", "n", "2", "8", "2", "--scenario", "rotation.json")[1:]
+    for constants in ("consts.json", "missing.json"):
+        cmds += [[R, "--constants-file", constants, "protocol", "rotation.json"],
+                 [R, "--constants-file", constants, *scenario_sweep]]
+    for name in RAW_FILES:
+        cmds += [[R, "protocol", name], [R, "--constants-file", name, "gravimeter"]]
+    cmds += [
+        [R, "gravimeter", "--delta-g", "1", "--time-s=-1"],
+        [R, "strain", "--strain", "0.1", "--time-s=-1"],
+        _sweep("phase", "time", "-1", "1"),
+    ]
     return cmds
 
 
@@ -248,6 +262,8 @@ def main(argv: list[str] | None = None) -> int:
         workdir = Path(tmp).resolve()
         for name, doc in FILES.items():
             (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+        for name, content in RAW_FILES.items():
+            (workdir / name).write_bytes(content)
         lines = [json.dumps(_run(cmd, workdir, env, checkout), sort_keys=True) for cmd in _commands()]
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"{len(lines)} commands -> {out_path}")
