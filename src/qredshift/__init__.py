@@ -25,11 +25,9 @@ from .gravity import (
     line_chip,
     newtonian_potential,
     phase_rate,
-    potential_changes,
     redshift_factor,
     uniform_delta_phi,
     universal_rate,
-    vertical_displacements,
 )
 from .protocol import (
     ProtocolOutcome,

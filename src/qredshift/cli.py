@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import ResourceCapError, fractional_shift_mass, fractional_shift_vertical, line_chip
+from .gravity import ResourceCapError, fractional_shift_mass, fractional_shift_vertical
 from .protocol import BACKENDS, run_protocol
 from .rng import substream_seed
 from .scenario import ScenarioDocument, load_constants, load_scenario
@@ -190,16 +190,12 @@ def _redshift(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocu
 
 def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
     scenario = doc.scenario
-    if {"n", "freq_ghz", "ell_m"} & p.keys():  # a sweep point resizes or retunes the line chip
-        geometry = scenario.geometry
-        if geometry.layout != "line":
-            raise ValueError("protocol sweeps only support line geometries")
-        omega = _omega(p["freq_ghz"]) if "freq_ghz" in p else geometry.uniform_frequency
-        if omega is None:
-            raise ValueError("protocol sweeps need a uniform qubit frequency")
-        chip = line_chip(p.get("n", geometry.qubit_count), p.get("ell_m", geometry.spacing),
-                         omega, geometry.orientation)
-        scenario = replace(scenario, geometry=chip)
+    if "n" in p:  # a sweep point resizes or retunes the scenario's chip
+        scenario = replace(scenario, geometry=replace(scenario.geometry, qubit_count=p["n"]))
+    elif "ell_m" in p:
+        scenario = replace(scenario, geometry=replace(scenario.geometry, spacing=p["ell_m"]))
+    elif "freq_ghz" in p:
+        scenario = replace(scenario, geometry=replace(scenario.geometry, frequency=_omega(p["freq_ghz"])))
     outcome = run_protocol(scenario, p["time_s"], p["shots"], p["seed"], p["backend"])
     return (
         {"backend": outcome.backend, "n": scenario.geometry.qubit_count, "time_s": p["time_s"],
@@ -212,6 +208,8 @@ def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocu
 
 
 def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    if p["time_s"] is not None and p["delta_g"] is None:
+        raise ValueError("--time-s only applies with --delta-g")
     config = _sensing_config(p, constants)
     results = gravimeter_sensitivity(config)
     if p["delta_g"] is not None:
@@ -220,6 +218,8 @@ def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDo
 
 
 def _strain(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
+    if p["time_s"] is not None and p["strain"] is None:
+        raise ValueError("--time-s only applies with --strain")
     config = _sensing_config(p, constants)
     results = min_detectable_strain(config)
     if p["strain"] is not None:
@@ -259,6 +259,9 @@ _ROWS = {
 }
 _SWEEP_PARAMS = {target: row.sweep for target, row in _ROWS.items() if row.sweep}
 _PARAM_COLUMN = {"n": "n", "tc": "tc_s", "freq": "freq_ghz", "ell": "ell_m", "shots": "shots", "time": "time_s"}
+# sweep flags without a default, by dest; a target reads --shots and --time-s exactly when it can
+# sweep them, and --scenario when its row loads one
+_SWEEP_OPTIONAL = {"scenario": "--scenario", "shots": "--shots", "time_s": "--time-s"}
 
 
 def _row_inputs(
@@ -333,6 +336,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"param '{args.param}' cannot be swept for target '{args.target}' "
             f"(supported: {', '.join(row.sweep)})"
         )
+    reads = {_PARAM_COLUMN[name] for name in row.sweep} | ({"scenario"} & set(row.params))
+    unread = [flag for dest, flag in _SWEEP_OPTIONAL.items() if getattr(args, dest) is not None and dest not in reads]
+    if unread:
+        raise ValueError(f"sweep --target {args.target} does not read {', '.join(unread)}")
     base, constants, doc = _row_inputs(args, row)
     column = _PARAM_COLUMN[args.param]
     rows = []

@@ -24,6 +24,9 @@ Supported perturbations of a calibrated chip:
                         (common to all sites, point-chip approximation);
   * UniformStrain       stretch the site spacing by a factor (1 + strain)
                         on a chip rotated by `angle`.
+
+Rotation and strain angles are measured from horizontal.  A chip's own
+`orientation` is carried on ChipGeometry, but no perturbation reads it.
 """
 
 from __future__ import annotations
@@ -57,8 +60,6 @@ __all__ = [
     "fractional_shift_mass",
     "phase_rate",
     "universal_rate",
-    "vertical_displacements",
-    "potential_changes",
     "dephasing_angles",
     "uniform_delta_phi",
 ]
@@ -88,12 +89,13 @@ LAYOUTS = ("line", "grid")
 
 @dataclass(frozen=True)
 class ChipGeometry:
-    """A line or square-grid chip, rotated by `orientation` about its center of gravity.
+    """A line or square-grid chip of `qubit_count` sites `spacing` apart.
 
     Site coordinates are centered on the center of gravity, so positions sum
-    to zero along every axis.  `orientation` is the tilt of the chip axis
-    (line axis, or grid row axis) away from horizontal: 0 keeps every site
-    at the same height, pi/2 stands the axis fully vertical.
+    to zero along every axis.  `orientation` records the tilt of the chip
+    axis (line axis, or grid row axis) away from horizontal, but no
+    perturbation reads it: VerticalRotation and UniformStrain carry their
+    own angle, measured from horizontal.
 
     `frequency` is the chip's one angular frequency (rad/s), kept as a
     float, or one frequency per site; per-site values that are all equal
@@ -289,16 +291,6 @@ def universal_rate(
     return engineering_factor * constants.g0 / constants.c
 
 
-def vertical_displacements(geometry: ChipGeometry, angle: float | None = None) -> np.ndarray:
-    """Height change x_k of each site (m) after rotating the chip axis by `angle`.
-
-    Defaults to the geometry's own orientation.  The rotation pivots on the
-    center of gravity, so the displacements always sum to zero.
-    """
-    tilt = geometry.orientation if angle is None else angle
-    return geometry.axis_coordinates() * math.sin(tilt)
-
-
 # perturbations whose dPhi_k grows with the site's coordinate along the chip axis
 _TILTS = (VerticalRotation, UniformStrain)
 
@@ -320,13 +312,10 @@ def _potential_change(scenario: GravScenario, coordinates: np.ndarray | float) -
     raise TypeError(f"unknown perturbation type {type(pert).__name__}")
 
 
-def potential_changes(scenario: GravScenario) -> np.ndarray:
-    """Per-site change dPhi_k (m^2/s^2) of the local potential under the scenario."""
-    geom = scenario.geometry
-    _check_sites(geom.qubit_count)
-    if isinstance(scenario.perturbation, _TILTS):
-        return _potential_change(scenario, geom.axis_coordinates())
-    return np.full(geom.qubit_count, _potential_change(scenario, 0.0))
+def _angles(scenario: GravScenario, t: float, coordinates: np.ndarray | float,
+            omega: np.ndarray | float) -> np.ndarray | float:
+    """theta = -(t/c^2) * dPhi * omega of sites at chip-axis `coordinates` (m), angular frequency omega."""
+    return -(t / scenario.constants.c_squared) * _potential_change(scenario, coordinates) * omega
 
 
 def _check_time(t: float) -> None:
@@ -346,9 +335,10 @@ def dephasing_angles(scenario: GravScenario, t: float) -> np.ndarray:
     the kernels that apply the angles reject them.
     """
     _check_time(t)
+    geom = scenario.geometry
     with np.errstate(over="ignore", invalid="ignore"):
-        dphi = potential_changes(scenario)
-        return -(t / scenario.constants.c_squared) * dphi * scenario.geometry.frequencies
+        coordinates = geom.axis_coordinates() if isinstance(scenario.perturbation, _TILTS) else 0.0
+        return _angles(scenario, t, coordinates, geom.frequencies)
 
 
 def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
@@ -357,7 +347,7 @@ def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
     Every angle is then (t * omega / c^2) * |dPhi_k|.  A rotation or strain
     moves site k in proportion to its axis coordinate (spacing / 2) * j_k,
     j_k = n + 1 - 2k (per row on an m x m grid), so the sum is the angle of
-    a j = 1 site, computed as dephasing_angles computes it, times the exact
+    a j = 1 site, computed by the same law as dephasing_angles, times the exact
     integer sum_k |j_k|: floor(n^2 / 2) on a line, m * floor(m^2 / 2) on a
     grid.  The other perturbations shift all n sites alike: n times one
     angle.  Agrees with the sum of dephasing_angles to a few ulp at any n;
@@ -371,21 +361,18 @@ def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
         raise ValueError("uniform_delta_phi needs a chip with one qubit frequency")
     _check_time(t)
 
-    def site_angle(coordinate: float) -> float:
-        return t / scenario.constants.c_squared * abs(_potential_change(scenario, coordinate)) * omega
-
     n = geom.qubit_count
     if not isinstance(scenario.perturbation, _TILTS):
-        count, angle = n, site_angle(0.0)
+        count, angle = n, abs(_angles(scenario, t, 0.0, omega))
     else:
         m = n if geom.layout == "line" else isqrt(n)
         count = m * m // 2 * (1 if geom.layout == "line" else m)
         if count == 0:  # a single site sits on the pivot
             return 0.0
-        outer = site_angle((m - 1) * (geom.spacing / 2.0)) if n <= MAX_SITES else 0.0
+        outer = abs(_angles(scenario, t, (m - 1) * (geom.spacing / 2.0), omega)) if n <= MAX_SITES else 0.0
         if not math.isfinite(outer):
             return outer
-        angle = site_angle(geom.spacing / 2.0)
+        angle = abs(_angles(scenario, t, geom.spacing / 2.0, omega))
     # count may lie beyond the float range while angle * count does not:
     # scale it by a power of two first
     shift = max(0, count.bit_length() - 1000)

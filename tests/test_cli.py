@@ -5,11 +5,15 @@ import json
 import math
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from qredshift.cli import main, read_result_csv, write_result_csv
+from qredshift.protocol import run_protocol
+from qredshift.rng import substream_seed
+from qredshift.scenario import load_scenario
 from qredshift.sensing import closed_form_phase
 
 OMEGA_10GHZ = 2.0 * math.pi * 10e9
@@ -635,3 +639,75 @@ class TestSharedOutputPath:
                             "--time-s", "5e-4")
         assert code == 0
         assert json.loads(out)["inputs"]["time_s"] == 5e-4
+
+
+GRID_9 = {"layout": "grid", "n": 9, "spacing_m": 1e-3, "orientation_deg": 10.0}
+PER_SITE = {"frequency_ghz": [4.0, 4.5, 5.0, 5.5, 6.0, 6.5, 7.0, 7.5]}
+
+
+class TestProtocolSweepChip:
+    """A protocol sweep point is the scenario's own chip with the swept field replaced."""
+
+    @pytest.mark.parametrize("overrides, param, start, stop, field, unit", [
+        ({"geometry": GRID_9}, "freq", "4", "8", "frequency", 2.0 * math.pi * 1e9),
+        ({"qubits": PER_SITE}, "ell", "1e-4", "1e-2", "spacing", 1.0),
+    ], ids=["grid-freq", "per-site-ell"])
+    def test_point_matches_run_protocol(self, tmp_path, capsys, overrides, param, start, stop, field, unit):
+        path = scenario_file(tmp_path, run={"time_s": 1.0, "shots": 1000, "seed": 42, "backend": "branch"},
+                             **overrides)
+        out_csv = tmp_path / "sweep.csv"
+        code, _ = run_cli(capsys, "--reproducible", "sweep", "--target", "protocol", "--param", param,
+                          f"--from={start}", f"--to={stop}", "--steps", "3", "--scenario", path,
+                          "--out", str(out_csv))
+        assert code == 0
+        _, columns, rows = read_result_csv(out_csv.read_text(encoding="utf-8"))
+        assert len(rows) == 3
+        doc = load_scenario(path)
+        for index, row in enumerate(rows):
+            chip = replace(doc.scenario.geometry, **{field: unit * row[0]})
+            outcome = run_protocol(replace(doc.scenario, geometry=chip), 1.0, 1000, substream_seed(42, index),
+                                   "branch")
+            expected = [outcome.analytic_delta_phi, outcome.p_one, outcome.p_hat, outcome.delta_phi_hat,
+                        outcome.std_error, outcome.count_one, outcome.saturated, outcome.range_exceeded]
+            assert list(row[1:]) == expected
+
+    @pytest.mark.parametrize("overrides, grid, message", [
+        ({"qubits": PER_SITE}, ["--from", "8", "--to", "2", "--steps", "2"],
+         "expected 2 site frequencies, got shape (8,)"),
+        ({"geometry": GRID_9}, ["--from", "4", "--to", "16", "--steps", "3"],
+         "grid layout needs a perfect-square qubit count, got 10"),
+    ], ids=["per-site", "non-square-grid"])
+    def test_invalid_chip_point(self, tmp_path, capsys, overrides, grid, message):
+        # the first point is a valid chip, the second is not
+        out_csv = tmp_path / "sweep.csv"
+        code = main(["sweep", "--target", "protocol", "--param", "n", *grid,
+                     "--scenario", scenario_file(tmp_path, **overrides), "--out", str(out_csv)])
+        assert code == 2
+        assert one_line_error(capsys) == f"error: {message}\n"
+        assert not out_csv.exists()
+
+
+class TestUnreadFlags:
+    """A flag that no phase or run of the command reads is a usage error, not silently ignored."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gravimeter", "--time-s=-1"], "--time-s only applies with --delta-g"),
+        (["strain", "--time-s", "1"], "--time-s only applies with --strain"),
+        (["sweep", "--target", "gravimeter", "--param", "n", "--time-s=-5"],
+         "sweep --target gravimeter does not read --time-s"),
+        (["sweep", "--target", "strain", "--param", "tc", "--time-s", "1"],
+         "sweep --target strain does not read --time-s"),
+        (["sweep", "--target", "required-qubits", "--param", "tc", "--time-s", "1"],
+         "sweep --target required-qubits does not read --time-s"),
+        (["sweep", "--target", "phase", "--param", "n", "--scenario", "nonexist.json", "--shots", "3"],
+         "sweep --target phase does not read --scenario, --shots"),
+        (["sweep", "--target", "gravimeter", "--param", "ell", "--scenario", "nonexist.json"],
+         "sweep --target gravimeter does not read --scenario"),
+    ], ids=["gravimeter", "strain", "sweep-gravimeter", "sweep-strain", "sweep-required-qubits",
+            "sweep-phase", "sweep-gravimeter-scenario"])
+    def test_rejected(self, tmp_path, capsys, argv, message):
+        if argv[0] == "sweep":
+            argv = [*argv, "--from", "1", "--to", "10", "--steps", "2", "--out", str(tmp_path / "sweep.csv")]
+        assert main(argv) == 2
+        assert one_line_error(capsys) == f"error: {message}\n"
+        assert list(tmp_path.iterdir()) == []

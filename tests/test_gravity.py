@@ -1,4 +1,4 @@
-"""Potentials, shifts, displacements, and dephasing angles.
+"""Potentials, shifts, site heights, and dephasing angles.
 
 Frozen expected values are independent closed-form evaluations with the
 default constants (c = 299792458, G = 6.6743e-11, g0 = 9.80665,
@@ -31,10 +31,8 @@ from qredshift import (
     line_chip,
     newtonian_potential,
     phase_rate,
-    potential_changes,
     redshift_factor,
     universal_rate,
-    vertical_displacements,
 )
 from qredshift import gravity
 from qredshift.gravity import uniform_delta_phi
@@ -176,35 +174,40 @@ class TestPhaseRates:
         assert lhs == pytest.approx(fractional_shift_vertical(delta_x), abs=2.3e-16)
 
 
+def _heights(geom, angle):
+    """Height change of each site (m) after rotating the chip axis by `angle` about its center of gravity."""
+    return geom.axis_coordinates() * math.sin(angle)
+
+
 class TestGeometry:
-    def test_line_vertical_displacements(self):
-        geom = line_chip(4, 1e-3, OMEGA_10GHZ, orientation=math.pi / 2)
+    def test_line_heights(self):
+        geom = line_chip(4, 1e-3, OMEGA_10GHZ)
         np.testing.assert_allclose(
-            vertical_displacements(geom), [1.5e-3, 0.5e-3, -0.5e-3, -1.5e-3], rtol=1e-15
+            _heights(geom, math.pi / 2), [1.5e-3, 0.5e-3, -0.5e-3, -1.5e-3], rtol=1e-15
         )
 
     def test_horizontal_is_flat(self):
-        geom = line_chip(5, 1e-3, OMEGA_10GHZ, orientation=0.0)
-        assert np.all(vertical_displacements(geom) == 0.0)
+        geom = line_chip(5, 1e-3, OMEGA_10GHZ)
+        assert np.all(_heights(geom, 0.0) == 0.0)
 
     def test_two_sites_center_pivot(self):
-        geom = line_chip(2, 1.0, OMEGA_10GHZ, orientation=math.pi / 2)
-        np.testing.assert_allclose(vertical_displacements(geom), [0.5, -0.5], rtol=1e-15)
+        geom = line_chip(2, 1.0, OMEGA_10GHZ)
+        np.testing.assert_allclose(_heights(geom, math.pi / 2), [0.5, -0.5], rtol=1e-15)
 
     @pytest.mark.parametrize("n", [2, 4, 8, 16, 100])
     def test_displacements_sum_to_zero(self, n):
-        geom = line_chip(n, 1e-3, OMEGA_10GHZ, orientation=math.pi / 2)
-        assert abs(vertical_displacements(geom).sum()) <= 1e-12 * n * geom.spacing
+        geom = line_chip(n, 1e-3, OMEGA_10GHZ)
+        assert abs(_heights(geom, math.pi / 2).sum()) <= 1e-12 * n * geom.spacing
 
     def test_general_angle_scales_by_sine(self):
         geom = line_chip(4, 1e-3, OMEGA_10GHZ)
-        full = vertical_displacements(geom, math.pi / 2)
-        tilted = vertical_displacements(geom, math.pi / 6)
+        full = _heights(geom, math.pi / 2)
+        tilted = _heights(geom, math.pi / 6)
         np.testing.assert_allclose(tilted, full * math.sin(math.pi / 6), rtol=1e-15)
 
     def test_grid_rows_share_heights(self):
-        geom = grid_chip(9, 1e-3, OMEGA_10GHZ, orientation=math.pi / 2)
-        x = vertical_displacements(geom)
+        geom = grid_chip(9, 1e-3, OMEGA_10GHZ)
+        x = _heights(geom, math.pi / 2)
         # three rows of three sites: heights (+l, 0, -l) repeated within rows
         np.testing.assert_allclose(x[:3], 1e-3, rtol=1e-15)
         np.testing.assert_allclose(x[3:6], 0.0, atol=1e-18)
@@ -240,7 +243,8 @@ class TestSiteCap:
         for chip in (line_chip(17, 1e-3, OMEGA_10GHZ), grid_chip(25, 1e-3, OMEGA_10GHZ)):
             above = GravScenario(chip, VerticalRotation(math.pi / 2))
             assert uniform_delta_phi(above, 1e-3) > 0.0
-            for array_path in (lambda: dephasing_angles(above, 1e-3), lambda: potential_changes(above),
+            level = GravScenario(chip, UniformDeltaG(1e-6))
+            for array_path in (lambda: dephasing_angles(above, 1e-3), lambda: dephasing_angles(level, 1e-3),
                                chip.axis_coordinates, lambda: chip.frequencies):
                 with pytest.raises(ResourceCapError, match=f"{chip.qubit_count} sites"):
                     array_path()
@@ -359,36 +363,41 @@ class TestUniformDeltaPhi:
         assert uniform_delta_phi(sc, 1.0) == pytest.approx(float(Fraction(angle) * 10**350), rel=1e-15)
 
 
-class TestPotentialChanges:
+def _theta(dphi, t=1e-3):
+    """Channel angle of a 10 GHz site whose potential changes by dphi (m^2/s^2) over t seconds."""
+    return -(t / C2) * dphi * OMEGA_10GHZ
+
+
+class TestPotentialChangeAngles:
     def test_uniform_delta_g(self):
         geom = line_chip(4, 1e-3, OMEGA_10GHZ)
         sc = GravScenario(geom, UniformDeltaG(1e-6))
-        np.testing.assert_allclose(potential_changes(sc), -6.371, rtol=1e-15)
+        np.testing.assert_allclose(dephasing_angles(sc, 1e-3), _theta(-6.371), rtol=1e-15)
 
     def test_rotation_two_sites(self):
         geom = line_chip(2, 1.0, OMEGA_10GHZ)
         sc = GravScenario(geom, VerticalRotation(math.pi / 2))
-        np.testing.assert_allclose(potential_changes(sc), [G0 / 2, -G0 / 2], rtol=1e-15)
+        np.testing.assert_allclose(dephasing_angles(sc, 1e-3), _theta(np.array([G0 / 2, -G0 / 2])), rtol=1e-15)
 
     def test_massless_proximal_mass(self):
         geom = line_chip(3, 1e-3, OMEGA_10GHZ)
         sc = GravScenario(geom, ProximalMass(0.0, 0.1))
-        assert np.all(potential_changes(sc) == 0.0)
+        assert np.all(dephasing_angles(sc, 1e-3) == 0.0)
 
     def test_proximal_mass_common_value(self):
         geom = line_chip(3, 1e-3, OMEGA_10GHZ)
         sc = GravScenario(geom, ProximalMass(1e3, 0.1))
-        np.testing.assert_allclose(potential_changes(sc), -6.6743e-11 * 1e3 / 0.1, rtol=1e-15)
+        np.testing.assert_allclose(dephasing_angles(sc, 1e-3), _theta(-6.6743e-11 * 1e3 / 0.1), rtol=1e-15)
 
     def test_translation_is_uniform(self):
         geom = line_chip(3, 1e-3, OMEGA_10GHZ, orientation=math.pi / 2)
         sc = GravScenario(geom, VerticalTranslation(0.02))
-        np.testing.assert_allclose(potential_changes(sc), G0 * 0.02, rtol=1e-15)
+        np.testing.assert_allclose(dephasing_angles(sc, 1e-3), _theta(G0 * 0.02), rtol=1e-15)
 
     def test_strain_scales_rotation(self):
         geom = line_chip(2, 1.0, OMEGA_10GHZ)
-        plain = potential_changes(GravScenario(geom, VerticalRotation(math.pi / 2)))
-        strained = potential_changes(GravScenario(geom, UniformStrain(0.25, math.pi / 2)))
+        plain = dephasing_angles(GravScenario(geom, VerticalRotation(math.pi / 2)), 1e-3)
+        strained = dephasing_angles(GravScenario(geom, UniformStrain(0.25, math.pi / 2)), 1e-3)
         np.testing.assert_allclose(strained, plain * 1.25, rtol=1e-15)
 
     def test_proximal_mass_distance_validated(self):

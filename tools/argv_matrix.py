@@ -191,7 +191,14 @@ def _commands() -> list[list[str]]:
         _sweep("protocol", "n", "2", "1e13", "2", "--scenario", "rotation.json"),
         _sweep("protocol", "n", "1e3", "1e13", "6", "--scenario", "rotation.json", "--log", "--time-s", "1e-15"),
         _sweep("protocol", "n", "2", "8"),
+        # a sweep point replaces one field of the scenario's own chip, which then validates it
         _sweep("protocol", "freq", "4", "8", "3", "--scenario", "grid.json"),
+        _sweep("protocol", "n", "4", "16", "2", "--scenario", "grid.json"),
+        _sweep("protocol", "n", "4", "16", "3", "--scenario", "grid.json"),
+        _sweep("protocol", "ell", "1e-4", "1e-2", "3", "--scenario", "grid.json", "--log"),
+        _sweep("protocol", "freq", "4", "8", "3", "--scenario", "per_site.json"),
+        _sweep("protocol", "ell", "1e-4", "1e-2", "3", "--scenario", "per_site.json"),
+        _sweep("protocol", "n", "2", "8", "2", "--scenario", "per_site.json"),
         _sweep("phase", "n", "1", "1e300", "2"),
         _sweep("phase", "freq", "-1.7e308", "1.7e308", "3"),
         _sweep("phase", "n", "1", "2", "1e7"),
@@ -224,6 +231,15 @@ def _commands() -> list[list[str]]:
         [R, "gravimeter", "--delta-g", "1", "--time-s=-1"],
         [R, "strain", "--strain", "0.1", "--time-s=-1"],
         _sweep("phase", "time", "-1", "1"),
+    ]
+    # flags no phase or run of the command reads
+    cmds += [
+        [R, "gravimeter", "--time-s=-1"],
+        [R, "strain", "--time-s", "1"],
+        _sweep("gravimeter", "n", "10", "100", "2", "--time-s=-5"),
+        _sweep("strain", "tc", "1e-4", "1e-2", "2", "--time-s", "1"),
+        _sweep("required-qubits", "tc", "1e-4", "1e-2", "2", "--time-s", "1"),
+        _sweep("phase", "n", "2", "10", "2", "--scenario", "missing.json", "--shots", "3"),
     ]
     return cmds
 
