@@ -46,7 +46,6 @@ from .sensing import (
     strain_phase,
 )
 from .statevector import (
-    DensityMatrix,
     Gate,
     StateVector,
     apply_channel,

@@ -65,6 +65,9 @@ __all__ = ["MAX_SWEEP_POINTS", "main", "read_result_csv", "write_result_csv"]
 _FLOAT_FMT = ".17g"
 # accumulation time of `sweep --target phase` when --time-s is not given
 _PHASE_TIME_S = 1e-3
+# flag defaults by dest; `sweep` leaves its copies of these flags unset, so it can tell a given flag
+# from a default, and fills them in from here
+_DEFAULTS = {"n": 1000, "tc_s": 1e-3, "freq_ghz": 10.0, "ell_m": 1e-3, "phase_res_rad": 0.1, "geometry": "1d"}
 # Most grid points one sweep evaluates; a larger --steps exits 3 before the
 # grid is built.  A million closed-form points take ~5 s and ~270 MB.
 MAX_SWEEP_POINTS = 10**6
@@ -259,9 +262,9 @@ _ROWS = {
 }
 _SWEEP_PARAMS = {target: row.sweep for target, row in _ROWS.items() if row.sweep}
 _PARAM_COLUMN = {"n": "n", "tc": "tc_s", "freq": "freq_ghz", "ell": "ell_m", "shots": "shots", "time": "time_s"}
-# sweep flags without a default, by dest; a target reads --shots and --time-s exactly when it can
-# sweep them, and --scenario when its row loads one
-_SWEEP_OPTIONAL = {"scenario": "--scenario", "shots": "--shots", "time_s": "--time-s"}
+# the sweep's flags that set a row parameter, by dest
+_SWEEP_FLAGS = {"scenario": "--scenario", "shots": "--shots", "time_s": "--time-s", "geometry": "--geometry",
+                "n": "--n", "tc_s": "--tc", "freq_ghz": "--freq-ghz", "ell_m": "--ell", "phase_res_rad": "--phase-res"}
 
 
 def _row_inputs(
@@ -336,18 +339,28 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"param '{args.param}' cannot be swept for target '{args.target}' "
             f"(supported: {', '.join(row.sweep)})"
         )
-    reads = {_PARAM_COLUMN[name] for name in row.sweep} | ({"scenario"} & set(row.params))
-    unread = [flag for dest, flag in _SWEEP_OPTIONAL.items() if getattr(args, dest) is not None and dest not in reads]
+    column = _PARAM_COLUMN[args.param]
+    # a target reads its row's parameters, but not the swept column (each point sets it) nor a column
+    # it cannot sweep (gravimeter and strain read a time only with --delta-g or --strain)
+    sweepable = {_PARAM_COLUMN[name] for name in row.sweep}
+    reads = {dest for dest in row.params if dest in sweepable or dest not in _PARAM_COLUMN.values()} - {column}
+    unread = [flag for dest, flag in _SWEEP_FLAGS.items() if getattr(args, dest) is not None and dest not in reads]
     if unread:
         raise ValueError(f"sweep --target {args.target} does not read {', '.join(unread)}")
+    for dest, value in _DEFAULTS.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     base, constants, doc = _row_inputs(args, row)
-    column = _PARAM_COLUMN[args.param]
     rows = []
     for index, value in enumerate(_sweep_values(args)):
         point = {**base, column: value}
         if "seed" in point:  # each protocol point draws its shots from its own substream
             point["seed"] = substream_seed(args.seed, index)
-        _, results = _run_row(args.target, point, constants, doc)
+        try:
+            _, results = _run_row(args.target, point, constants, doc)
+        except (ValueError, ArithmeticError, ResourceCapError) as exc:  # same type, so main's exit code holds
+            exc.args = (f"sweep point {args.param} = {value}: {exc}",)
+            raise
         rows.append((value, *results.values()))
     provenance = _provenance(constants, args.seed, args.reproducible)
 
@@ -367,16 +380,18 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _add_sensing_flags(parser: argparse.ArgumentParser, with_n: bool = True) -> None:
+def _add_sensing_flags(parser: argparse.ArgumentParser, with_n: bool = True,
+                       defaults: dict[str, Any] = _DEFAULTS) -> None:
     if with_n:
-        parser.add_argument("--n", type=_int_arg, default=1000, help="qubit count")
-    parser.add_argument("--tc", dest="tc_s", metavar="TC", type=_finite_float, default=1e-3,
+        parser.add_argument("--n", type=_int_arg, default=defaults.get("n"), help="qubit count")
+    parser.add_argument("--tc", dest="tc_s", metavar="TC", type=_finite_float, default=defaults.get("tc_s"),
                         help="coherence time, s")
-    parser.add_argument("--freq-ghz", type=_finite_float, default=10.0, help="mean qubit frequency, GHz")
-    parser.add_argument("--ell", dest="ell_m", metavar="ELL", type=_finite_float, default=1e-3,
+    parser.add_argument("--freq-ghz", type=_finite_float, default=defaults.get("freq_ghz"),
+                        help="mean qubit frequency, GHz")
+    parser.add_argument("--ell", dest="ell_m", metavar="ELL", type=_finite_float, default=defaults.get("ell_m"),
                         help="site spacing, m")
     parser.add_argument("--phase-res", dest="phase_res_rad", metavar="PHASE_RES", type=_finite_float,
-                        default=0.1, help="resolvable phase, rad")
+                        default=defaults.get("phase_res_rad"), help="resolvable phase, rad")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -405,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--mass", dest="mass_kg", metavar="MASS", type=_finite_float, help="proximal mass, kg")
     p.add_argument("--distance", dest="distance_m", metavar="DISTANCE", type=_finite_float,
                    help="distance to the proximal mass, m")
-    p.add_argument("--freq-ghz", type=_finite_float, default=10.0, help="qubit frequency, GHz")
+    p.add_argument("--freq-ghz", type=_finite_float, default=_DEFAULTS["freq_ghz"], help="qubit frequency, GHz")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("protocol", help="run the phase-measurement protocol on a scenario file")
@@ -429,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
-    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS), default="1d")
+    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS), default=_DEFAULTS["geometry"])
     _add_sensing_flags(p, with_n=False)
     p.set_defaults(func=_cmd_row)
 
@@ -441,12 +456,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=_int_arg, required=True)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--out", dest="out_path", required=True, help="output CSV path")
-    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS), default="1d")
+    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS))
     p.add_argument("--scenario", default=None, help="scenario file for --target protocol")
     p.add_argument("--time-s", dest="time_s", type=_finite_float, default=None,
                    help="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
     p.add_argument("--shots", type=_int_arg, default=None, help="shots (default: the scenario's run.shots)")
-    _add_sensing_flags(p)
+    _add_sensing_flags(p, defaults={})
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -12,9 +12,10 @@ allocates a temporary of the state's size.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
-statevector path is exact.  The density-matrix path exists to verify the
-channel properties (trace/diagonal preservation, coherence modulus,
-composition) on small registers.
+statevector path is exact.  The density-matrix path, `apply_channel`,
+maps a plain 2^n x 2^n array to another; it exists to verify the channel
+properties (trace/diagonal preservation, coherence modulus, composition)
+on small registers.
 """
 
 from __future__ import annotations
@@ -43,8 +44,6 @@ __all__ = [
     "apply_gate",
     "apply_diagonal_phase",
     "probability_of",
-    "DensityMatrix",
-    "density_from_amplitudes",
     "apply_channel",
 ]
 
@@ -258,43 +257,6 @@ def probability_of(state: StateVector, site: int, bit: int) -> float:
 # --- density-matrix channel checks -----------------------------------------
 
 
-@dataclass
-class DensityMatrix:
-    """qubit_count register qubits, 2^n x 2^n complex entries."""
-
-    qubit_count: int
-    entries: np.ndarray
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.entries))
-
-    def purity(self) -> float:
-        return float(np.real(np.trace(self.entries @ self.entries)))
-
-    def validate(self, atol: float = 1e-10, eig_floor: float = -1e-8) -> None:
-        """Raise unless Hermitian, unit trace, and positive semidefinite."""
-        m = self.entries
-        if m.shape != (1 << self.qubit_count, 1 << self.qubit_count):
-            raise ValueError(f"entries shape {m.shape} does not match {self.qubit_count} qubits")
-        if not np.allclose(m, m.conj().T, atol=atol):
-            raise ValueError("density matrix is not Hermitian")
-        if abs(np.trace(m) - 1.0) > atol:
-            raise ValueError(f"density matrix trace {np.trace(m)} != 1")
-        if float(np.min(np.linalg.eigvalsh(m))) < eig_floor:
-            raise ValueError("density matrix has a negative eigenvalue")
-
-
-def density_from_amplitudes(amplitudes: Sequence[complex]) -> DensityMatrix:
-    """|psi><psi| for a pure state given by its amplitudes."""
-    vec = np.asarray(amplitudes, dtype=np.complex128)
-    n = int(math.log2(vec.size))
-    if 1 << n != vec.size:
-        raise ValueError(f"amplitude count {vec.size} is not a power of two")
-    if n > DENSITY_MAX_QUBITS:
-        raise ResourceCapError(f"{n} qubits exceeds the density-matrix cap of {DENSITY_MAX_QUBITS}")
-    return DensityMatrix(n, np.outer(vec, vec.conj()))
-
-
 def _basis_phases(theta: np.ndarray) -> np.ndarray:
     """Phase sum per basis index: phi_j = sum of theta_k over set bits of j."""
     dim = 1 << theta.size
@@ -302,21 +264,22 @@ def _basis_phases(theta: np.ndarray) -> np.ndarray:
     return bits @ theta
 
 
-def apply_channel(rho: DensityMatrix, angles: np.ndarray | Sequence[float]) -> DensityMatrix:
+def apply_channel(rho: np.ndarray, angles: np.ndarray | Sequence[float]) -> np.ndarray:
     """Dephasing channel rho -> Sigma rho Sigma^dagger with Sigma = (x) diag(1, e^{i theta_k}).
 
-    One angle per qubit of rho (bit k of the basis index carries theta[k]).
-    Diagonal entries are preserved exactly; coherences pick up unit-modulus
-    factors e^{i(phi_j - phi_l)}.  Rejects a non-finite angle.
+    One angle per qubit (bit k of the basis index carries theta[k]), so rho
+    is 2^n x 2^n for n angles.  Diagonal entries are preserved exactly;
+    coherences pick up unit-modulus factors e^{i(phi_j - phi_l)}.  Rejects a
+    non-finite angle and a rho of any other shape.
     """
+    n = np.size(angles)
+    if n > DENSITY_MAX_QUBITS:
+        raise ResourceCapError(f"{n} qubits exceeds the density-matrix cap of {DENSITY_MAX_QUBITS}")
     theta = _finite_angles(angles)
-    if theta.size != rho.qubit_count:
-        raise ValueError(f"expected {rho.qubit_count} angles, got {theta.size}")
-    if rho.qubit_count > DENSITY_MAX_QUBITS:
-        raise ResourceCapError(
-            f"{rho.qubit_count} qubits exceeds the density-matrix cap of {DENSITY_MAX_QUBITS}"
-        )
+    shape = (1 << n, 1 << n)
+    if np.shape(rho) != shape:
+        raise ValueError(f"expected a density matrix of shape {shape} for {n} angles, got shape {np.shape(rho)}")
     phase = np.exp(1j * _basis_phases(theta))
     weights = np.outer(phase, phase.conj())
     np.fill_diagonal(weights, 1.0)  # Sigma is diagonal, so w_jj == 1 identically
-    return DensityMatrix(rho.qubit_count, rho.entries * weights)
+    return rho * weights

@@ -296,7 +296,8 @@ class TestSensingCommands:
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert captured.err == "error: accumulation time must be >= 0, got -1.0\n"
+        point = "sweep point time = -1.0: " if argv[0] == "sweep" else ""
+        assert captured.err == f"error: {point}accumulation time must be >= 0, got -1.0\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("overrides", [{"c": True}, {"g0": float("inf")}])
@@ -406,6 +407,20 @@ class TestSweep:
                      "--from", "1", "--to", "2", "--steps", "2", "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "shots" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["--target", "gravimeter", "--param", "n", "--from", "0.4", "--to", "10"], 2,
+         "sweep point n = 0: n must be >= 1, got 0"),
+        (["--target", "protocol", "--param", "n", "--from", "2", "--to", "30", "--scenario", "sv"], 3,
+         "sweep point n = 30: 30 register qubits exceed the dense backend; use backend='branch'"),
+    ], ids=["gravimeter-n-0", "protocol-dense-cap"])
+    def test_point_error_names_point(self, tmp_path, capsys, argv, code, message):
+        run = {"time_s": 1e-3, "shots": 100, "seed": 1, "backend": "statevector"}
+        argv = [scenario_file(tmp_path, run=run) if arg == "sv" else arg for arg in argv]
+        out_csv = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--steps", "2", "--out", str(out_csv)]) == code
+        assert one_line_error(capsys) == f"error: {message}\n"
+        assert not out_csv.exists()
 
     def test_unwritable_path_io_error(self, tmp_path, capsys):
         code = main(["sweep", "--target", "gravimeter", "--param", "n",
@@ -673,9 +688,9 @@ class TestProtocolSweepChip:
 
     @pytest.mark.parametrize("overrides, grid, message", [
         ({"qubits": PER_SITE}, ["--from", "8", "--to", "2", "--steps", "2"],
-         "expected 2 site frequencies, got shape (8,)"),
+         "sweep point n = 2: expected 2 site frequencies, got shape (8,)"),
         ({"geometry": GRID_9}, ["--from", "4", "--to", "16", "--steps", "3"],
-         "grid layout needs a perfect-square qubit count, got 10"),
+         "sweep point n = 10: grid layout needs a perfect-square qubit count, got 10"),
     ], ids=["per-site", "non-square-grid"])
     def test_invalid_chip_point(self, tmp_path, capsys, overrides, grid, message):
         # the first point is a valid chip, the second is not
@@ -703,11 +718,40 @@ class TestUnreadFlags:
          "sweep --target phase does not read --scenario, --shots"),
         (["sweep", "--target", "gravimeter", "--param", "ell", "--scenario", "nonexist.json"],
          "sweep --target gravimeter does not read --scenario"),
+        # flags with a default: the sweep's copies stay unset, so a given one is seen
+        (["sweep", "--target", "gravimeter", "--param", "ell", "--geometry", "2d"],
+         "sweep --target gravimeter does not read --geometry"),
+        (["sweep", "--target", "strain", "--param", "freq", "--geometry", "1d"],
+         "sweep --target strain does not read --geometry"),
+        (["sweep", "--target", "required-qubits", "--param", "ell", "--n", "77"],
+         "sweep --target required-qubits does not read --n"),
+        (["sweep", "--target", "phase", "--param", "n", "--tc", "5", "--phase-res", "3"],
+         "sweep --target phase does not read --tc, --phase-res"),
+        (["sweep", "--target", "protocol", "--param", "freq", "--scenario", "nonexist.json", "--geometry", "2d",
+          "--tc", "5", "--n", "3"],
+         "sweep --target protocol does not read --geometry, --n, --tc"),
+        # the swept parameter's own flag: every point overwrites it
+        (["sweep", "--target", "gravimeter", "--param", "n", "--n", "77"],
+         "sweep --target gravimeter does not read --n"),
     ], ids=["gravimeter", "strain", "sweep-gravimeter", "sweep-strain", "sweep-required-qubits",
-            "sweep-phase", "sweep-gravimeter-scenario"])
+            "sweep-phase", "sweep-gravimeter-scenario", "sweep-gravimeter-geometry", "sweep-strain-geometry",
+            "sweep-required-qubits-n", "sweep-phase-tc-phase-res", "sweep-protocol-defaulted", "sweep-swept-flag"])
     def test_rejected(self, tmp_path, capsys, argv, message):
         if argv[0] == "sweep":
             argv = [*argv, "--from", "1", "--to", "10", "--steps", "2", "--out", str(tmp_path / "sweep.csv")]
         assert main(argv) == 2
         assert one_line_error(capsys) == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["--target", "gravimeter", "--param", "tc", "--phase-res", "0.2", "--n", "10"],
+        ["--target", "strain", "--param", "n", "--tc", "1", "--freq-ghz", "5", "--ell", "1e-2"],
+        ["--target", "required-qubits", "--param", "tc", "--geometry", "2d", "--phase-res", "0.2"],
+        ["--target", "phase", "--param", "freq", "--geometry", "2d", "--n", "9", "--time-s", "1"],
+        ["--target", "protocol", "--param", "freq", "--scenario", "scenario", "--time-s", "1", "--shots", "10"],
+    ], ids=["gravimeter", "strain", "required-qubits", "phase", "protocol"])
+    def test_read_flag_accepted(self, tmp_path, capsys, argv):
+        argv = [scenario_file(tmp_path) if arg == "scenario" else arg for arg in argv]
+        out_csv = tmp_path / "sweep.csv"
+        assert main(["sweep", *argv, "--from", "1", "--to", "10", "--steps", "2", "--out", str(out_csv)]) == 0
+        assert len(read_result_csv(out_csv.read_text(encoding="utf-8"))[2]) == 2

@@ -15,13 +15,11 @@ from qredshift.rng import shot_uniforms
 from qredshift.statevector import (
     DENSITY_MAX_QUBITS,
     MAX_QUBITS,
-    DensityMatrix,
     ResourceCapError,
     apply_channel,
     apply_diagonal_phase,
     apply_gate,
     controlled_x,
-    density_from_amplitudes,
     diagonal_phase,
     hadamard,
     init_zero,
@@ -342,31 +340,36 @@ class TestDiagonalPhase:
         np.testing.assert_array_equal(state.amplitudes, twin.amplitudes)
 
 
-def random_density(n: int, seed: int) -> DensityMatrix:
+def assert_density(m: np.ndarray) -> None:
+    """Hermitian, unit trace, and positive semidefinite."""
+    assert np.allclose(m, m.conj().T, atol=1e-10)
+    assert abs(np.trace(m) - 1.0) <= 1e-10
+    assert float(np.min(np.linalg.eigvalsh(m))) >= -1e-8
+
+
+def random_density(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     dim = 1 << n
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     rho /= np.trace(rho)
-    mat = DensityMatrix(n, rho)
-    mat.validate()
-    return mat
+    assert_density(rho)
+    return rho
 
 
 class TestChannel:
     def test_diagonal_rho_unchanged(self):
         diag = np.diag(np.array([0.1, 0.2, 0.3, 0.4], dtype=complex))
-        rho = DensityMatrix(2, diag)
-        out = apply_channel(rho, np.array([0.7, -1.3]))
-        np.testing.assert_array_equal(out.entries, diag)
+        out = apply_channel(diag, np.array([0.7, -1.3]))
+        np.testing.assert_array_equal(out, diag)
 
     def test_single_qubit_coherence_phase(self):
-        rho = DensityMatrix(1, np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex))
+        rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
         theta = 0.8
         out = apply_channel(rho, np.array([theta]))
-        assert out.entries[0, 1] == pytest.approx(0.5 * np.exp(-1j * theta), abs=1e-15)
-        assert out.entries[1, 0] == pytest.approx(0.5 * np.exp(1j * theta), abs=1e-15)
-        assert out.entries[0, 0] == 0.5 and out.entries[1, 1] == 0.5
+        assert out[0, 1] == pytest.approx(0.5 * np.exp(-1j * theta), abs=1e-15)
+        assert out[1, 0] == pytest.approx(0.5 * np.exp(1j * theta), abs=1e-15)
+        assert out[0, 0] == 0.5 and out[1, 1] == 0.5
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_cptp_properties(self, n):
@@ -375,10 +378,10 @@ class TestChannel:
             rho = random_density(n, seed=50 * n + trial)
             theta = rng.uniform(-3, 3, size=n)
             out = apply_channel(rho, theta)
-            np.testing.assert_array_equal(np.diag(out.entries), np.diag(rho.entries))
-            assert abs(out.trace() - rho.trace()) < 1e-12
-            np.testing.assert_allclose(np.abs(out.entries), np.abs(rho.entries), atol=1e-12)
-            out.validate()
+            np.testing.assert_array_equal(np.diag(out), np.diag(rho))
+            assert abs(np.trace(out) - np.trace(rho)) < 1e-12
+            np.testing.assert_allclose(np.abs(out), np.abs(rho), atol=1e-12)
+            assert_density(out)
 
     def test_composition_in_time(self):
         rho = random_density(3, seed=77)
@@ -387,29 +390,41 @@ class TestChannel:
         t1, t2 = 0.6, 1.7
         stepwise = apply_channel(apply_channel(rho, rates * t1), rates * t2)
         direct = apply_channel(rho, rates * (t1 + t2))
-        np.testing.assert_allclose(stepwise.entries, direct.entries, atol=1e-12)
+        np.testing.assert_allclose(stepwise, direct, atol=1e-12)
 
     def test_pure_state_purity_invariant(self):
         rng = np.random.default_rng(81)
         vec = rng.normal(size=8) + 1j * rng.normal(size=8)
         vec /= np.linalg.norm(vec)
-        rho = density_from_amplitudes(vec)
-        out = apply_channel(rho, rng.uniform(-2, 2, size=3))
-        assert out.purity() == pytest.approx(1.0, abs=1e-12)
+        out = apply_channel(np.outer(vec, vec.conj()), rng.uniform(-2, 2, size=3))
+        assert float(np.real(np.trace(out @ out))) == pytest.approx(1.0, abs=1e-12)
 
     def test_matches_statevector_on_pure_states(self):
         # ancilla + 3 register qubits; channel leaves the ancilla alone
         state = random_state(4, seed=90)
         theta = np.random.default_rng(91).uniform(-2, 2, size=3)
-        rho = density_from_amplitudes(state.amplitudes)
+        rho = np.outer(state.amplitudes, state.amplitudes.conj())
         rho_out = apply_channel(rho, np.concatenate(([0.0], theta)))
         apply_diagonal_phase(state, theta)
         expected = np.outer(state.amplitudes, state.amplitudes.conj())
-        np.testing.assert_allclose(rho_out.entries, expected, atol=1e-12)
+        np.testing.assert_allclose(rho_out, expected, atol=1e-12)
 
     def test_angle_count_must_match(self):
         with pytest.raises(ValueError, match="angles"):
             apply_channel(random_density(2, seed=1), np.zeros(3))
+
+    @pytest.mark.parametrize(
+        "rho, angles, shapes",
+        [
+            pytest.param(np.array([[1.0]]), [0.1, 0.2], r"\(4, 4\) for 2 angles, got shape \(1, 1\)$",
+                         id="1x1-two-angles"),
+            pytest.param(np.eye(4) / 4, [0.1], r"\(2, 2\) for 1 angles, got shape \(4, 4\)$",
+                         id="4x4-one-angle"),
+        ],
+    )
+    def test_shape_mismatch_names_both_shapes(self, rho, angles, shapes):
+        with pytest.raises(ValueError, match=shapes):
+            apply_channel(rho, angles)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, bad):
@@ -418,7 +433,7 @@ class TestChannel:
 
     def test_density_cap(self):
         with pytest.raises(ResourceCapError):
-            density_from_amplitudes(np.eye(1, 1 << (DENSITY_MAX_QUBITS + 1)).ravel())
+            apply_channel(np.eye(1), np.zeros(DENSITY_MAX_QUBITS + 1))
 
 
 class TestMeasurement:

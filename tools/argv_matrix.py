@@ -240,6 +240,18 @@ def _commands() -> list[list[str]]:
         _sweep("strain", "tc", "1e-4", "1e-2", "2", "--time-s", "1"),
         _sweep("required-qubits", "tc", "1e-4", "1e-2", "2", "--time-s", "1"),
         _sweep("phase", "n", "2", "10", "2", "--scenario", "missing.json", "--shots", "3"),
+        # flags with a default, and the swept parameter's own flag
+        _sweep("protocol", "freq", "4", "8", "2", "--scenario", "grid.json", "--geometry", "2d", "--tc", "5",
+               "--n", "3"),
+        _sweep("phase", "n", "2", "10", "2", "--tc", "5", "--phase-res", "3"),
+        _sweep("required-qubits", "tc", "1e-4", "1e-2", "2", "--n", "77"),
+        _sweep("strain", "freq", "4", "8", "2", "--geometry", "2d"),
+        _sweep("gravimeter", "n", "10", "100", "2", "--n", "77"),
+    ]
+    # errors raised at one sweep point
+    cmds += [
+        _sweep("gravimeter", "n", "0.4", "10", "2"),
+        _sweep("protocol", "n", "2", "30", "2", "--scenario", "sv.json"),
     ]
     return cmds
 
