@@ -19,13 +19,9 @@ from .gravity import (
     VerticalRotation,
     VerticalTranslation,
     dephasing_angles,
-    fractional_shift_mass,
-    fractional_shift_vertical,
     grid_chip,
     line_chip,
-    newtonian_potential,
-    phase_rate,
-    redshift_factor,
+    potential_change,
     uniform_delta_phi,
     universal_rate,
 )

@@ -45,7 +45,7 @@ import numpy as np
 
 from . import __version__
 from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import ResourceCapError, fractional_shift_mass, fractional_shift_vertical
+from .gravity import ProximalMass, ResourceCapError, VerticalTranslation, potential_change
 from .protocol import BACKENDS, run_protocol
 from .rng import substream_seed
 from .scenario import ScenarioDocument, load_constants, load_scenario
@@ -181,14 +181,14 @@ def _redshift(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocu
     if p["delta_x_m"] is not None:
         if p["distance_m"] is not None:
             raise ValueError("--distance only applies to the --mass perturbation")
-        kind, shift = "vertical", fractional_shift_vertical(p["delta_x_m"], constants)
+        kind, pert = "vertical", VerticalTranslation(p["delta_x_m"])
     elif p["distance_m"] is None:
         raise ValueError("--mass requires --distance")
     else:
-        kind, shift = "mass", fractional_shift_mass(p["mass_kg"], p["distance_m"], constants)
-    rate = shift * _omega(p["freq_ghz"])
+        kind, pert = "mass", ProximalMass(p["mass_kg"], p["distance_m"])
+    shift = potential_change(pert, constants=constants) / constants.c_squared
     return ({"perturbation": kind, "freq_ghz": p["freq_ghz"]},
-            {"fractional_shift": shift, "delta_omega_rad_s": rate, "phase_rate_rad_s": rate})
+            {"fractional_shift": shift, "phase_rate_rad_s": shift * _omega(p["freq_ghz"])})
 
 
 def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
@@ -359,7 +359,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         try:
             _, results = _run_row(args.target, point, constants, doc)
         except (ValueError, ArithmeticError, ResourceCapError) as exc:  # same type, so main's exit code holds
-            exc.args = (f"sweep point {args.param} = {value}: {exc}",)
+            point = value if isinstance(value, float) else format(float(value), _FLOAT_FMT)  # a count: 17 digits
+            exc.args = (f"sweep point {args.param} = {point}: {exc}",)
             raise
         rows.append((value, *results.values()))
     provenance = _provenance(constants, args.seed, args.reproducible)

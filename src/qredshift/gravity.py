@@ -1,4 +1,4 @@
-"""Gravitational potentials, redshift factors and per-qubit dephasing angles.
+"""Potential changes and per-qubit dephasing angles of perturbed chips.
 
 The model is first-order weak-field gravity: a qubit sitting at potential
 Phi runs at a rate scaled by 1 + Phi/c^2, so a change dPhi of the local
@@ -11,6 +11,9 @@ relative to its calibrated frame.  The float array of these angles alone
 fixes the diagonal dephasing channel the simulation engines apply.  On a
 chip with one qubit frequency, uniform_delta_phi gives their absolute sum
 in closed form at O(1) cost, so only per-site paths build per-site arrays.
+This module is the only one that multiplies the redshift constants:
+potential_change gives dPhi, and the sensing estimates evaluate the same
+law on their equivalent chips.
 
 Supported perturbations of a calibrated chip:
 
@@ -54,11 +57,7 @@ __all__ = [
     "VerticalTranslation",
     "UniformStrain",
     "GravScenario",
-    "newtonian_potential",
-    "redshift_factor",
-    "fractional_shift_vertical",
-    "fractional_shift_mass",
-    "phase_rate",
+    "potential_change",
     "universal_rate",
     "dephasing_angles",
     "uniform_delta_phi",
@@ -238,45 +237,6 @@ class GravScenario:
     constants: PhysicalConstants = DEFAULT_CONSTANTS
 
 
-def newtonian_potential(
-    mass: float, distance: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
-    """Newtonian potential -G*M/r (m^2/s^2) of `mass` at `distance`."""
-    if not distance > 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    return -constants.G * mass / distance
-
-
-def redshift_factor(potential: float, constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Clock-rate multiplier 1 + Phi/c^2 at potential Phi (first order in 1/c^2)."""
-    if not abs(potential) < constants.c_squared:
-        raise ValueError("weak-field form requires |potential| < c^2")
-    return 1.0 + potential / constants.c_squared
-
-
-def fractional_shift_vertical(
-    delta_x: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
-    """Fractional frequency shift g*dx/c^2 from raising a qubit by delta_x."""
-    return constants.g0 * delta_x / constants.c_squared
-
-
-def fractional_shift_mass(
-    mass: float, distance: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
-    """Fractional frequency shift -G*M/(d*c^2) from a proximal mass; never positive for M >= 0."""
-    if not distance > 0.0:
-        raise ValueError(f"distance must be positive, got {distance!r}")
-    return -constants.G * mass / (distance * constants.c_squared)
-
-
-def phase_rate(
-    delta_x: float, omega: float, constants: PhysicalConstants = DEFAULT_CONSTANTS
-) -> float:
-    """Phase drift rate g*omega*dx/c^2 (rad/s) between paths separated vertically by delta_x."""
-    return constants.g0 * omega * delta_x / constants.c_squared
-
-
 def universal_rate(
     engineering_factor: float = 1.0, constants: PhysicalConstants = DEFAULT_CONSTANTS
 ) -> float:
@@ -295,27 +255,34 @@ def universal_rate(
 _TILTS = (VerticalRotation, UniformStrain)
 
 
-def _potential_change(scenario: GravScenario, coordinates: np.ndarray | float) -> np.ndarray | float:
-    """dPhi (m^2/s^2) of sites at chip-axis `coordinates` (m); the other perturbations ignore them."""
-    cst = scenario.constants
-    pert = scenario.perturbation
+def potential_change(
+    perturbation: Perturbation,
+    coordinates: np.ndarray | float = 0.0,
+    constants: PhysicalConstants = DEFAULT_CONSTANTS,
+) -> np.ndarray | float:
+    """dPhi (m^2/s^2) of sites at chip-axis `coordinates` (m); only tilts read the coordinates.
+
+    dPhi / c^2 is the fractional frequency shift of a site, and dPhi * omega / c^2
+    its phase rate (rad/s).
+    """
+    pert = perturbation
     if isinstance(pert, VerticalRotation):
-        return cst.g0 * (coordinates * math.sin(pert.angle))
+        return constants.g0 * (coordinates * math.sin(pert.angle))
     if isinstance(pert, UniformStrain):
-        return cst.g0 * (coordinates * math.sin(pert.angle)) * (1.0 + pert.strain)
+        return constants.g0 * (coordinates * math.sin(pert.angle)) * (1.0 + pert.strain)
     if isinstance(pert, VerticalTranslation):
-        return cst.g0 * pert.delta_x
+        return constants.g0 * pert.delta_x
     if isinstance(pert, UniformDeltaG):
-        return -cst.earth_radius * pert.delta_g
+        return -constants.earth_radius * pert.delta_g
     if isinstance(pert, ProximalMass):
-        return -cst.G * pert.mass / pert.distance
+        return -constants.G * pert.mass / pert.distance
     raise TypeError(f"unknown perturbation type {type(pert).__name__}")
 
 
-def _angles(scenario: GravScenario, t: float, coordinates: np.ndarray | float,
-            omega: np.ndarray | float) -> np.ndarray | float:
+def _angles(perturbation: Perturbation, constants: PhysicalConstants, t: float,
+            coordinates: np.ndarray | float, omega: np.ndarray | float) -> np.ndarray | float:
     """theta = -(t/c^2) * dPhi * omega of sites at chip-axis `coordinates` (m), angular frequency omega."""
-    return -(t / scenario.constants.c_squared) * _potential_change(scenario, coordinates) * omega
+    return -(t / constants.c_squared) * potential_change(perturbation, coordinates, constants) * omega
 
 
 def _check_time(t: float) -> None:
@@ -338,7 +305,7 @@ def dephasing_angles(scenario: GravScenario, t: float) -> np.ndarray:
     geom = scenario.geometry
     with np.errstate(over="ignore", invalid="ignore"):
         coordinates = geom.axis_coordinates() if isinstance(scenario.perturbation, _TILTS) else 0.0
-        return _angles(scenario, t, coordinates, geom.frequencies)
+        return _angles(scenario.perturbation, scenario.constants, t, coordinates, geom.frequencies)
 
 
 def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
@@ -361,18 +328,18 @@ def uniform_delta_phi(scenario: GravScenario, t: float) -> float:
         raise ValueError("uniform_delta_phi needs a chip with one qubit frequency")
     _check_time(t)
 
-    n = geom.qubit_count
-    if not isinstance(scenario.perturbation, _TILTS):
-        count, angle = n, abs(_angles(scenario, t, 0.0, omega))
+    n, pert, cst = geom.qubit_count, scenario.perturbation, scenario.constants
+    if not isinstance(pert, _TILTS):
+        count, angle = n, abs(_angles(pert, cst, t, 0.0, omega))
     else:
         m = n if geom.layout == "line" else isqrt(n)
         count = m * m // 2 * (1 if geom.layout == "line" else m)
         if count == 0:  # a single site sits on the pivot
             return 0.0
-        outer = abs(_angles(scenario, t, (m - 1) * (geom.spacing / 2.0), omega)) if n <= MAX_SITES else 0.0
+        outer = abs(_angles(pert, cst, t, (m - 1) * (geom.spacing / 2.0), omega)) if n <= MAX_SITES else 0.0
         if not math.isfinite(outer):
             return outer
-        angle = abs(_angles(scenario, t, geom.spacing / 2.0, omega))
+        angle = abs(_angles(pert, cst, t, geom.spacing / 2.0, omega))
     # count may lie beyond the float range while angle * count does not:
     # scale it by a power of two first
     shift = max(0, count.bit_length() - 1000)

@@ -1,17 +1,22 @@
 """Sensing figures of merit: gravimetry, strain response, required qubits.
 
-All estimates assume the protocol resolves a phase of `phase_resolution`
-(default 0.1 rad) within one coherence window T_c, and invert the
-closed-form phase expressions:
+Each estimate is gravity's law on this chip, one site's angle from
+`gravity` times the site count, so no estimate builds a chip:
 
-    gravimeter   dphi = R_earth * delta_g * t * mean_omega * n / c^2
-    rotated 1D   dphi = g * mean_omega * spacing * n^2   * t / (4 c^2)
-    rotated 2D   dphi = g * mean_omega * spacing * n^1.5 * t / (4 c^2)
-    strain gauge dphi = g * spacing * mean_omega * n * t / c^2 * (1 + strain)
+    gravimeter    n sites under UniformDeltaG(delta_g): n times the signed
+                  site angle
+    rotated 1D    a line of n sites rotated upright: n^2 / 2 times |theta|
+                  of the site at spacing / 2
+    rotated 2D    an m x m grid (n = m^2) rotated upright: n^1.5 / 2 times
+                  that angle; it inherits the n^(3/2) scaling from the
+                  linear chip dimension L = sqrt(n) * spacing
+    strain gauge  n sites raised by one strained spacing,
+                  VerticalTranslation(spacing * (1 + strain)): n times |theta|
 
-The 2D form sums the 1D column expression over the sqrt(n) columns of a
-square grid; it inherits the n^(3/2) scaling from the linear chip
-dimension L = sqrt(n) * spacing.
+The sensitivities assume the protocol resolves a phase of
+`phase_resolution` (default 0.1 rad) within one coherence window T_c, and
+invert their phase at unit input (delta_g = 1, no strain, n = 1); a unit
+phase that underflows to 0 gives inf.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import _check_time
+from .gravity import UniformDeltaG, VerticalRotation, VerticalTranslation, _angles, _check_time
 
 __all__ = [
     "PHASE_EXPONENTS",
@@ -36,6 +41,8 @@ __all__ = [
 
 # p of the rotated-chip phase ~ n^p, per chip geometry
 PHASE_EXPONENTS = {"1d": 2.0, "2d": 1.5}
+# the rotated chips stand upright, so a site's axis coordinate is its height
+_UPRIGHT = VerticalRotation(math.pi / 2.0)
 
 
 @dataclass(frozen=True)
@@ -74,17 +81,15 @@ def _check_accumulation(config: SensingConfig, t: float) -> None:
         )
 
 
-def _exponent(geometry: str) -> float:
-    if geometry not in PHASE_EXPONENTS:
-        raise ValueError(f"geometry must be {' or '.join(map(repr, PHASE_EXPONENTS))}, got {geometry!r}")
-    return PHASE_EXPONENTS[geometry]
+def _inverse(resolution: float, unit_phase: float) -> float:
+    """The input whose phase is `resolution`, from the phase of a unit input; inf when that phase is 0."""
+    return resolution / unit_phase if unit_phase else math.inf
 
 
 def gravimeter_phase(config: SensingConfig, delta_g: float, t: float) -> float:
-    """Phase R_earth * delta_g * t * mean_omega * n / c^2 picked up by the GHZ register."""
+    """Phase of the GHZ register: n times the signed site angle under UniformDeltaG(delta_g)."""
     _check_accumulation(config, t)
-    cst = config.constants
-    return cst.earth_radius * delta_g * t * config.mean_frequency * config.n / cst.c_squared
+    return config.n * _angles(UniformDeltaG(delta_g), config.constants, t, 0.0, config.mean_frequency)
 
 
 def gravimeter_sensitivity(config: SensingConfig) -> dict[str, float]:
@@ -92,10 +97,8 @@ def gravimeter_sensitivity(config: SensingConfig) -> dict[str, float]:
 
     Returns {"delta_g": delta_g in m/s^2, "delta_g_over_g": delta_g / g0}.
     """
-    cst = config.constants
-    delta_g = config.phase_resolution * cst.c_squared / (
-        cst.earth_radius * config.coherence_time * config.mean_frequency * config.n)
-    return {"delta_g": delta_g, "delta_g_over_g": delta_g / cst.g0}
+    delta_g = _inverse(config.phase_resolution, gravimeter_phase(config, 1.0, config.coherence_time))
+    return {"delta_g": delta_g, "delta_g_over_g": delta_g / config.constants.g0}
 
 
 def closed_form_phase(
@@ -106,34 +109,35 @@ def closed_form_phase(
     geometry: str = "1d",
     constants: PhysicalConstants = DEFAULT_CONSTANTS,
 ) -> float:
-    """Rotated-chip phase g * mean_omega * spacing * n^p * t / (4 c^2), p = PHASE_EXPONENTS[geometry].
+    """Rotated-chip phase: n^p / 2 times |theta| of the upright chip's site at spacing / 2.
 
-    An n^p beyond the float range makes the phase inf, like any other overflow.
+    p = PHASE_EXPONENTS[geometry].  n is real, so a phase sweep reaches
+    n = 1e300; at odd n the exact sum of a line's angles has floor(n^2 / 2)
+    in place of n^2 / 2.  An n^p beyond the float range makes the phase
+    inf, like any other overflow.
     """
-    p = _exponent(geometry)
+    if geometry not in PHASE_EXPONENTS:
+        raise ValueError(f"geometry must be {' or '.join(map(repr, PHASE_EXPONENTS))}, got {geometry!r}")
     _check_time(t)
     try:
-        scale = float(n) ** p
+        scale = float(n) ** PHASE_EXPONENTS[geometry]
     except OverflowError:
         scale = math.inf
-    return constants.g0 * mean_frequency * spacing * scale * t / (4.0 * constants.c_squared)
+    return scale / 2.0 * abs(_angles(_UPRIGHT, constants, t, spacing / 2.0, mean_frequency))
 
 
 def required_qubits(config: SensingConfig, geometry: str = "1d") -> dict[str, float]:
     """Qubits needed for the rotated-chip phase to reach the resolution in one T_c.
 
-    Inverts the closed forms: n = s^(1/2) for 1D and n = s^(2/3) for 2D,
-    with s = 4 * phase_resolution * c^2 / (g * mean_omega * spacing * T_c),
-    rounded up and at least 1.  Returns {"n_required": that int count,
-    "length_m": the chip dimension n * spacing (1D) or sqrt(n) * spacing
-    (2D)}.  A count beyond the float range raises OverflowError naming
-    `n_required`.
+    Inverts the closed form: n = s^(1/p), with s the resolution over the
+    phase at n = 1, rounded up and at least 1.  Returns {"n_required":
+    that int count, "length_m": the chip dimension n * spacing (1D) or
+    sqrt(n) * spacing (2D)}.  A count beyond the float range raises
+    OverflowError naming `n_required`.
     """
-    p = _exponent(geometry)
-    cst = config.constants
-    scale = 4.0 * config.phase_resolution * cst.c_squared / (
-        cst.g0 * config.mean_frequency * config.spacing * config.coherence_time)
-    root = scale ** (1.0 / p)
+    unit = closed_form_phase(1, config.mean_frequency, config.spacing, config.coherence_time, geometry,
+                             config.constants)
+    root = _inverse(config.phase_resolution, unit) ** (1.0 / PHASE_EXPONENTS[geometry])
     if not math.isfinite(root):
         raise OverflowError(f"n_required = {root}: the qubit count overflows")
     n = max(1, math.ceil(root))
@@ -142,12 +146,12 @@ def required_qubits(config: SensingConfig, geometry: str = "1d") -> dict[str, fl
 
 
 def strain_phase(config: SensingConfig, t: float, strain: float) -> float:
-    """Phase g * spacing * mean_omega * n * t / c^2 * (1 + strain) of the strained GHZ register."""
+    """Phase of a GHZ register raised by one strained spacing: n times |theta| of each site."""
     if not abs(strain) < 1.0:
         raise ValueError(f"|strain| must be < 1, got {strain!r}")
     _check_accumulation(config, t)
-    cst = config.constants
-    return cst.g0 * config.spacing * config.mean_frequency * config.n * t / cst.c_squared * (1.0 + strain)
+    raised = VerticalTranslation(config.spacing * (1.0 + strain))
+    return config.n * abs(_angles(raised, config.constants, t, 0.0, config.mean_frequency))
 
 
 def min_detectable_strain(config: SensingConfig) -> dict[str, float]:
@@ -159,4 +163,4 @@ def min_detectable_strain(config: SensingConfig) -> dict[str, float]:
     resolve about 1e-6) at this resolution.
     """
     baseline = strain_phase(config, config.coherence_time, 0.0)
-    return {"baseline_phase_rad": baseline, "min_strain": config.phase_resolution / baseline}
+    return {"baseline_phase_rad": baseline, "min_strain": _inverse(config.phase_resolution, baseline)}

@@ -121,11 +121,10 @@ def test_criterion_4_linear_versus_cosine_sensitivity():
 
 def test_criterion_5_reference_numbers():
     with criterion(5, "closed-form numbers match the published estimates", 1.0):
-        from qredshift.gravity import (
-            fractional_shift_mass,
-            fractional_shift_vertical,
-            phase_rate,
-        )
+        from qredshift.gravity import ProximalMass, VerticalTranslation, potential_change, uniform_delta_phi
+
+        def phase_rate(delta_x, omega):  # the angle of one raised qubit after 1 s
+            return uniform_delta_phi(GravScenario(line_chip(1, 1e-3, omega), VerticalTranslation(delta_x)), 1.0)
 
         # transmon phase rate: 1 cm at 10 GHz vs 1e-7 rad/s
         rate = phase_rate(0.01, OMEGA_10GHZ)
@@ -138,12 +137,12 @@ def test_criterion_5_reference_numbers():
         assert_within_factor(th_rate, 1e-3, 2.0)
 
         # 1 cm vertical move vs 1e-18
-        shift = fractional_shift_vertical(0.01)
+        shift = potential_change(VerticalTranslation(0.01)) / C2
         assert shift == pytest.approx(1.0911369672198218e-18, rel=1e-12)
         assert_within_factor(shift, 1e-18, 10.0)
 
         # proximal mass vs -1e-23
-        mass_shift = fractional_shift_mass(1e3, 0.1)
+        mass_shift = potential_change(ProximalMass(1e3, 0.1)) / C2
         assert mass_shift == pytest.approx(-7.426160269118664e-24, rel=1e-12)
         assert_within_factor(mass_shift, -1e-23, 10.0)
 

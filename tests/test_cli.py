@@ -53,6 +53,7 @@ class TestRedshift:
         )
         assert code == 0
         row = single_row(out)
+        assert list(row) == ["perturbation", "freq_ghz", "fractional_shift", "phase_rate_rad_s"]
         assert row["fractional_shift"] == pytest.approx(1.0911369672198218e-18, rel=1e-15)
         assert row["phase_rate_rad_s"] == pytest.approx(6.855815760556077e-08, rel=1e-15)
 
@@ -445,7 +446,7 @@ class TestRangeErrors:
         [
             (["redshift", "--mass", "1e300", "--distance", "1e-300"], "fractional_shift"),
             (["gravimeter", "--tc", "1e-320"], "delta_g"),
-            (["strain", "--tc", "1e300"], "baseline_phase_rad"),
+            (["strain", "--tc", "1e300", "--n", "1e20"], "baseline_phase_rad"),
             (["strain", "--tc", "1e-320"], "strain"),
             (["required-qubits", "--tc", "1e-320"], "required-qubits"),
         ],
@@ -453,6 +454,11 @@ class TestRangeErrors:
     def test_command_out_of_range(self, capsys, argv, named):
         assert main(argv) == 2
         assert named in one_line_error(capsys)
+
+    def test_large_coherence_time_in_range(self, capsys):
+        # (t / c^2) is taken before the other factors, so the baseline phase stays finite
+        assert main(["strain", "--tc", "1e300"]) == 0
+        assert single_row(capsys.readouterr().out)["baseline_phase_rad"] == 6.8558157605560789e+294
 
     def test_sweep_out_of_range(self, tmp_path, capsys):
         out_csv = tmp_path / "x.csv"
@@ -462,6 +468,12 @@ class TestRangeErrors:
         err = one_line_error(capsys)
         assert "phase_rad = inf" in err and "Numerical result" not in err
         assert not out_csv.exists()
+
+    def test_sweep_names_a_huge_count_at_17_digits(self, tmp_path, capsys):
+        code = main(["sweep", "--target", "phase", "--param", "n", "--from", "1", "--to", "1e300",
+                     "--steps", "2", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert one_line_error(capsys).startswith("error: sweep point n = 1.0000000000000001e+300: phase: ")
 
     @pytest.mark.parametrize("command", ["protocol", "sweep"])
     def test_site_count_beyond_float_range(self, tmp_path, capsys, command):

@@ -5,7 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from qredshift.gravity import GravScenario, UniformDeltaG, VerticalRotation, dephasing_angles, line_chip
+from qredshift.gravity import (
+    GravScenario,
+    UniformDeltaG,
+    UniformStrain,
+    VerticalRotation,
+    VerticalTranslation,
+    dephasing_angles,
+    grid_chip,
+    line_chip,
+    uniform_delta_phi,
+)
 from qredshift.protocol import expected_delta_phi
 from qredshift.sensing import (
     SensingConfig,
@@ -180,6 +190,41 @@ class TestStrain:
         base = min_detectable_strain(near_term(n=1000))["min_strain"]
         doubled = min_detectable_strain(near_term(n=2000))["min_strain"]
         assert doubled == pytest.approx(base / 2, rel=1e-14)
+
+
+class TestEquivalentChips:
+    """Each estimate is the channel of its equivalent chip: the sum of |theta_k| to 1e-12."""
+
+    @pytest.mark.parametrize("n", [1, 7, 64, 1000])
+    def test_gravimeter_is_a_uniform_delta_g(self, n):
+        chip = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), UniformDeltaG(3.7e-4))
+        assert gravimeter_phase(near_term(n=n), 3.7e-4, 1e-3) == pytest.approx(
+            uniform_delta_phi(chip, 1e-3), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 10, 100, 1000])
+    def test_1d_is_a_rotated_line(self, n):
+        chip = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        assert closed_form_phase(n, OMEGA_10GHZ, 1e-3, 1e-3, "1d") == pytest.approx(
+            uniform_delta_phi(chip, 1e-3), rel=1e-12)
+
+    @pytest.mark.parametrize("m", [2, 4, 10, 100])
+    def test_2d_is_a_rotated_grid(self, m):
+        chip = GravScenario(grid_chip(m * m, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        assert closed_form_phase(m * m, OMEGA_10GHZ, 1e-3, 1e-3, "2d") == pytest.approx(
+            uniform_delta_phi(chip, 1e-3), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 1000])
+    @pytest.mark.parametrize("strain", [0.0, 1e-6, -0.5])
+    def test_strain_is_a_raised_register(self, n, strain):
+        chip = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), VerticalTranslation(1e-3 * (1 + strain)))
+        assert strain_phase(near_term(n=n), 1e-3, strain) == pytest.approx(uniform_delta_phi(chip, 1e-3), rel=1e-12)
+
+    @pytest.mark.parametrize("n", [2, 4, 1000])
+    def test_strain_kind_is_a_different_model(self, n):
+        # the tilted, stretched chip of the `strain` scenario kind is n/4 times the raised register at 90 degrees
+        chip = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), UniformStrain(1e-6))
+        assert uniform_delta_phi(chip, 1e-3) == pytest.approx(n / 4 * strain_phase(near_term(n=n), 1e-3, 1e-6),
+                                                             rel=1e-12)
 
 
 class TestNegativeTime:

@@ -1,26 +1,33 @@
-"""Run a fixed matrix of `qredshift` commands against one checkout and record every output.
+"""A fixed matrix of `qredshift` commands and the golden file of their outputs.
 
-    python3 tools/argv_matrix.py CHECKOUT OUT.jsonl
+    python3 tools/argv_matrix.py --write
 
-Each command runs as `python -m qredshift.cli ...` with CHECKOUT/src on
-PYTHONPATH, in a fresh temporary directory that holds the scenario and
-constants files the matrix uses, valid or not.  OUT.jsonl gets one JSON line per command:
-argv, exit code, stdout, stderr and the text of the sweep file it wrote
-(null when it wrote none).  The temporary directory and the checkout path
-are replaced by `<tmp>` and `<checkout>` in every output, so two runs on
-one checkout give identical files and two checkouts can be diffed line by
-line.  Standard library only.
+replays every command in process through `qredshift.cli.main`, imported
+from this checkout's `src`, and writes the records to
+tests/data/argv_matrix.jsonl, which tests/test_argv_matrix.py replays the
+same way and compares.  Each command runs in a temporary directory that
+holds the scenario and constants files the matrix uses, valid or not, with
+COLUMNS=80 so that argparse wraps `--help` alike on every terminal.  A
+record is one JSON line: argv, exit code, stdout, stderr and the text of
+the sweep file the command wrote (null when it wrote none), with the
+temporary directory replaced by `<tmp>`.  A change that moves output bytes
+regenerates the file; its git diff then shows the moved commands.
+Standard library only, apart from qredshift itself.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
-import subprocess
 import sys
 import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "data" / "argv_matrix.jsonl"
 SWEEP_FILE = "sweep.csv"
 
 
@@ -101,7 +108,7 @@ def _sweep(target: str, param: str, start: str, stop: str, steps: str = "3", *ex
             "--steps", steps, "--out", SWEEP_FILE, *extra]
 
 
-def _commands() -> list[list[str]]:
+def commands() -> list[list[str]]:
     cmds: list[list[str]] = []
     for out in ("csv", "json"):
         cmds += [
@@ -213,7 +220,9 @@ def _commands() -> list[list[str]]:
         ["gravimeter", "--tc", "inf"],
         ["gravimeter", "--tc", "1e-320"],
         ["gravimeter", "--n", "2.7"],
-        ["strain", "--tc", "1e300"],
+        [R, "strain", "--tc", "1e300"],
+        [R, "strain", "--tc", "1e300", "--n", "1e20"],
+        [R, "gravimeter", "--delta-g", "1e300", "--time-s", "1", "--n", "1"],
         ["required-qubits", "--tc", "1e-320"],
         ["frobnicate"],
         [],
@@ -256,45 +265,53 @@ def _commands() -> list[list[str]]:
     return cmds
 
 
-def _run(argv: list[str], workdir: Path, env: dict[str, str], checkout: Path) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "-m", "qredshift.cli", *argv],
-        cwd=workdir, env=env, capture_output=True, text=True, check=False,
-    )
+def write_files(workdir: Path) -> None:
+    """Write the matrix's input files into `workdir`."""
+    for name, doc in FILES.items():
+        (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
+    for name, content in RAW_FILES.items():
+        (workdir / name).write_bytes(content)
+
+
+def replay(argv: list[str], workdir: Path) -> dict:
+    """Run one command in process in `workdir` (which holds the input files) and return its record."""
+    from qredshift.cli import main
+
+    stdout, stderr = io.StringIO(), io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(workdir)
+    try:
+        with patch.dict(os.environ, COLUMNS="80"), redirect_stdout(stdout), redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse's usage errors and --help
+                code = exc.code
+    finally:
+        os.chdir(cwd)
     sweep_path = workdir / SWEEP_FILE
     sweep = sweep_path.read_text(encoding="utf-8") if sweep_path.exists() else None
     sweep_path.unlink(missing_ok=True)
 
     def scrub(text: str | None) -> str | None:
-        if text is None:
-            return None
-        return text.replace(str(workdir), "<tmp>").replace(str(checkout), "<checkout>")
+        return None if text is None else text.replace(str(workdir), "<tmp>")
 
-    return {"argv": argv, "exit": proc.returncode, "stdout": scrub(proc.stdout),
-            "stderr": scrub(proc.stderr), "sweep": scrub(sweep)}
+    return {"argv": argv, "exit": code, "stdout": scrub(stdout.getvalue()), "stderr": scrub(stderr.getvalue()),
+            "sweep": scrub(sweep)}
 
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
-    if len(args) != 2:
-        print("usage: python3 tools/argv_matrix.py CHECKOUT OUT.jsonl", file=sys.stderr)
+    if args != ["--write"]:
+        print("usage: python3 tools/argv_matrix.py --write", file=sys.stderr)
         return 2
-    checkout, out_path = Path(args[0]).resolve(), Path(args[1])
-    src = checkout / "src"
-    if not (src / "qredshift").is_dir():
-        print(f"error: {src / 'qredshift'} is not a directory", file=sys.stderr)
-        return 2
-    env = {key: value for key, value in os.environ.items() if not key.startswith("PYTHON")}
-    env.update(PYTHONPATH=str(src), PYTHONHASHSEED="0", PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1")
+    sys.path.insert(0, str(ROOT / "src"))
     with tempfile.TemporaryDirectory(prefix="argv_matrix_") as tmp:
         workdir = Path(tmp).resolve()
-        for name, doc in FILES.items():
-            (workdir / name).write_text(json.dumps(doc), encoding="utf-8")
-        for name, content in RAW_FILES.items():
-            (workdir / name).write_bytes(content)
-        lines = [json.dumps(_run(cmd, workdir, env, checkout), sort_keys=True) for cmd in _commands()]
-    out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(lines)} commands -> {out_path}")
+        write_files(workdir)
+        lines = [json.dumps(replay(cmd, workdir), sort_keys=True) for cmd in commands()]
+    GOLDEN.parent.mkdir(exist_ok=True)
+    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    print(f"{len(lines)} commands -> {GOLDEN.relative_to(ROOT)}")
     return 0
 
 
