@@ -33,7 +33,6 @@ from .protocol import (
     standard_pea_probabilities,
 )
 from .sensing import (
-    SensingConfig,
     closed_form_phase,
     gravimeter_phase,
     gravimeter_sensitivity,

@@ -51,7 +51,6 @@ from .rng import substream_seed
 from .scenario import ScenarioDocument, load_constants, load_scenario
 from .sensing import (
     PHASE_EXPONENTS,
-    SensingConfig,
     closed_form_phase,
     gravimeter_phase,
     gravimeter_sensitivity,
@@ -162,19 +161,13 @@ def _omega(freq_ghz: float) -> float:
     return 2.0 * math.pi * 1e9 * freq_ghz
 
 
-def _sensing_config(p: dict[str, Any], constants: PhysicalConstants) -> SensingConfig:
-    return SensingConfig(
-        n=p.get("n", 1),
-        mean_frequency=_omega(p["freq_ghz"]),
-        coherence_time=p["tc_s"],
-        spacing=p["ell_m"],
-        phase_resolution=p["phase_res_rad"],
-        constants=constants,
-    )
-
-
-def _accumulation_time(p: dict[str, Any], config: SensingConfig) -> float:
-    return config.coherence_time if p["time_s"] is None else p["time_s"]
+def _accumulation_time(p: dict[str, Any]) -> float:
+    """--time-s, by default the coherence time; warns when it exceeds the coherence time."""
+    if p["time_s"] is None:
+        return p["tc_s"]
+    if p["time_s"] > p["tc_s"]:
+        warnings.warn(f"accumulation time {p['time_s']} s exceeds the coherence time {p['tc_s']} s")
+    return p["time_s"]
 
 
 def _redshift(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
@@ -213,25 +206,26 @@ def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocu
 def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
     if p["time_s"] is not None and p["delta_g"] is None:
         raise ValueError("--time-s only applies with --delta-g")
-    config = _sensing_config(p, constants)
-    results = gravimeter_sensitivity(config)
+    omega = _omega(p["freq_ghz"])
+    results = gravimeter_sensitivity(p["n"], omega, p["tc_s"], p["phase_res_rad"], constants)
     if p["delta_g"] is not None:
-        results["phase_rad"] = gravimeter_phase(config, p["delta_g"], _accumulation_time(p, config))
-    return {key: p[key] for key in _SENSING}, results
+        results["phase_rad"] = gravimeter_phase(p["n"], omega, p["delta_g"], _accumulation_time(p), constants)
+    return {key: p[key] for key in _GRAVIMETER}, results
 
 
 def _strain(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
     if p["time_s"] is not None and p["strain"] is None:
         raise ValueError("--time-s only applies with --strain")
-    config = _sensing_config(p, constants)
-    results = min_detectable_strain(config)
+    omega = _omega(p["freq_ghz"])
+    results = min_detectable_strain(p["n"], omega, p["ell_m"], p["tc_s"], p["phase_res_rad"], constants)
     if p["strain"] is not None:
-        results["phase_rad"] = strain_phase(config, _accumulation_time(p, config), p["strain"])
-    return {key: p[key] for key in _SENSING}, results
+        results["phase_rad"] = strain_phase(p["n"], omega, p["ell_m"], p["strain"], _accumulation_time(p), constants)
+    return {key: p[key] for key in _STRAIN}, results
 
 
 def _required_qubits(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
-    return dict(p), required_qubits(_sensing_config(p, constants), p["geometry"])
+    return dict(p), required_qubits(_omega(p["freq_ghz"]), p["ell_m"], p["tc_s"], p["phase_res_rad"], p["geometry"],
+                                    constants)
 
 
 def _phase(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
@@ -249,11 +243,13 @@ class _RowSpec:
     sweep: tuple[str, ...] = ()
 
 
-_SENSING = ("n", "tc_s", "freq_ghz", "ell_m", "phase_res_rad")
+# the sensing inputs gravimeter and strain take as flags and echo as columns
+_GRAVIMETER = ("n", "tc_s", "freq_ghz", "phase_res_rad")
+_STRAIN = ("n", "tc_s", "freq_ghz", "ell_m", "phase_res_rad")
 _ROWS = {
     "redshift": _RowSpec(_redshift, ("delta_x_m", "mass_kg", "distance_m", "freq_ghz")),
-    "gravimeter": _RowSpec(_gravimeter, (*_SENSING, "delta_g", "time_s"), ("n", "tc", "freq", "ell")),
-    "strain": _RowSpec(_strain, (*_SENSING, "strain", "time_s"), ("n", "tc", "freq", "ell")),
+    "gravimeter": _RowSpec(_gravimeter, (*_GRAVIMETER, "delta_g", "time_s"), ("n", "tc", "freq")),
+    "strain": _RowSpec(_strain, (*_STRAIN, "strain", "time_s"), ("n", "tc", "freq", "ell")),
     "required-qubits": _RowSpec(_required_qubits, ("geometry", "tc_s", "freq_ghz", "ell_m", "phase_res_rad"),
                                 ("tc", "freq", "ell")),
     "phase": _RowSpec(_phase, ("n", "freq_ghz", "ell_m", "time_s", "geometry"), ("n", "freq", "ell", "time")),
@@ -262,9 +258,17 @@ _ROWS = {
 }
 _SWEEP_PARAMS = {target: row.sweep for target, row in _ROWS.items() if row.sweep}
 _PARAM_COLUMN = {"n": "n", "tc": "tc_s", "freq": "freq_ghz", "ell": "ell_m", "shots": "shots", "time": "time_s"}
+# the flags of the sensing inputs, by dest: (flag, metavar, type, help)
+_SENSING_FLAGS = {
+    "n": ("--n", "N", _int_arg, "qubit count"),
+    "tc_s": ("--tc", "TC", _finite_float, "coherence time, s"),
+    "freq_ghz": ("--freq-ghz", "FREQ_GHZ", _finite_float, "mean qubit frequency, GHz"),
+    "ell_m": ("--ell", "ELL", _finite_float, "site spacing, m"),
+    "phase_res_rad": ("--phase-res", "PHASE_RES", _finite_float, "resolvable phase, rad"),
+}
 # the sweep's flags that set a row parameter, by dest
 _SWEEP_FLAGS = {"scenario": "--scenario", "shots": "--shots", "time_s": "--time-s", "geometry": "--geometry",
-                "n": "--n", "tc_s": "--tc", "freq_ghz": "--freq-ghz", "ell_m": "--ell", "phase_res_rad": "--phase-res"}
+                **{dest: spec[0] for dest, spec in _SENSING_FLAGS.items()}}
 
 
 def _row_inputs(
@@ -381,18 +385,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _add_sensing_flags(parser: argparse.ArgumentParser, with_n: bool = True,
+def _add_sensing_flags(parser: argparse.ArgumentParser, dests: tuple[str, ...],
                        defaults: dict[str, Any] = _DEFAULTS) -> None:
-    if with_n:
-        parser.add_argument("--n", type=_int_arg, default=defaults.get("n"), help="qubit count")
-    parser.add_argument("--tc", dest="tc_s", metavar="TC", type=_finite_float, default=defaults.get("tc_s"),
-                        help="coherence time, s")
-    parser.add_argument("--freq-ghz", type=_finite_float, default=defaults.get("freq_ghz"),
-                        help="mean qubit frequency, GHz")
-    parser.add_argument("--ell", dest="ell_m", metavar="ELL", type=_finite_float, default=defaults.get("ell_m"),
-                        help="site spacing, m")
-    parser.add_argument("--phase-res", dest="phase_res_rad", metavar="PHASE_RES", type=_finite_float,
-                        default=defaults.get("phase_res_rad"), help="resolvable phase, rad")
+    for dest in dests:
+        flag, metavar, kind, text = _SENSING_FLAGS[dest]
+        parser.add_argument(flag, dest=dest, metavar=metavar, type=kind, default=defaults.get(dest), help=text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -433,20 +430,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("gravimeter", help="delta-g sensitivity of a GHZ register")
-    _add_sensing_flags(p)
+    _add_sensing_flags(p, _GRAVIMETER)
     p.add_argument("--delta-g", type=_finite_float, default=None, help="also report the phase for this delta_g")
     p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --delta-g")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("strain", help="minimum detectable strain of a GHZ register")
-    _add_sensing_flags(p)
+    _add_sensing_flags(p, _STRAIN)
     p.add_argument("--strain", type=_finite_float, default=None, help="also report the phase at this strain")
     p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --strain")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
     p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS), default=_DEFAULTS["geometry"])
-    _add_sensing_flags(p, with_n=False)
+    _add_sensing_flags(p, ("tc_s", "freq_ghz", "ell_m", "phase_res_rad"))
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("sweep", help="evaluate a target over a parameter grid, write CSV")
@@ -462,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--time-s", dest="time_s", type=_finite_float, default=None,
                    help="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
     p.add_argument("--shots", type=_int_arg, default=None, help="shots (default: the scenario's run.shots)")
-    _add_sensing_flags(p, defaults={})
+    _add_sensing_flags(p, tuple(_SENSING_FLAGS), defaults={})
     p.set_defaults(func=_cmd_sweep)
 
     return parser

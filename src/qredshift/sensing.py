@@ -13,24 +13,25 @@ Each estimate is gravity's law on this chip, one site's angle from
     strain gauge  n sites raised by one strained spacing,
                   VerticalTranslation(spacing * (1 + strain)): n times |theta|
 
-The sensitivities assume the protocol resolves a phase of
-`phase_resolution` (default 0.1 rad) within one coherence window T_c, and
-invert their phase at unit input (delta_g = 1, no strain, n = 1); a unit
-phase that underflows to 0 gives inf.
+Every estimate takes plain arguments, only the ones its law reads, and
+rejects n < 1 and a mean_frequency, spacing, coherence_time or
+phase_resolution that is not positive.  The sensitivities assume the
+protocol resolves a phase of `phase_resolution` (default 0.1 rad) within
+one coherence window T_c, and invert their phase at unit input
+(delta_g = 1, no strain, n = 1); a unit phase that underflows to 0 gives
+inf.  Nothing here warns about a time beyond T_c: a phase at time t does
+not read T_c.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
 
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import UniformDeltaG, VerticalRotation, VerticalTranslation, _angles, _check_time
 
 __all__ = [
     "PHASE_EXPONENTS",
-    "SensingConfig",
     "gravimeter_phase",
     "gravimeter_sensitivity",
     "closed_form_phase",
@@ -45,40 +46,14 @@ PHASE_EXPONENTS = {"1d": 2.0, "2d": 1.5}
 _UPRIGHT = VerticalRotation(math.pi / 2.0)
 
 
-@dataclass(frozen=True)
-class SensingConfig:
-    """Chip and protocol parameters entering the sensitivity estimates.
-
-    n                 qubit count
-    mean_frequency    average angular frequency, rad/s
-    coherence_time    T_c, s (the longest usable accumulation window)
-    spacing           site spacing, m
-    phase_resolution  smallest resolvable phase, rad
-    """
-
-    n: int
-    mean_frequency: float
-    coherence_time: float
-    spacing: float = 1e-3
-    phase_resolution: float = 0.1
-    constants: PhysicalConstants = DEFAULT_CONSTANTS
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        for name in ("mean_frequency", "coherence_time", "spacing", "phase_resolution"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
-
-
-def _check_accumulation(config: SensingConfig, t: float) -> None:
-    """Reject a negative t as `gravity` does; warn when t exceeds the coherence time."""
-    _check_time(t)
-    if t > config.coherence_time:
-        warnings.warn(
-            f"accumulation time {t} s exceeds the coherence time {config.coherence_time} s",
-            stacklevel=3,
-        )
+def _check(**values: float) -> None:
+    """Reject, in argument order, an n below 1 and any other value that is not positive."""
+    for name, value in values.items():
+        if name == "n":
+            if value < 1:
+                raise ValueError(f"n must be >= 1, got {value}")
+        elif not value > 0.0:
+            raise ValueError(f"{name} must be positive, got {value!r}")
 
 
 def _inverse(resolution: float, unit_phase: float) -> float:
@@ -86,29 +61,32 @@ def _inverse(resolution: float, unit_phase: float) -> float:
     return resolution / unit_phase if unit_phase else math.inf
 
 
-def gravimeter_phase(config: SensingConfig, delta_g: float, t: float) -> float:
+def gravimeter_phase(n: int, mean_frequency: float, delta_g: float, t: float,
+                     constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Phase of the GHZ register: n times the signed site angle under UniformDeltaG(delta_g)."""
-    _check_accumulation(config, t)
-    return config.n * _angles(UniformDeltaG(delta_g), config.constants, t, 0.0, config.mean_frequency)
+    _check(n=n, mean_frequency=mean_frequency)
+    _check_time(t)
+    return n * _angles(UniformDeltaG(delta_g), constants, t, 0.0, mean_frequency)
 
 
-def gravimeter_sensitivity(config: SensingConfig) -> dict[str, float]:
+def gravimeter_sensitivity(n: int, mean_frequency: float, coherence_time: float, phase_resolution: float = 0.1,
+                           constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict[str, float]:
     """Smallest delta_g whose phase reaches the resolution within one coherence window.
 
     Returns {"delta_g": delta_g in m/s^2, "delta_g_over_g": delta_g / g0}.
+    A phase at unit delta_g beyond the float range would make delta_g 0,
+    so it raises ArithmeticError naming `delta_g`.
     """
-    delta_g = _inverse(config.phase_resolution, gravimeter_phase(config, 1.0, config.coherence_time))
-    return {"delta_g": delta_g, "delta_g_over_g": delta_g / config.constants.g0}
+    _check(n=n, mean_frequency=mean_frequency, coherence_time=coherence_time, phase_resolution=phase_resolution)
+    unit = gravimeter_phase(n, mean_frequency, 1.0, coherence_time, constants)
+    if math.isinf(unit):
+        raise ArithmeticError(f"delta_g = {phase_resolution / unit}: the phase at delta_g = 1 overflows")
+    delta_g = _inverse(phase_resolution, unit)
+    return {"delta_g": delta_g, "delta_g_over_g": delta_g / constants.g0}
 
 
-def closed_form_phase(
-    n: float,
-    mean_frequency: float,
-    spacing: float,
-    t: float,
-    geometry: str = "1d",
-    constants: PhysicalConstants = DEFAULT_CONSTANTS,
-) -> float:
+def closed_form_phase(n: float, mean_frequency: float, spacing: float, t: float, geometry: str = "1d",
+                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Rotated-chip phase: n^p / 2 times |theta| of the upright chip's site at spacing / 2.
 
     p = PHASE_EXPONENTS[geometry].  n is real, so a phase sweep reaches
@@ -116,6 +94,7 @@ def closed_form_phase(
     in place of n^2 / 2.  An n^p beyond the float range makes the phase
     inf, like any other overflow.
     """
+    _check(n=n, mean_frequency=mean_frequency, spacing=spacing)
     if geometry not in PHASE_EXPONENTS:
         raise ValueError(f"geometry must be {' or '.join(map(repr, PHASE_EXPONENTS))}, got {geometry!r}")
     _check_time(t)
@@ -126,7 +105,8 @@ def closed_form_phase(
     return scale / 2.0 * abs(_angles(_UPRIGHT, constants, t, spacing / 2.0, mean_frequency))
 
 
-def required_qubits(config: SensingConfig, geometry: str = "1d") -> dict[str, float]:
+def required_qubits(mean_frequency: float, spacing: float, coherence_time: float, phase_resolution: float = 0.1,
+                    geometry: str = "1d", constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict[str, float]:
     """Qubits needed for the rotated-chip phase to reach the resolution in one T_c.
 
     Inverts the closed form: n = s^(1/p), with s the resolution over the
@@ -135,26 +115,31 @@ def required_qubits(config: SensingConfig, geometry: str = "1d") -> dict[str, fl
     sqrt(n) * spacing (2D)}.  A count beyond the float range raises
     OverflowError naming `n_required`.
     """
-    unit = closed_form_phase(1, config.mean_frequency, config.spacing, config.coherence_time, geometry,
-                             config.constants)
-    root = _inverse(config.phase_resolution, unit) ** (1.0 / PHASE_EXPONENTS[geometry])
+    _check(mean_frequency=mean_frequency, coherence_time=coherence_time, spacing=spacing,
+           phase_resolution=phase_resolution)
+    unit = closed_form_phase(1, mean_frequency, spacing, coherence_time, geometry, constants)
+    root = _inverse(phase_resolution, unit) ** (1.0 / PHASE_EXPONENTS[geometry])
     if not math.isfinite(root):
         raise OverflowError(f"n_required = {root}: the qubit count overflows")
     n = max(1, math.ceil(root))
-    length = n * config.spacing if geometry == "1d" else math.sqrt(n) * config.spacing
+    length = n * spacing if geometry == "1d" else math.sqrt(n) * spacing
     return {"n_required": n, "length_m": length}
 
 
-def strain_phase(config: SensingConfig, t: float, strain: float) -> float:
+def strain_phase(n: int, mean_frequency: float, spacing: float, strain: float, t: float,
+                 constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Phase of a GHZ register raised by one strained spacing: n times |theta| of each site."""
+    _check(n=n, mean_frequency=mean_frequency, spacing=spacing)
     if not abs(strain) < 1.0:
         raise ValueError(f"|strain| must be < 1, got {strain!r}")
-    _check_accumulation(config, t)
-    raised = VerticalTranslation(config.spacing * (1.0 + strain))
-    return config.n * abs(_angles(raised, config.constants, t, 0.0, config.mean_frequency))
+    _check_time(t)
+    raised = VerticalTranslation(spacing * (1.0 + strain))
+    return n * abs(_angles(raised, constants, t, 0.0, mean_frequency))
 
 
-def min_detectable_strain(config: SensingConfig) -> dict[str, float]:
+def min_detectable_strain(n: int, mean_frequency: float, spacing: float, coherence_time: float,
+                          phase_resolution: float = 0.1,
+                          constants: PhysicalConstants = DEFAULT_CONSTANTS) -> dict[str, float]:
     """Strain whose phase contribution over one T_c equals the phase resolution.
 
     Returns {"baseline_phase_rad": the unstrained phase over T_c,
@@ -162,5 +147,7 @@ def min_detectable_strain(config: SensingConfig) -> dict[str, float]:
     the device cannot compete with existing strain gauges (MEMS devices
     resolve about 1e-6) at this resolution.
     """
-    baseline = strain_phase(config, config.coherence_time, 0.0)
-    return {"baseline_phase_rad": baseline, "min_strain": _inverse(config.phase_resolution, baseline)}
+    _check(n=n, mean_frequency=mean_frequency, coherence_time=coherence_time, spacing=spacing,
+           phase_resolution=phase_resolution)
+    baseline = strain_phase(n, mean_frequency, spacing, 0.0, coherence_time, constants)
+    return {"baseline_phase_rad": baseline, "min_strain": _inverse(phase_resolution, baseline)}

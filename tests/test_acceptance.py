@@ -28,7 +28,6 @@ from qredshift.protocol import (
 )
 from qredshift.rng import shot_uniforms
 from qredshift.sensing import (
-    SensingConfig,
     closed_form_phase,
     gravimeter_sensitivity,
     required_qubits,
@@ -147,25 +146,18 @@ def test_criterion_5_reference_numbers():
         assert_within_factor(mass_shift, -1e-23, 10.0)
 
         # gravimeter: near-term vs 1e-2, future vs 1e-7
-        near = gravimeter_sensitivity(
-            SensingConfig(n=1000, mean_frequency=OMEGA_10GHZ, coherence_time=1e-3)
-        )["delta_g_over_g"]
+        near = gravimeter_sensitivity(1000, OMEGA_10GHZ, 1e-3)["delta_g_over_g"]
         assert near == pytest.approx(0.0022894610365567425, rel=1e-12)
         assert_within_factor(near, 1e-2, 10.0)
-        future = gravimeter_sensitivity(
-            SensingConfig(n=10**5, mean_frequency=OMEGA_10GHZ, coherence_time=1.0)
-        )["delta_g_over_g"]
+        future = gravimeter_sensitivity(10**5, OMEGA_10GHZ, 1.0)["delta_g_over_g"]
         assert future == pytest.approx(2.2894610365567428e-08, rel=1e-12)
         assert_within_factor(future, 1e-7, 10.0)
 
         # required qubits: 1e-3 s vs 1e5; 1 s vs 5000 (factor 2)
-        config = SensingConfig(n=1, mean_frequency=OMEGA_10GHZ, coherence_time=1e-3)
-        short = required_qubits(config, "1d")
+        short = required_qubits(OMEGA_10GHZ, 1e-3, 1e-3, geometry="1d")
         assert short["n_required"] == 241547
         assert_within_factor(float(short["n_required"]), 1e5, 10.0)
-        long = required_qubits(
-            SensingConfig(n=1, mean_frequency=OMEGA_10GHZ, coherence_time=1.0), "1d"
-        )
+        long = required_qubits(OMEGA_10GHZ, 1e-3, 1.0, geometry="1d")
         assert long["n_required"] == 7639
         assert_within_factor(float(long["n_required"]), 5000.0, 2.0)
 

@@ -541,6 +541,13 @@ class TestRangeErrors:
         assert code == 0
         assert single_row(out)["n_required"] == 1
 
+    def test_gravimeter_underflow_names_delta_g(self, capsys):
+        # the phase at delta_g = 1 overflows, so the smallest delta_g underflows to 0
+        code, out, err = run_with_stderr(capsys, ["--reproducible", "gravimeter", "--tc", "1e300", "--n", "1e300"])
+        assert code == 2 and out == ""
+        assert err == ("error: gravimeter: the inputs leave the floating-point range "
+                       "(delta_g = 0.0: the phase at delta_g = 1 overflows)\n")
+
     def test_saturated_protocol_keeps_documented_nan(self, tmp_path, capsys):
         code, out = run_cli(capsys, "--reproducible", "protocol", scenario_file(tmp_path), "--shots", "1")
         assert code == 0
@@ -728,11 +735,13 @@ class TestUnreadFlags:
          "sweep --target required-qubits does not read --time-s"),
         (["sweep", "--target", "phase", "--param", "n", "--scenario", "nonexist.json", "--shots", "3"],
          "sweep --target phase does not read --scenario, --shots"),
-        (["sweep", "--target", "gravimeter", "--param", "ell", "--scenario", "nonexist.json"],
+        (["sweep", "--target", "gravimeter", "--param", "freq", "--scenario", "nonexist.json"],
          "sweep --target gravimeter does not read --scenario"),
         # flags with a default: the sweep's copies stay unset, so a given one is seen
-        (["sweep", "--target", "gravimeter", "--param", "ell", "--geometry", "2d"],
+        (["sweep", "--target", "gravimeter", "--param", "freq", "--geometry", "2d"],
          "sweep --target gravimeter does not read --geometry"),
+        (["sweep", "--target", "gravimeter", "--param", "n", "--ell", "1e-3"],
+         "sweep --target gravimeter does not read --ell"),
         (["sweep", "--target", "strain", "--param", "freq", "--geometry", "1d"],
          "sweep --target strain does not read --geometry"),
         (["sweep", "--target", "required-qubits", "--param", "ell", "--n", "77"],
@@ -746,7 +755,8 @@ class TestUnreadFlags:
         (["sweep", "--target", "gravimeter", "--param", "n", "--n", "77"],
          "sweep --target gravimeter does not read --n"),
     ], ids=["gravimeter", "strain", "sweep-gravimeter", "sweep-strain", "sweep-required-qubits",
-            "sweep-phase", "sweep-gravimeter-scenario", "sweep-gravimeter-geometry", "sweep-strain-geometry",
+            "sweep-phase", "sweep-gravimeter-scenario", "sweep-gravimeter-geometry", "sweep-gravimeter-ell",
+            "sweep-strain-geometry",
             "sweep-required-qubits-n", "sweep-phase-tc-phase-res", "sweep-protocol-defaulted", "sweep-swept-flag"])
     def test_rejected(self, tmp_path, capsys, argv, message):
         if argv[0] == "sweep":
@@ -754,6 +764,14 @@ class TestUnreadFlags:
         assert main(argv) == 2
         assert one_line_error(capsys) == f"error: {message}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_gravimeter_has_no_ell(self, capsys):
+        # no gravimeter result reads the site spacing
+        with pytest.raises(SystemExit) as exc:
+            main(["gravimeter", "--ell", "1e-3"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == "" and captured.err == "qredshift: error: unrecognized arguments: --ell 1e-3\n"
 
     @pytest.mark.parametrize("argv", [
         ["--target", "gravimeter", "--param", "tc", "--phase-res", "0.2", "--n", "10"],

@@ -37,6 +37,7 @@ REALS = st.one_of(
 )
 INTEGERS = st.one_of(st.integers(), st.integers(1, 10**4), REALS)  # integer flags also see fractions
 SENSING = {"--tc": REALS, "--freq-ghz": REALS, "--ell": REALS, "--phase-res": REALS}
+GRAVIMETER_SENSING = {"--tc": REALS, "--freq-ghz": REALS, "--phase-res": REALS}
 
 
 def flags(spec: dict) -> st.SearchStrategy[list[str]]:
@@ -54,12 +55,12 @@ REDSHIFT = command(
     "redshift", {"--distance": REALS, "--freq-ghz": REALS},
     st.tuples(st.sampled_from(["--delta-x", "--mass"]), REALS).map(lambda f: [f"{f[0]}={f[1]!r}"]),
 )
-GRAVIMETER = command("gravimeter", {"--n": INTEGERS, **SENSING, "--delta-g": REALS, "--time-s": REALS})
+GRAVIMETER = command("gravimeter", {"--n": INTEGERS, **GRAVIMETER_SENSING, "--delta-g": REALS, "--time-s": REALS})
 STRAIN = command("strain", {"--n": INTEGERS, **SENSING, "--strain": REALS, "--time-s": REALS})
 REQUIRED_QUBITS = command("required-qubits", SENSING, st.sampled_from([[], ["--geometry=2d"]]))
 SWEPT = {
     "phase": ["n", "freq", "ell", "time"],
-    "gravimeter": ["n", "tc", "freq", "ell"],
+    "gravimeter": ["n", "tc", "freq"],
     "strain": ["n", "tc", "freq", "ell"],
     "required-qubits": ["tc", "freq", "ell"],
 }

@@ -193,6 +193,39 @@ class TestStandardPea:
         assert (up - down) / (2 * h) == pytest.approx(0.5, abs=1e-6)
 
 
+class TestLinearReadout:
+    """The readout is linear in the phase drift: the arcsine estimate of dphi is unbiased with RMSE 1/sqrt(N).
+
+    A one-site UniformDeltaG chip tuned to dphi runs 400 times at N = 1e4
+    shots, run i drawing its shots from substream_seed(SEED, i).  The
+    cosine law of plain phase estimation, inverted through acos(1 - 2 p_hat)
+    on the same shot streams, is biased low near 0 (p_hat rounds to a few
+    counts).  Both laws carry unit Fisher information per shot, so its RMSE
+    is not what tells them apart.
+    """
+
+    SEED, RUNS, SHOTS = 17, 400, 10**4
+
+    @pytest.mark.parametrize("dphi", [1e-2, 3e-2, 0.1])
+    def test_sine_readout_unbiased_at_the_shot_noise_limit(self, dphi):
+        sc = ghz_scenario(dphi, n=1)
+        estimates = np.array([run_protocol(sc, 1e-3, self.SHOTS, rng.substream_seed(self.SEED, i)).delta_phi_hat
+                              for i in range(self.RUNS)])
+        std_error = estimates.std(ddof=1) / math.sqrt(self.RUNS)
+        assert abs(estimates.mean() - dphi) < 4 * std_error
+        rmse = math.sqrt(np.mean((estimates - dphi) ** 2))
+        assert 0.9 < rmse * math.sqrt(self.SHOTS) < 1.1
+
+    def test_cosine_readout_biased_near_zero(self):
+        dphi = 1e-2
+        p_one = standard_pea_probabilities(dphi)[1]
+        estimates = np.array([
+            math.acos(1.0 - 2.0 * rng.count_below(rng.substream_seed(self.SEED, i), self.SHOTS, p_one) / self.SHOTS)
+            for i in range(self.RUNS)])
+        std_error = estimates.std(ddof=1) / math.sqrt(self.RUNS)
+        assert estimates.mean() < dphi - 4 * std_error
+
+
 class TestRunProtocol:
     def test_null_phase_statistics(self):
         outcome = run_protocol(ghz_scenario(0.0), 1e-3, 10**5, seed=7, backend="branch")

@@ -223,6 +223,7 @@ def commands() -> list[list[str]]:
         [R, "strain", "--tc", "1e300"],
         [R, "strain", "--tc", "1e300", "--n", "1e20"],
         [R, "gravimeter", "--delta-g", "1e300", "--time-s", "1", "--n", "1"],
+        [R, "gravimeter", "--tc", "1e300", "--n", "1e300"],
         ["required-qubits", "--tc", "1e-320"],
         ["frobnicate"],
         [],
@@ -239,6 +240,7 @@ def commands() -> list[list[str]]:
     cmds += [
         [R, "gravimeter", "--delta-g", "1", "--time-s=-1"],
         [R, "strain", "--strain", "0.1", "--time-s=-1"],
+        [R, "strain", "--strain", "1", "--time-s", "1"],
         _sweep("phase", "time", "-1", "1"),
     ]
     # flags no phase or run of the command reads
@@ -256,10 +258,15 @@ def commands() -> list[list[str]]:
         _sweep("required-qubits", "tc", "1e-4", "1e-2", "2", "--n", "77"),
         _sweep("strain", "freq", "4", "8", "2", "--geometry", "2d"),
         _sweep("gravimeter", "n", "10", "100", "2", "--n", "77"),
+        _sweep("gravimeter", "n", "10", "100", "2", "--ell", "1e-3"),
+        [R, "gravimeter", "--ell", "1e-3"],
     ]
     # errors raised at one sweep point
     cmds += [
         _sweep("gravimeter", "n", "0.4", "10", "2"),
+        _sweep("phase", "n", "-4", "4"),
+        _sweep("phase", "ell", "-1", "1"),
+        _sweep("phase", "freq", "-10", "10"),
         _sweep("protocol", "n", "2", "30", "2", "--scenario", "sv.json"),
     ]
     return cmds
