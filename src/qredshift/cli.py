@@ -72,6 +72,17 @@ _DEFAULTS = {"n": 1000, "tc_s": 1e-3, "freq_ghz": 10.0, "ell_m": 1e-3, "phase_re
 MAX_SWEEP_POINTS = 10**6
 
 
+def _cells(row: dict[str, Any]) -> dict[str, Any]:
+    """`row` with each integer cell beyond 2^53, and within the float range, as the nearest float.
+
+    Beyond 2^53 the digits of a count read through a float flag or grid
+    are rounding noise, so such a cell prints like a float cell instead of
+    as up to 309 digits.  The seed is a key and stays exact.
+    """
+    return {key: float(value) if key != "seed" and type(value) is int and 2**53 < abs(value) <= sys.float_info.max
+            else value for key, value in row.items()}
+
+
 def _fmt(value: Any) -> str:
     if isinstance(value, bool):
         return str(int(value))
@@ -308,12 +319,13 @@ def _run_row(name: str, p: dict[str, Any], constants: PhysicalConstants, doc: Sc
 def _cmd_row(args: argparse.Namespace) -> int:
     p, constants, doc = _row_inputs(args, _ROWS[args.command])
     echo, results = _run_row(args.command, p, constants, doc)
+    cells = _cells({**echo, **results})
     provenance = _provenance(constants, args.seed, args.reproducible)
     if args.out == "json":
-        out = {"inputs": {"command": args.command, **p}, "results": {**echo, **results}, "provenance": provenance}
+        out = {"inputs": {"command": args.command, **_cells(p)}, "results": cells, "provenance": provenance}
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
     else:
-        write_result_csv(sys.stdout, provenance, [*echo, *results], [(*echo.values(), *results.values())])
+        write_result_csv(sys.stdout, provenance, list(cells), [tuple(cells.values())])
     return 0
 
 
@@ -366,7 +378,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             point = value if isinstance(value, float) else format(float(value), _FLOAT_FMT)  # a count: 17 digits
             exc.args = (f"sweep point {args.param} = {point}: {exc}",)
             raise
-        rows.append((value, *results.values()))
+        rows.append(tuple(_cells({column: value, **results}).values()))
     provenance = _provenance(constants, args.seed, args.reproducible)
 
     out_path = Path(args.out_path)

@@ -3,12 +3,17 @@
 Amplitude index bit 0 is the ancilla; register site k lives at bit k.
 The kernels address the amplitudes as a (2,) * qubit_count tensor and
 work on the two halves that one bit splits it into (optionally within
-control = 1): H mixes them, S and each phase angle scale the bit = 1
-half, and one X kernel swaps them.  That kernel flips any number of
-targets at once, so an X layer and a controlled-X fan-out are each one
-whole-register pass, and no 2^n x 2^n matrix is ever built.  H and X run
-in place, over blocks of at most 2^15 amplitudes (512 KB), so no gate
-allocates a temporary of the state's size.
+control = 1): H mixes them, S scales the bit = 1 half, and one X kernel
+swaps them.  That kernel flips any number of targets at once, so an X
+layer and a controlled-X fan-out are each one whole-register pass, and
+no 2^n x 2^n matrix is ever built.  H and X run in place, over blocks of
+at most 2^15 amplitudes (512 KB).  The dephasing phase e^{i phi_j} is
+diagonal and factors over any split of the index bits into a high and a
+low group, e^{i phi_high(j)} e^{i phi_low(j)}; it is two in-place
+broadcast passes over the amplitudes viewed as a (high, low) matrix, one
+per factor vector of at most 2^12 entries (the diagonal-gate fusion of
+Haner & Steiger, arXiv:1704.01127).  So no gate allocates a temporary of
+the state's size.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -227,11 +232,28 @@ def _finite_angles(angles: np.ndarray | Sequence[float]) -> np.ndarray:
     return theta
 
 
+def _basis_phases(theta: np.ndarray) -> np.ndarray:
+    """Phase sum per basis index: phi_j = sum of theta_k over set bits of j.
+
+    Built by doubling: angle k appends phi + theta_k, the indices with bit
+    k set, so each sum adds its angles in bit order on every platform (a
+    matrix product would leave the order to the BLAS build).
+    """
+    phases = np.zeros(1)
+    for theta_k in theta:
+        phases = np.concatenate((phases, phases + theta_k))
+    return phases
+
+
 def apply_diagonal_phase(state: StateVector, angles: np.ndarray) -> StateVector:
     """Multiply each basis amplitude by exp(i * sum of theta_k over set register bits).
 
     Angles address register bits 1..n; the ancilla (bit 0) picks up no
     phase.  Requires len(angles) == qubit_count - 1 and finite angles.
+    The phase factors into the low bits (the ancilla, at angle 0, and
+    register bits 1..n // 2) and the high bits (the rest), and each
+    factor, exp(i * _basis_phases) of its angles, multiplies the state in
+    one broadcast pass whose inner loop runs along contiguous amplitudes.
     """
     theta = _finite_angles(angles)
     if theta.size != state.qubit_count - 1:
@@ -239,10 +261,10 @@ def apply_diagonal_phase(state: StateVector, angles: np.ndarray) -> StateVector:
             f"expected {state.qubit_count - 1} angles for a {state.qubit_count}-qubit state, "
             f"got {theta.size}"
         )
-    for k, theta_k in enumerate(theta, start=1):
-        if theta_k != 0.0:
-            _, one = _halves(state, k)
-            one *= complex(math.cos(theta_k), math.sin(theta_k))
+    low = theta.size // 2
+    matrix = state.amplitudes.reshape(1 << (theta.size - low), 2 << low)
+    matrix *= np.exp(1j * _basis_phases(np.concatenate(([0.0], theta[:low]))))  # bit 0, the ancilla: angle 0
+    matrix *= np.exp(1j * _basis_phases(theta[low:]))[:, None]
     return state
 
 
@@ -255,13 +277,6 @@ def probability_of(state: StateVector, site: int, bit: int) -> float:
 
 
 # --- density-matrix channel checks -----------------------------------------
-
-
-def _basis_phases(theta: np.ndarray) -> np.ndarray:
-    """Phase sum per basis index: phi_j = sum of theta_k over set bits of j."""
-    dim = 1 << theta.size
-    bits = (np.arange(dim)[:, None] >> np.arange(theta.size)[None, :]) & 1
-    return bits @ theta
 
 
 def apply_channel(rho: np.ndarray, angles: np.ndarray | Sequence[float]) -> np.ndarray:

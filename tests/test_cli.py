@@ -641,6 +641,24 @@ class TestIntegerFlags:
             assert code == 3
             assert "sweep points" in one_line_error(capsys)
 
+    def test_count_beyond_2_53_echoes_as_float(self, capsys):
+        code, out = run_cli(capsys, "--reproducible", "gravimeter", "--n", "1e30")
+        assert code == 0
+        assert out.splitlines()[-1].startswith("1e+30,")
+        code, out = run_cli(capsys, "--reproducible", "--out", "json", "gravimeter", "--n", "1e30")
+        doc = json.loads(out)
+        assert code == 0 and doc["inputs"]["n"] == doc["results"]["n"] == 1e30
+        assert isinstance(doc["inputs"]["n"], float) and isinstance(doc["results"]["n"], float)
+        code, out = run_cli(capsys, "--reproducible", "gravimeter", "--n", str(2**53))
+        assert out.splitlines()[-1].startswith(f"{2**53},")
+
+    def test_seed_beyond_2_53_stays_exact(self, tmp_path, capsys):
+        seed = 2**64 + 1
+        path = scenario_file(tmp_path)
+        assert single_row(run_cli(capsys, "--seed", str(seed), "protocol", path)[1])["seed"] == seed
+        doc = json.loads(run_cli(capsys, "--seed", str(seed), "--out", "json", "protocol", path)[1])
+        assert doc["inputs"]["seed"] == doc["results"]["seed"] == seed
+
 
 class TestSharedOutputPath:
     def test_protocol_sweep_flags_saturation(self, tmp_path, capsys):

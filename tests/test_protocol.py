@@ -267,6 +267,15 @@ class TestRunProtocol:
             assert a.count_one == b.count_one
             assert a.delta_phi_hat == b.delta_phi_hat
 
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_backends_agree_on_multi_block_registers(self, n):
+        # the dense benchmark's chip: a rotated line, 1 mm, 10 GHz, t = 1 s; 2^(n+1) amplitudes span many blocks
+        sc = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        a = run_protocol(sc, 1.0, 10_000, seed=n, backend="branch")
+        b = run_protocol(sc, 1.0, 10_000, seed=n, backend="statevector")
+        assert abs(a.p_one - b.p_one) <= 1e-12
+        assert a.count_one == b.count_one
+
     def test_shot_sequences_identical_across_backends(self):
         sc = ghz_scenario(0.4, n=6)
         a = run_protocol(sc, 1e-3, 100, seed=5, backend="branch")

@@ -232,7 +232,7 @@ def x_oracle(amplitudes: np.ndarray, targets: tuple[int, ...], control: int | No
 
 
 class TestBlockedKernels:
-    """H, X and CX walk the state in blocks of at most 2^15 amplitudes.
+    """H, X and CX walk the state in blocks of at most 2^15 amplitudes; the phase gate allocates factor vectors only.
 
     On 18 qubits each half holds 2^17 amplitudes (2^16 within a control), so
     a gate splits it along the two (one) leading size-2 axes, the top bits
@@ -275,7 +275,9 @@ class TestBlockedKernels:
     def test_no_state_size_temporary(self):
         state = init_zero(21)  # 2^21 amplitudes: 32 MiB
         state.amplitudes[:] = np.linspace(0.0, 1.0, state.amplitudes.size)
-        for gate in (hadamard(0), hadamard(10), hadamard(20), x_gate(*range(1, 21)), controlled_x(0, *range(1, 21))):
+        angles = np.linspace(-1.0, 1.0, 20)
+        for gate in (hadamard(0), hadamard(10), hadamard(20), x_gate(*range(1, 21)), controlled_x(0, *range(1, 21)),
+                     diagonal_phase(angles)):
             tracemalloc.start()
             try:
                 apply_gate(state, gate)
@@ -330,6 +332,24 @@ class TestDiagonalPhase:
         with pytest.raises(ValueError, match="^dephasing angles must be finite$"):
             apply_diagonal_phase(state, np.array([0.0, bad]))
         assert state.amplitudes[0] == 1.0
+
+    @pytest.mark.parametrize("register", range(19))
+    def test_matches_per_angle_oracle(self, register):
+        def per_angle(amplitudes, theta):
+            """One scaling of the bit = 1 half per nonzero angle, register bit k carrying theta[k - 1]."""
+            out = amplitudes.copy()
+            for k, theta_k in enumerate(theta, start=1):
+                if theta_k != 0.0:
+                    out.reshape(-1, 2, 1 << k)[:, 1, :] *= complex(math.cos(theta_k), math.sin(theta_k))
+            return out
+
+        rng = np.random.default_rng(1000 + register)
+        theta = rng.uniform(-3.0, 3.0, register)
+        theta[rng.random(register) < 0.25] = 0.0  # exact zeros, which the loop skipped
+        state = random_state(register + 1, seed=register)
+        expected = per_angle(state.amplitudes, theta)
+        apply_diagonal_phase(state, theta)
+        np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-14, atol=1e-15)
 
     def test_phase_gate_wrapper(self):
         state = random_state(3, seed=21)

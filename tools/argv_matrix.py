@@ -207,6 +207,7 @@ def commands() -> list[list[str]]:
         _sweep("protocol", "ell", "1e-4", "1e-2", "3", "--scenario", "per_site.json"),
         _sweep("protocol", "n", "2", "8", "2", "--scenario", "per_site.json"),
         _sweep("phase", "n", "1", "1e300", "2"),
+        _sweep("gravimeter", "n", "1", "1e300", "3"),
         _sweep("phase", "freq", "-1.7e308", "1.7e308", "3"),
         _sweep("phase", "n", "1", "2", "1e7"),
         _sweep("phase", "n", "1", "2", "2.5"),
@@ -224,6 +225,9 @@ def commands() -> list[list[str]]:
         [R, "strain", "--tc", "1e300", "--n", "1e20"],
         [R, "gravimeter", "--delta-g", "1e300", "--time-s", "1", "--n", "1"],
         [R, "gravimeter", "--tc", "1e300", "--n", "1e300"],
+        # counts beyond 2^53 echo as floats
+        [R, "strain", "--strain", "1e-3", "--n", "1e300"],
+        [R, "--out", "json", "gravimeter", "--n", "1e30"],
         ["required-qubits", "--tc", "1e-320"],
         ["frobnicate"],
         [],
