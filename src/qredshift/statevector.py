@@ -1,19 +1,22 @@
 """Dense statevector and density-matrix simulation of dephasing circuits.
 
 Amplitude index bit 0 is the ancilla; register site k lives at bit k.
-The kernels address the amplitudes as a (2,) * qubit_count tensor and
-work on the two halves that one bit splits it into (optionally within
-control = 1): H mixes them, S scales the bit = 1 half, and one X kernel
-swaps them.  That kernel flips any number of targets at once, so an X
-layer and a controlled-X fan-out are each one whole-register pass, and
-no 2^n x 2^n matrix is ever built.  H and X run in place, over blocks of
-at most 2^15 amplitudes (512 KB).  The dephasing phase e^{i phi_j} is
-diagonal and factors over any split of the index bits into a high and a
-low group, e^{i phi_high(j)} e^{i phi_low(j)}; it is two in-place
-broadcast passes over the amplitudes viewed as a (high, low) matrix, one
-per factor vector of at most 2^12 entries (the diagonal-gate fusion of
-Haner & Steiger, arXiv:1704.01127).  So no gate allocates a temporary of
-the state's size.
+H and S address the amplitudes as a (2,) * qubit_count tensor and work
+on the two halves that one bit splits it into: H mixes them, S scales
+the bit = 1 half.  X on a set of targets is the index permutation
+j -> j ^ mask (applied where the control bit is set, for CX), one
+kernel on the amplitudes viewed as a (high, low) matrix: the low mask
+bits permute every row's columns by one index vector, the high bits
+swap row h with row h ^ high mask.  So an X layer and a controlled-X
+fan-out are each one whole-register pass, and no 2^n x 2^n matrix is
+ever built.  H and X run in place, over blocks of at most 2^15
+amplitudes (512 KB).  The dephasing phase e^{i phi_j} is diagonal and
+factors over any split of the index bits into a high and a low group,
+e^{i phi_high(j)} e^{i phi_low(j)}; it is two in-place broadcast passes
+over the same kind of (high, low) matrix, one per factor vector of at
+most 2^12 entries.  Both use the (high, low) split of large statevector
+simulators (Haner & Steiger, arXiv:1704.01127).  So no gate allocates a
+temporary of the state's size.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -57,6 +60,7 @@ DENSITY_MAX_QUBITS = 6
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 15  # amplitudes per block: 512 KB of complex128, cache-sized
+_LOW_BITS = 11  # uncontrolled X: 2^11 amplitudes (32 KB) per row of the (high, low) matrix
 
 
 @dataclass
@@ -128,34 +132,26 @@ def _check_bit(state: StateVector, bit: int) -> None:
         raise IndexError(f"qubit index {bit} out of range for {state.qubit_count}-qubit state")
 
 
-def _halves(state: StateVector, bit: int, control: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(bit = 0, bit = 1) views of the amplitudes, both restricted to control = 1 if given.
+def _halves(state: StateVector, bit: int) -> tuple[np.ndarray, np.ndarray]:
+    """(bit = 0, bit = 1) views of the amplitudes.
 
     The views keep every axis of the (2,) * qubit_count tensor, in which axis
-    qubit_count - 1 - k holds bit k, so axis numbers mean the same on both.
+    qubit_count - 1 - k holds bit k; the axis of `bit` has size 1.
     """
     top = state.qubit_count - 1
     tensor = state.amplitudes.reshape((2,) * state.qubit_count)
     index = [slice(None)] * state.qubit_count
-    if control is not None:
-        index[top - control] = slice(1, 2)
     index[top - bit] = slice(0, 1)
     zero = tensor[tuple(index)]
     index[top - bit] = slice(1, 2)
     return zero, tensor[tuple(index)]
 
 
-def _block_pairs(
-    zero: np.ndarray, one: np.ndarray, flip_axes: tuple[int, ...] = ()
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _block_pairs(zero: np.ndarray, one: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Walk two `_halves` views in matching blocks of at most _BLOCK amplitudes.
 
     The halves split along their leading size-2 axes until a block holds
-    at most _BLOCK amplitudes.  Each zero-block is paired with the one-block
-    mirrored along `flip_axes`: its index is mirrored on the split axes
-    among them, and the view is flipped on all of them (a no-op on the
-    split axes, which have size 1 in a block), so pair by pair the blocks
-    cover `zero` and `np.flip(one, flip_axes)`.
+    at most _BLOCK amplitudes; the blocks of a pair sit at the same index.
     """
     split, size = [], zero.size
     for axis, length in enumerate(zero.shape):
@@ -165,63 +161,111 @@ def _block_pairs(
             split.append(axis)
             size //= 2
     index = [slice(None)] * zero.ndim
-    mirror = [slice(None)] * zero.ndim
     for bits in itertools.product((0, 1), repeat=len(split)):
         for axis, b in zip(split, bits):
             index[axis] = slice(b, b + 1)
-            m = 1 - b if axis in flip_axes else b
-            mirror[axis] = slice(m, m + 1)
-        yield zero[tuple(index)], np.flip(one[tuple(mirror)], flip_axes)
+        yield zero[tuple(index)], one[tuple(index)]
 
 
 def _apply_x(state: StateVector, targets: tuple[int, ...], control: int | None = None) -> None:
-    """Flip every target bit (where `control` is set) in one whole-register pass.
+    """Flip every target bit (where `control` is set): the index permutation j -> j ^ mask.
 
-    The halves on either side of the first target swap, each mirrored along
-    the other target axes, one block pair at a time through a block-size
-    copy.  `view[...] = np.flip(view, axes)` would instead copy the whole
-    state into one temporary.
+    The amplitudes are viewed as a (high, low) matrix: split at the control
+    bit, the rows holding only its control = 1 half (still a view), or with
+    no control at _LOW_BITS.  The mask splits alike.  Row h pairs with row
+    h ^ high mask, and every row's columns permute by one index vector,
+    arange ^ low mask, applied with np.take; the columns below the lowest
+    flipped one move together.  Rows go in blocks of at most _BLOCK
+    amplitudes: a block and its partner swap through one block-size
+    buffer, and a high bit inside a block is a flip of the block's view,
+    so a mask with no low bits swaps slices without any gather, and no
+    temporary is of the state's size.
     """
-    if not targets:
+    mask = sum(1 << t for t in targets)
+    if not mask:
         return
-    first, *rest = targets
-    axes = tuple(state.qubit_count - 1 - k for k in rest)
-    for zero, one in _block_pairs(*_halves(state, first, control), axes):
-        swap = zero.copy()
-        zero[...] = one
-        one[...] = swap
+    if control is None:
+        low = min(state.qubit_count, _LOW_BITS)
+        matrix = state.amplitudes.reshape(-1, 1 << low)
+    else:
+        low = control
+        matrix = state.amplitudes.reshape(-1, 2, 1 << low)[:, 1, :]
+        mask = (mask >> (low + 1) << low) | (mask & ((1 << low) - 1))  # squeeze out the control bit
+    rows, cols = matrix.shape
+    row_mask, col_mask = mask >> low, mask & (cols - 1)
+    block_cols = min(cols, _BLOCK)
+    block_rows = min(rows, _BLOCK // block_cols)
+    in_rows, in_cols = row_mask & (block_rows - 1), col_mask & (block_cols - 1)
+    chunk = in_cols & -in_cols or block_cols
+    col_index = np.arange(block_cols // chunk) ^ (in_cols // chunk)
+    k = block_rows.bit_length() - 1  # a block's rows as a (2,) * k tensor: row bit b on axis k - 1 - b
+    row_axes = tuple(k - 1 - b for b in range(k) if in_rows >> b & 1)
+    shape = (2,) * k + (block_cols // chunk, chunk)
+    buffer = np.empty(shape, np.complex128)
+
+    def move(block: np.ndarray, out: np.ndarray) -> None:
+        """out = block permuted by the mask bits inside a block."""
+        block = np.flip(block.reshape(shape), row_axes)
+        if in_cols:
+            np.take(block, col_index, axis=k, out=out, mode="wrap")  # "raise" would buffer `out`
+        else:
+            out[...] = block
+
+    for r0 in range(0, rows, block_rows):
+        r1 = r0 ^ (row_mask & -block_rows)
+        for c0 in range(0, cols, block_cols):
+            c1 = c0 ^ (col_mask & -block_cols)
+            if (r1, c1) < (r0, c0):
+                continue  # swapped from its partner
+            p = matrix[r0 : r0 + block_rows, c0 : c0 + block_cols].reshape(shape)
+            q = matrix[r1 : r1 + block_rows, c1 : c1 + block_cols].reshape(shape)
+            move(q, buffer)
+            if (r1, c1) != (r0, c0):
+                move(p, q)
+            p[...] = buffer
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply `gate` in place and return the state."""
+    """Apply `gate` in place and return the state.
+
+    A malformed gate raises before any amplitude is touched: an unknown
+    kind, "h" or "s" without exactly one target, a control on anything but
+    "cx" or a "cx" without one, targets or no angles on "phase", and
+    repeated or out-of-range bits.
+    """
+    kind = gate.kind
+    if kind not in ("h", "s", "x", "cx", "phase"):
+        raise ValueError(f"unknown gate kind {kind!r}")
+    if kind in ("h", "s") and len(gate.targets) != 1:
+        raise ValueError(f"{kind} gate takes one target, got {gate.targets}")
+    if kind == "cx" and gate.control is None:
+        raise ValueError("cx gate needs a control")
+    if kind != "cx" and gate.control is not None:
+        raise ValueError(f"{kind} gate takes no control, got control={gate.control}")
+    if kind == "phase" and gate.targets:
+        raise ValueError(f"phase gate takes no targets, got {gate.targets}")
+    if kind == "phase" and gate.angles is None:
+        raise ValueError("phase gate needs angles")
     bits = gate.targets if gate.control is None else (*gate.targets, gate.control)
     for bit in bits:
         _check_bit(state, bit)
     if len(set(bits)) != len(bits):
-        raise ValueError(f"{gate.kind} gate bits must be distinct, got {bits}")
-    if gate.kind == "h":
+        raise ValueError(f"{kind} gate bits must be distinct, got {bits}")
+    if kind == "h":
         (target,) = gate.targets
         for zero, one in _block_pairs(*_halves(state, target)):
             total = zero + one
             np.subtract(zero, one, out=one)
             one *= _SQRT1_2
             np.multiply(total, _SQRT1_2, out=zero)
-    elif gate.kind == "s":
+    elif kind == "s":
         (target,) = gate.targets
         _, one = _halves(state, target)
         one *= 1j
-    elif gate.kind == "x":
-        _apply_x(state, gate.targets)
-    elif gate.kind == "cx":
-        if gate.control is None:
-            raise ValueError("cx gate needs a control")
-        _apply_x(state, gate.targets, gate.control)
-    elif gate.kind == "phase":
-        if gate.angles is None:
-            raise ValueError("phase gate needs angles")
+    elif kind == "phase":
         apply_diagonal_phase(state, gate.angles)
     else:
-        raise ValueError(f"unknown gate kind {gate.kind!r}")
+        _apply_x(state, gate.targets, gate.control)
     return state
 
 

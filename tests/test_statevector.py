@@ -15,6 +15,7 @@ from qredshift.rng import shot_uniforms
 from qredshift.statevector import (
     DENSITY_MAX_QUBITS,
     MAX_QUBITS,
+    Gate,
     ResourceCapError,
     apply_channel,
     apply_diagonal_phase,
@@ -204,6 +205,16 @@ class TestGates:
             (x_gate(0, 1, 3), IndexError, "out of range"),
             (controlled_x(0, 1, 3, 2), IndexError, "out of range"),
             (controlled_x(3, 1, 2), IndexError, "out of range"),
+            (Gate("x", (1,), control=0), ValueError, "x gate takes no control"),
+            (Gate("h", (0, 1)), ValueError, "h gate takes one target"),
+            (Gate("h", ()), ValueError, "h gate takes one target"),
+            (Gate("s", (2, 0)), ValueError, "s gate takes one target"),
+            (Gate("h", (1,), control=0), ValueError, "h gate takes no control"),
+            (Gate("s", (1,), control=0), ValueError, "s gate takes no control"),
+            (Gate("phase", control=0, angles=np.zeros(2)), ValueError, "phase gate takes no control"),
+            (Gate("phase", (1,), angles=np.zeros(2)), ValueError, "phase gate takes no targets"),
+            (Gate("cx", (1,)), ValueError, "cx gate needs a control"),
+            (Gate("y", (1,)), ValueError, "unknown gate kind"),
         ],
     )
     def test_bad_fan_out_rejected_before_any_pass(self, gate, error, match):
@@ -231,13 +242,28 @@ def x_oracle(amplitudes: np.ndarray, targets: tuple[int, ...], control: int | No
     return amplitudes[flipped if control is None else np.where((index >> control) & 1, flipped, index)]
 
 
+@pytest.mark.parametrize("qubits", [1, 2, 3, 4, 5])
+def test_x_every_mask_and_control_matches_index_oracle(qubits):
+    """Every target mask, uncontrolled and under each control bit outside it, on 1..5 qubits."""
+    start = random_state(qubits, seed=qubits)
+    for mask in range(1 << qubits):
+        targets = tuple(b for b in range(qubits) if mask >> b & 1)
+        for control in [None, *(c for c in range(qubits) if not mask >> c & 1)]:
+            state = start.copy()
+            apply_gate(state, x_gate(*targets) if control is None else controlled_x(control, *targets))
+            np.testing.assert_array_equal(state.amplitudes, x_oracle(start.amplitudes, targets, control))
+
+
 class TestBlockedKernels:
     """H, X and CX walk the state in blocks of at most 2^15 amplitudes; the phase gate allocates factor vectors only.
 
-    On 18 qubits each half holds 2^17 amplitudes (2^16 within a control), so
-    a gate splits it along the two (one) leading size-2 axes, the top bits
-    that are neither target nor control; a target on such an axis pairs
-    mirrored blocks, every other target is flipped inside a block.
+    On 18 qubits each H half holds 2^17 amplitudes, split along its two
+    leading size-2 axes.  X is the permutation j -> j ^ mask on a
+    (high, low) matrix: rows of 2^11 amplitudes, 16 to a block, without a
+    control; with one, the control = 1 half split at the control bit.  A
+    target below the split permutes columns, one above it pairs rows,
+    inside a block or across blocks; a control at bit 17 leaves rows of
+    2^17 amplitudes, which split into column blocks.
     """
 
     QUBITS = 18
@@ -255,12 +281,21 @@ class TestBlockedKernels:
             (None, (0,)),
             (None, (9,)),
             (None, (17,)),
-            (None, (0, 17)),  # bit 17 mirrors a split axis
-            (None, (17, 16, 0)),  # first target on the top bit; 16 mirrors a split axis
-            (None, (3, 16, 15, 8)),  # 16 on a split axis, 15 inside a block
+            (None, (0, 17)),
+            (None, (17, 16, 0)),
+            (None, (3, 16, 15, 8)),  # 15 and 16: rows paired across blocks
             (None, tuple(range(18))),
-            (0, tuple(range(1, 18))),  # the circuit's fan-out: 17 on the split axis
-            (17, (16, 2)),  # control and first target take the top axes; bit 15 splits, unflipped
+            (None, (1, 4, 10)),  # low bits only: columns
+            (None, tuple(range(1, 11))),  # the circuit's X layer: ancilla column chunk unflipped
+            (None, (11, 14, 17)),  # high bits only: 11 and 14 flip inside a block, 17 pairs blocks
+            (None, (12,)),
+            (None, (2, 10, 11, 16)),  # low and high bits
+            (0, tuple(range(1, 18))),  # the circuit's fan-out: control at bit 0, rows of one amplitude
+            (0, (1, 3, 16)),
+            (6, (0, 3, 12, 17)),  # control below the split
+            (14, (2, 11, 15, 17)),  # control above the split
+            (17, (16, 2)),  # column blocks paired across bit 16
+            (17, (0, 5, 16)),
             (9, (0, 17, 15)),
             (16, (17,)),
             (5, (9,)),
@@ -277,6 +312,7 @@ class TestBlockedKernels:
         state.amplitudes[:] = np.linspace(0.0, 1.0, state.amplitudes.size)
         angles = np.linspace(-1.0, 1.0, 20)
         for gate in (hadamard(0), hadamard(10), hadamard(20), x_gate(*range(1, 21)), controlled_x(0, *range(1, 21)),
+                     x_gate(*range(1, 11)), x_gate(*range(11, 21)), controlled_x(20, *range(1, 11)),
                      diagonal_phase(angles)):
             tracemalloc.start()
             try:
