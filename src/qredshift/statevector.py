@@ -1,22 +1,17 @@
 """Dense statevector and density-matrix simulation of dephasing circuits.
 
 Amplitude index bit 0 is the ancilla; register site k lives at bit k.
-H and S address the amplitudes as a (2,) * qubit_count tensor and work
-on the two halves that one bit splits it into: H mixes them, S scales
-the bit = 1 half.  X on a set of targets is the index permutation
-j -> j ^ mask (applied where the control bit is set, for CX), one
-kernel on the amplitudes viewed as a (high, low) matrix: the low mask
-bits permute every row's columns by one index vector, the high bits
-swap row h with row h ^ high mask.  So an X layer and a controlled-X
-fan-out are each one whole-register pass, and no 2^n x 2^n matrix is
-ever built.  H and X run in place, over blocks of at most 2^15
-amplitudes (512 KB).  The dephasing phase e^{i phi_j} is diagonal and
-factors over any split of the index bits into a high and a low group,
-e^{i phi_high(j)} e^{i phi_low(j)}; it is two in-place broadcast passes
-over the same kind of (high, low) matrix, one per factor vector of at
-most 2^12 entries.  Both use the (high, low) split of large statevector
-simulators (Haner & Steiger, arXiv:1704.01127).  So no gate allocates a
-temporary of the state's size.
+Every kernel works in place, in blocks of at most 2^15 amplitudes
+(512 KB), on views of the amplitudes as a matrix split at some index bit
+(Haner & Steiger, arXiv:1704.01127), so none builds a 2^n x 2^n matrix
+or allocates a temporary of the state's size.  H, S and the readout
+`probability_of` take the (bit = 0, bit = 1) halves of a (rows, 2, 2^bit)
+view: H mixes them through one block buffer, S scales the bit = 1 half,
+and the readout adds per-block sums of |amp|^2 in numpy's pairwise tree.
+X on a set of targets is the index permutation j -> j ^ mask (where the
+control bit is set, for CX): columns permute by one index vector, rows
+swap in pairs.  The dephasing phase e^{i phi_j} factors over the low and
+high index bits, and each row block is multiplied by both factor vectors.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -28,8 +23,8 @@ on small registers.
 
 from __future__ import annotations
 
-import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -127,44 +122,33 @@ def init_zero(qubit_count: int) -> StateVector:
     return StateVector(qubit_count, amps)
 
 
-def _check_bit(state: StateVector, bit: int) -> None:
+def _index(value: object, name: str) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+
+
+def _check_bit(state: StateVector, bit: object, name: str) -> int:
+    bit = _index(bit, name)
     if not 0 <= bit < state.qubit_count:
-        raise IndexError(f"qubit index {bit} out of range for {state.qubit_count}-qubit state")
+        raise IndexError(f"{name} {bit} out of range for {state.qubit_count}-qubit state")
+    return bit
 
 
-def _halves(state: StateVector, bit: int) -> tuple[np.ndarray, np.ndarray]:
-    """(bit = 0, bit = 1) views of the amplitudes.
+def _pair_blocks(state: StateVector, bit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(bit = 0, bit = 1) views in matching blocks of at most _BLOCK amplitudes, in index order.
 
-    The views keep every axis of the (2,) * qubit_count tensor, in which axis
-    qubit_count - 1 - k holds bit k; the axis of `bit` has size 1.
+    Blocks of a (rows, 2, 2^bit) view: runs of whole rows, or column runs of
+    one row wider than _BLOCK; at bit 0, 1-D stride-2 views.  All share one shape.
     """
-    top = state.qubit_count - 1
-    tensor = state.amplitudes.reshape((2,) * state.qubit_count)
-    index = [slice(None)] * state.qubit_count
-    index[top - bit] = slice(0, 1)
-    zero = tensor[tuple(index)]
-    index[top - bit] = slice(1, 2)
-    return zero, tensor[tuple(index)]
-
-
-def _block_pairs(zero: np.ndarray, one: np.ndarray) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Walk two `_halves` views in matching blocks of at most _BLOCK amplitudes.
-
-    The halves split along their leading size-2 axes until a block holds
-    at most _BLOCK amplitudes; the blocks of a pair sit at the same index.
-    """
-    split, size = [], zero.size
-    for axis, length in enumerate(zero.shape):
-        if size <= _BLOCK:
-            break
-        if length == 2:
-            split.append(axis)
-            size //= 2
-    index = [slice(None)] * zero.ndim
-    for bits in itertools.product((0, 1), repeat=len(split)):
-        for axis, b in zip(split, bits):
-            index[axis] = slice(b, b + 1)
-        yield zero[tuple(index)], one[tuple(index)]
+    pairs = state.amplitudes.reshape(-1, 2, 1 << bit)
+    width = min(1 << bit, _BLOCK)
+    height = min(len(pairs), _BLOCK // width)
+    for r in range(0, len(pairs), height):
+        for c in range(0, 1 << bit, width):
+            block = pairs[r : r + height, :, c : c + width] if bit else pairs[r : r + height, :, 0]
+            yield block[:, 0], block[:, 1]
 
 
 def _apply_x(state: StateVector, targets: tuple[int, ...], control: int | None = None) -> None:
@@ -246,22 +230,21 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
         raise ValueError(f"phase gate takes no targets, got {gate.targets}")
     if kind == "phase" and gate.angles is None:
         raise ValueError("phase gate needs angles")
-    bits = gate.targets if gate.control is None else (*gate.targets, gate.control)
-    for bit in bits:
-        _check_bit(state, bit)
+    bits = tuple(_check_bit(state, bit, "target") for bit in gate.targets)
+    if gate.control is not None:
+        bits += (_check_bit(state, gate.control, "control"),)
     if len(set(bits)) != len(bits):
         raise ValueError(f"{kind} gate bits must be distinct, got {bits}")
     if kind == "h":
-        (target,) = gate.targets
-        for zero, one in _block_pairs(*_halves(state, target)):
-            total = zero + one
+        total = None  # one block buffer, allocated by the first add
+        for zero, one in _pair_blocks(state, bits[0]):
+            total = np.add(zero, one, out=total)
             np.subtract(zero, one, out=one)
             one *= _SQRT1_2
             np.multiply(total, _SQRT1_2, out=zero)
     elif kind == "s":
-        (target,) = gate.targets
-        _, one = _halves(state, target)
-        one *= 1j
+        for _, one in _pair_blocks(state, bits[0]):
+            one *= 1j
     elif kind == "phase":
         apply_diagonal_phase(state, gate.angles)
     else:
@@ -295,9 +278,9 @@ def apply_diagonal_phase(state: StateVector, angles: np.ndarray) -> StateVector:
     Angles address register bits 1..n; the ancilla (bit 0) picks up no
     phase.  Requires len(angles) == qubit_count - 1 and finite angles.
     The phase factors into the low bits (the ancilla, at angle 0, and
-    register bits 1..n // 2) and the high bits (the rest), and each
-    factor, exp(i * _basis_phases) of its angles, multiplies the state in
-    one broadcast pass whose inner loop runs along contiguous amplitudes.
+    register bits 1..n // 2) and the high bits (the rest); each row block
+    of the (high, low) matrix is multiplied by the low factor, then by its
+    high factors, each factor exp(i * _basis_phases) of its angles.
     """
     theta = _finite_angles(angles)
     if theta.size != state.qubit_count - 1:
@@ -307,17 +290,33 @@ def apply_diagonal_phase(state: StateVector, angles: np.ndarray) -> StateVector:
         )
     low = theta.size // 2
     matrix = state.amplitudes.reshape(1 << (theta.size - low), 2 << low)
-    matrix *= np.exp(1j * _basis_phases(np.concatenate(([0.0], theta[:low]))))  # bit 0, the ancilla: angle 0
-    matrix *= np.exp(1j * _basis_phases(theta[low:]))[:, None]
+    low_factor = np.exp(1j * _basis_phases(np.concatenate(([0.0], theta[:low]))))  # bit 0, the ancilla: angle 0
+    high_factor = np.exp(1j * _basis_phases(theta[low:]))[:, None]
+    blocks = max(1, matrix.size // _BLOCK)  # row blocks of at most _BLOCK amplitudes
+    for block, high in zip(np.split(matrix, blocks), np.split(high_factor, blocks)):
+        block *= low_factor
+        block *= high
     return state
 
 
 def probability_of(state: StateVector, site: int, bit: int) -> float:
-    """Exact marginal probability that measuring `site` yields `bit`."""
-    _check_bit(state, site)
-    if bit not in (0, 1):
+    """Exact marginal probability that measuring `site` yields `bit`.
+
+    Block sums of |amp|^2 over the `bit` half, added as a balanced tree; numpy's
+    pairwise sum halves 2^k terms exactly, so this is np.sum of the half bit for bit.
+    """
+    site = _check_bit(state, site, "site")
+    if _index(bit, "bit") not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    return float(np.sum(np.abs(_halves(state, site)[bit]) ** 2))
+    square, sums = None, []
+    for pair in _pair_blocks(state, site):
+        square = np.abs(pair[bit], out=square)
+        np.square(square, out=square)
+        sums.append(square.sum())
+    tree = np.array(sums)
+    while tree.size > 1:
+        tree = tree[0::2] + tree[1::2]
+    return float(tree[0])
 
 
 # --- density-matrix channel checks -----------------------------------------

@@ -5,6 +5,7 @@ least significant amplitude-index bit) and never touches the reshaped-view
 kernels it checks.
 """
 
+import functools
 import math
 import tracemalloc
 
@@ -215,6 +216,10 @@ class TestGates:
             (Gate("phase", (1,), angles=np.zeros(2)), ValueError, "phase gate takes no targets"),
             (Gate("cx", (1,)), ValueError, "cx gate needs a control"),
             (Gate("y", (1,)), ValueError, "unknown gate kind"),
+            (hadamard(1.0), TypeError, "^target must be an integer, got 1.0$"),
+            (s_gate(0.5), TypeError, "^target must be an integer, got 0.5$"),
+            (x_gate(1, 2.0), TypeError, "^target must be an integer, got 2.0$"),
+            (controlled_x(0.0, 1), TypeError, "^control must be an integer, got 0.0$"),
         ],
     )
     def test_bad_fan_out_rejected_before_any_pass(self, gate, error, match):
@@ -233,6 +238,27 @@ def h_oracle(amplitudes: np.ndarray, bit: int) -> np.ndarray:
     out[:, 0, :] = (zero + one) * (1.0 / math.sqrt(2.0))
     out[:, 1, :] = (zero - one) * (1.0 / math.sqrt(2.0))
     return out.reshape(-1)
+
+
+def s_oracle(amplitudes: np.ndarray, bit: int) -> np.ndarray:
+    """S on `bit` as one scaling of the whole bit = 1 half."""
+    out = amplitudes.copy()
+    out.reshape(-1, 2, 1 << bit)[:, 1, :] *= 1j
+    return out
+
+
+def half_probability(amplitudes: np.ndarray, site: int, bit: int) -> float:
+    """P(site = bit) as one numpy sum over an |amp|^2 array of the whole half."""
+    half = amplitudes.reshape(-1, 2, 1 << site)[:, bit, :]
+    return float(np.sum(np.abs(half) ** 2))
+
+
+def block_tree_sum(x: np.ndarray) -> float:
+    """Sum of 2^15-element block sums, combined by a balanced tree."""
+    sums = np.array([block.sum() for block in x.reshape(-1, 1 << 15)])
+    while sums.size > 1:
+        sums = sums[0::2] + sums[1::2]
+    return float(sums[0])
 
 
 def x_oracle(amplitudes: np.ndarray, targets: tuple[int, ...], control: int | None) -> np.ndarray:
@@ -255,25 +281,55 @@ def test_x_every_mask_and_control_matches_index_oracle(qubits):
 
 
 class TestBlockedKernels:
-    """H, X and CX walk the state in blocks of at most 2^15 amplitudes; the phase gate allocates factor vectors only.
+    """H, S, X, CX, the phase gate and the readout walk the state in blocks of at most 2^15 amplitudes.
 
-    On 18 qubits each H half holds 2^17 amplitudes, split along its two
-    leading size-2 axes.  X is the permutation j -> j ^ mask on a
-    (high, low) matrix: rows of 2^11 amplitudes, 16 to a block, without a
-    control; with one, the control = 1 half split at the control bit.  A
-    target below the split permutes columns, one above it pairs rows,
-    inside a block or across blocks; a control at bit 17 leaves rows of
-    2^17 amplitudes, which split into column blocks.
+    H, S and `probability_of` view the amplitudes as a (rows, 2, 2^bit)
+    array: on 18 qubits each half holds 2^17 amplitudes, four blocks of
+    whole rows, or from bit 15 up of columns of one row.  X is the
+    permutation j -> j ^ mask on a (high, low) matrix: rows of 2^11
+    amplitudes, 16 to a block, without a control; with one, the
+    control = 1 half split at the control bit.  A target below the split
+    permutes columns, one above it pairs rows, inside a block or across
+    blocks; a control at bit 17 leaves rows of 2^17 amplitudes, which
+    split into column blocks.
     """
 
     QUBITS = 18
 
-    @pytest.mark.parametrize("bit", [0, 9, 17])
+    @pytest.mark.parametrize("bit", range(QUBITS))
     def test_hadamard_matches_full_temporaries(self, bit):
         state = random_state(self.QUBITS, seed=bit)
         expected = h_oracle(state.amplitudes, bit)
         apply_gate(state, hadamard(bit))
         np.testing.assert_array_equal(state.amplitudes, expected)
+
+    @pytest.mark.parametrize("bit", range(QUBITS))
+    def test_s_matches_whole_half_scaling(self, bit):
+        state = random_state(self.QUBITS, seed=bit)
+        expected = s_oracle(state.amplitudes, bit)
+        apply_gate(state, s_gate(bit))
+        np.testing.assert_array_equal(state.amplitudes, expected)
+
+    @pytest.mark.parametrize(
+        "qubits, site",
+        [
+            (16, 0),  # a half of 2^15: one block
+            (16, 15),
+            (17, 0),  # two blocks
+            (17, 16),  # two column blocks of one row
+            (18, 0),
+            (18, 1),
+            (18, 9),
+            (18, 16),  # two rows of two column blocks
+            (18, 17),
+            (21, 0),  # 32 blocks: the benchmark's readout
+            (21, 20),  # 32 column blocks
+        ],
+    )
+    def test_probability_matches_one_sum_over_the_half(self, qubits, site):
+        state = random_state(qubits, seed=site)
+        for bit in (0, 1):
+            assert probability_of(state, site, bit) == half_probability(state.amplitudes, site, bit)
 
     @pytest.mark.parametrize(
         "control, targets",
@@ -311,16 +367,26 @@ class TestBlockedKernels:
         state = init_zero(21)  # 2^21 amplitudes: 32 MiB
         state.amplitudes[:] = np.linspace(0.0, 1.0, state.amplitudes.size)
         angles = np.linspace(-1.0, 1.0, 20)
-        for gate in (hadamard(0), hadamard(10), hadamard(20), x_gate(*range(1, 21)), controlled_x(0, *range(1, 21)),
-                     x_gate(*range(1, 11)), x_gate(*range(11, 21)), controlled_x(20, *range(1, 11)),
-                     diagonal_phase(angles)):
+        gates = (hadamard(0), hadamard(1), hadamard(10), hadamard(20), s_gate(0), s_gate(20), x_gate(*range(1, 21)),
+                 controlled_x(0, *range(1, 21)), x_gate(*range(1, 11)), x_gate(*range(11, 21)),
+                 controlled_x(20, *range(1, 11)), diagonal_phase(angles))
+        calls = [functools.partial(apply_gate, state, gate) for gate in gates]
+        calls += [functools.partial(probability_of, state, 0, 1), functools.partial(probability_of, state, 20, 0)]
+        for call in calls:
             tracemalloc.start()
             try:
-                apply_gate(state, gate)
+                call()
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= 2 << 20, f"{gate.kind} {gate.targets} allocated {peak} bytes"
+            assert peak <= 2 << 20, f"{call.func.__name__}{call.args[1:]} allocated {peak} bytes"
+
+
+@pytest.mark.parametrize("log_size", range(15, 21))
+def test_numpy_sum_is_the_balanced_tree_of_block_sums(log_size):
+    """The numpy contract `probability_of` relies on: a power-of-two sum splits exactly in half down to a block."""
+    x = np.random.default_rng(log_size).random(1 << log_size) ** 3
+    assert float(np.sum(x)) == block_tree_sum(x)
 
 
 class TestDiagonalPhase:
@@ -505,6 +571,16 @@ class TestMeasurement:
         plus = apply_gate(init_zero(1), hadamard(0))
         assert probability_of(plus, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
-    def test_probability_bad_bit(self):
-        with pytest.raises(ValueError):
-            probability_of(init_zero(1), 0, 2)
+    @pytest.mark.parametrize(
+        "site, bit, error, match",
+        [
+            (0, 2, ValueError, "^bit must be 0 or 1, got 2$"),
+            (0, -1, ValueError, "^bit must be 0 or 1, got -1$"),
+            (0, 1.0, TypeError, "^bit must be an integer, got 1.0$"),
+            (1.0, 0, TypeError, "^site must be an integer, got 1.0$"),
+            (2, 0, IndexError, "^site 2 out of range for 2-qubit state$"),
+        ],
+    )
+    def test_probability_bad_site_or_bit(self, site, bit, error, match):
+        with pytest.raises(error, match=match):
+            probability_of(init_zero(2), site, bit)
