@@ -56,8 +56,9 @@ __all__ = [
 
 # Most shots run_protocol takes; above it the run raises ResourceCapError
 # (CLI exit code 3).  The streamed count needs fixed memory, so the cap
-# bounds run time: 1e9 shots took 9.5 s on one core of a 2-vCPU machine,
-# so the cap is about a hundred seconds.
+# bounds run time: 1e9 shots take about ten CPU-seconds (10.2-10.4 s on
+# one core of a 2-vCPU machine, 5.3-5.9 s split over both), so the cap is
+# about a hundred CPU-seconds.
 MAX_SHOTS = 10**10
 
 BACKENDS = ("branch", "statevector")

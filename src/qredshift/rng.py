@@ -3,10 +3,15 @@
 Shot i of a run consumes uniform u_i that depends only on (seed, i).
 Streams are Philox counter-based: a worker can open the same stream at any
 offset and reproduce the tail bit for bit, so chunked or parallel shot
-loops give the same outcomes as a sequential one.
+loops give the same outcomes as a sequential one. `count_below` uses that
+to split a count over the CPUs the process may run on; its result, and so
+every output of the package, does not depend on how many there are.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -19,9 +24,14 @@ _WORD_MASK = (1 << 64) - 1
 # consumes one word per double.
 _WORDS_PER_BLOCK = 4
 
-# Uniforms per chunk of count_below: a 2 MB float64 buffer, about one L2
-# cache, so the count runs in fixed memory whatever the shot count.
+# Uniforms per chunk of count_below: 2 MB of float64 buffers shared among
+# its ranges, about one L2 cache, so the count runs in fixed memory
+# whatever the shot count.
 _COUNT_CHUNK = 1 << 18
+
+# CPUs this process may run on, read once: count_below splits a count into
+# at most this many ranges.
+_CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def shot_stream(seed: int, start: int = 0) -> np.random.Generator:
@@ -46,19 +56,50 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     """How many of uniforms [0, count) of the stream keyed by `seed` are < `threshold`.
 
     Equal to np.count_nonzero(shot_uniforms(seed, count) < threshold) for
-    every seed and count, but drawn in fixed-size chunks into one buffer:
-    Generator.random takes one Philox word per double and the Philox state
-    carries over between calls, so consecutive chunks continue the same
-    sequence.
+    every seed and count, and the same integer whatever the number of CPUs.
+    The count splits into one contiguous range per CPU, at least one chunk
+    each: the calling thread counts the first range and a thread started
+    here counts each other one. A range opens the stream at its start and
+    draws it in fixed-size chunks into one buffer (Generator.random takes
+    one Philox word per double, and the Philox state carries over between
+    calls), so all buffers together hold `_COUNT_CHUNK` uniforms. numpy
+    fills and compares the buffers without holding the GIL. If a range
+    fails or is interrupted, the others stop before their next chunk and
+    the first error is raised here.
     """
-    stream = shot_stream(seed)
-    buffer = np.empty(min(count, _COUNT_CHUNK))
-    below = 0
-    for start in range(0, count, _COUNT_CHUNK):
-        chunk = buffer[: min(_COUNT_CHUNK, count - start)]
-        stream.random(out=chunk)
-        below += int(np.count_nonzero(chunk < threshold))
-    return below
+    workers = max(1, min(_CPUS, count // _COUNT_CHUNK))
+    bounds = [count * index // workers for index in range(workers + 1)]
+    size = _COUNT_CHUNK // workers
+    below = [0] * workers
+    errors: list[BaseException] = []  # also the stop flag: ranges end at their next chunk once it is non-empty
+
+    def count_range(index: int) -> None:
+        start, end = bounds[index], bounds[index + 1]
+        try:
+            stream = shot_stream(seed, start)
+            buffer = np.empty(min(end - start, size))
+            for first in range(start, end, size):
+                if errors:
+                    return
+                chunk = buffer[: min(size, end - first)]
+                stream.random(out=chunk)
+                below[index] += int(np.count_nonzero(chunk < threshold))
+        except BaseException as error:  # re-raised by the caller below
+            errors.append(error)
+
+    threads = [threading.Thread(target=count_range, args=(index,)) for index in range(1, workers)]
+    try:
+        for thread in threads:
+            thread.start()
+        count_range(0)
+        for thread in threads:
+            thread.join()
+    except BaseException as error:  # a failed start or an interrupted join: stop the started ranges
+        errors.append(error)
+        raise
+    if errors:
+        raise errors[0]
+    return sum(below)
 
 
 def substream_seed(seed: int, index: int) -> int:

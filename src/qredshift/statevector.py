@@ -66,7 +66,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.amplitudes) ** 2)))
+        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
 
     def copy(self) -> "StateVector":
         return StateVector(self.qubit_count, self.amplitudes.copy())

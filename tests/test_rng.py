@@ -1,8 +1,13 @@
 """Counter-based shot streams: determinism and chunk independence."""
 
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qredshift import rng
 from qredshift.rng import shot_stream, shot_uniforms, substream_seed
 
 
@@ -59,3 +64,91 @@ def test_substream_streams_independent():
 def test_substream_rejects_negative_index():
     with pytest.raises(ValueError):
         substream_seed(1, -1)
+
+
+class TestCountBelow:
+    """`count_below` against the materialised stream, on every way of splitting it over CPUs."""
+
+    SEEDS = (0, 2**127 - 1)
+    THRESHOLDS = (0.0, 1e-300, 0.5, 1.0, float("nan"), float("inf"), float("-inf"))
+
+    @pytest.fixture(params=[1, 2, 3, 5])
+    def cpus(self, request, monkeypatch):
+        monkeypatch.setattr(rng, "_CPUS", request.param)
+        return request.param
+
+    @staticmethod
+    def counts(cpus):
+        chunk = rng._COUNT_CHUNK
+        return (0, 1, 4 * 1001 + 3, cpus * chunk - 1, cpus * chunk, cpus * chunk + 1, 3 * chunk + 17)
+
+    def test_matches_materialised_stream(self, cpus):
+        for seed in self.SEEDS:
+            for count in self.counts(cpus):
+                uniforms = shot_uniforms(seed, count)
+                for threshold in self.THRESHOLDS:
+                    expected = int(np.count_nonzero(uniforms < threshold))
+                    assert rng.count_below(seed, count, threshold) == expected, (seed, count, threshold)
+
+    def test_many_ranges_under_fast_thread_switching(self, monkeypatch):
+        monkeypatch.setattr(rng, "_CPUS", 8)  # more ranges than this machine has cores, most likely
+        count = 8 * rng._COUNT_CHUNK + 5
+        expected = int(np.count_nonzero(shot_uniforms(11, count) < 0.25))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                assert rng.count_below(11, count, 0.25) == expected
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_failing_range_reaches_caller(self, monkeypatch):
+        monkeypatch.setattr(rng, "_CPUS", 3)
+        real = rng.shot_stream
+
+        def failing(seed, start=0):
+            if start > 0:
+                raise RuntimeError(f"range at {start} failed")
+            return real(seed, start)
+
+        monkeypatch.setattr(rng, "shot_stream", failing)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="range at"):
+            rng.count_below(1, 3 * rng._COUNT_CHUNK, 0.5)
+        assert threading.active_count() == before
+
+    def test_interrupt_stops_the_other_ranges(self, monkeypatch):
+        monkeypatch.setattr(rng, "_CPUS", 2)
+        real = rng.shot_stream
+        draws = []
+
+        class CountingStream:
+            def __init__(self, stream):
+                self.stream = stream
+
+            def random(self, out):
+                draws.append(out.size)
+                return self.stream.random(out=out)
+
+        def interrupted(seed, start=0):
+            if start == 0:
+                raise KeyboardInterrupt
+            return CountingStream(real(seed, start))
+
+        monkeypatch.setattr(rng, "shot_stream", interrupted)
+        before = threading.active_count()
+        count = 10**9  # 5e8 shots for the other range: seconds of drawing if it ran to the end
+        with pytest.raises(KeyboardInterrupt):
+            rng.count_below(1, count, 0.5)
+        assert threading.active_count() == before
+        assert sum(draws) < count // 2 // 10
+
+    def test_buffers_total_one_chunk(self, monkeypatch):
+        monkeypatch.setattr(rng, "_CPUS", 4)
+        tracemalloc.start()
+        try:
+            rng.count_below(7, 10**7, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3_000_000

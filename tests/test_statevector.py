@@ -82,6 +82,24 @@ class TestInit:
     def test_unit_norm(self):
         assert init_zero(5).norm() == 1.0
 
+    @pytest.mark.parametrize("qubits, scale", [(1, 1.0), (7, 0.3), (12, 2.0), (18, 1.0)])
+    def test_norm_matches_sum_of_squares(self, qubits, scale):
+        state = random_state(qubits, seed=qubits)
+        state.amplitudes *= scale
+        expected = float(np.sqrt(np.sum(np.abs(state.amplitudes) ** 2)))
+        assert state.norm() == pytest.approx(expected, rel=1e-15)
+
+    def test_norm_allocates_no_state_size_temporary(self):
+        state = init_zero(21)  # 2^21 amplitudes: 32 MiB
+        state.amplitudes[:] = np.linspace(0.0, 1.0, state.amplitudes.size)
+        tracemalloc.start()
+        try:
+            state.norm()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
     def test_cap(self):
         assert MAX_QUBITS >= 23
         with pytest.raises(ResourceCapError, match="branch"):
