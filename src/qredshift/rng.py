@@ -52,38 +52,50 @@ def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     return shot_stream(seed, start).random(count)
 
 
+def _count_range(seed: int, start: int, end: int, size: int, threshold: float, stop: list) -> int:
+    """How many of uniforms [start, end) are < `threshold`, drawn `size` at a time into one buffer.
+
+    Generator.random takes one Philox word per double and the Philox state
+    carries over between calls, so consecutive chunks continue the same
+    sequence. Returns early, with a partial count, once `stop` is non-empty.
+    """
+    stream = shot_stream(seed, start)
+    buffer = np.empty(min(end - start, size))
+    below = 0
+    for first in range(start, end, size):
+        if stop:
+            break
+        chunk = buffer[: min(size, end - first)]
+        stream.random(out=chunk)
+        below += int(np.count_nonzero(chunk < threshold))
+    return below
+
+
 def count_below(seed: int, count: int, threshold: float) -> int:
     """How many of uniforms [0, count) of the stream keyed by `seed` are < `threshold`.
 
     Equal to np.count_nonzero(shot_uniforms(seed, count) < threshold) for
     every seed and count, and the same integer whatever the number of CPUs.
     The count splits into one contiguous range per CPU, at least one chunk
-    each: the calling thread counts the first range and a thread started
-    here counts each other one. A range opens the stream at its start and
-    draws it in fixed-size chunks into one buffer (Generator.random takes
-    one Philox word per double, and the Philox state carries over between
-    calls), so all buffers together hold `_COUNT_CHUNK` uniforms. numpy
-    fills and compares the buffers without holding the GIL. If a range
-    fails or is interrupted, the others stop before their next chunk and
-    the first error is raised here.
+    each, and `_count_range` counts each range in fixed-size chunks, so all
+    buffers together hold `_COUNT_CHUNK` uniforms. A count of one range is
+    counted right here, with no thread and no bookkeeping; otherwise the
+    calling thread counts the first range and a thread started here counts
+    each other one. numpy fills and compares the buffers without holding
+    the GIL. If a range fails or is interrupted, the others stop before
+    their next chunk and the first error is raised here.
     """
     workers = max(1, min(_CPUS, count // _COUNT_CHUNK))
+    if workers == 1:
+        return _count_range(seed, 0, count, _COUNT_CHUNK, threshold, [])
     bounds = [count * index // workers for index in range(workers + 1)]
     size = _COUNT_CHUNK // workers
     below = [0] * workers
     errors: list[BaseException] = []  # also the stop flag: ranges end at their next chunk once it is non-empty
 
     def count_range(index: int) -> None:
-        start, end = bounds[index], bounds[index + 1]
         try:
-            stream = shot_stream(seed, start)
-            buffer = np.empty(min(end - start, size))
-            for first in range(start, end, size):
-                if errors:
-                    return
-                chunk = buffer[: min(size, end - first)]
-                stream.random(out=chunk)
-                below[index] += int(np.count_nonzero(chunk < threshold))
+            below[index] = _count_range(seed, bounds[index], bounds[index + 1], size, threshold, errors)
         except BaseException as error:  # re-raised by the caller below
             errors.append(error)
 
