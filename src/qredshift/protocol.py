@@ -56,9 +56,9 @@ __all__ = [
 
 # Most shots run_protocol takes; above it the run raises ResourceCapError
 # (CLI exit code 3).  The streamed count needs fixed memory, so the cap
-# bounds run time: 1e9 shots take about ten CPU-seconds (10.2-10.4 s on
-# one core of a 2-vCPU machine, 5.3-5.9 s split over both), so the cap is
-# about a hundred CPU-seconds.
+# bounds run time: 1e9 shots take about five to eight CPU-seconds (5.0-8.3 s
+# on one core of a busy 2-vCPU machine, 2.7-4.6 s split over both), so the
+# cap is under a hundred CPU-seconds.
 MAX_SHOTS = 10**10
 
 BACKENDS = ("branch", "statevector")

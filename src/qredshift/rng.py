@@ -6,10 +6,18 @@ offset and reproduce the tail bit for bit, so chunked or parallel shot
 loops give the same outcomes as a sequential one. `count_below` uses that
 to split a count over the CPUs the process may run on; its result, and so
 every output of the package, does not depend on how many there are.
+
+A stream opens from its 128-bit key alone: no OS entropy is drawn, and
+numpy.random is imported on the first open rather than with the package.
+`count_below` compares raw Philox words with an integer limit instead of
+converting them to doubles first; `shot_uniforms` keeps the doubles and
+is the independent reference the count is tested against.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import os
 import threading
 
@@ -21,12 +29,12 @@ _KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
 
 # Philox emits 4 uint64 words per counter increment; Generator.random()
-# consumes one word per double.
+# consumes one word w per double and returns (w >> 11) * 2**-53.
 _WORDS_PER_BLOCK = 4
 
-# Uniforms per chunk of count_below: 2 MB of float64 buffers shared among
-# its ranges, about one L2 cache, so the count runs in fixed memory
-# whatever the shot count.
+# Shots per chunk of count_below: 2 MB of uint64 words shared among its
+# ranges, about one L2 cache, so the count runs in fixed memory whatever
+# the shot count.
 _COUNT_CHUNK = 1 << 18
 
 # CPUs this process may run on, read once: count_below splits a count into
@@ -34,17 +42,45 @@ _COUNT_CHUNK = 1 << 18
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
-def shot_stream(seed: int, start: int = 0) -> np.random.Generator:
-    """Generator positioned so its next draw is uniform number `start` of the stream."""
+@functools.cache
+def _key_sequence() -> type:
+    """The seed-sequence class that hands Philox its key, defined on first use.
+
+    `np.random.Philox(key=k)` first builds `SeedSequence(None)`, which draws
+    and hashes OS entropy only to throw it away; that is over half the cost
+    of opening a stream. Philox seeded from this class reads the key words
+    from `generate_state(2, np.uint64)` instead, and its state is the same.
+    The import stays here so that importing the package leaves numpy.random
+    (about 17 ms) unloaded.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class KeySequence(ISeedSequence):
+        def __init__(self, key: int) -> None:
+            self.words = np.array([key & _WORD_MASK, key >> 64], dtype=np.uint64)  # key < 2^128, low word first
+
+        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+            return self.words  # Philox asks only for its 2 uint64 key words
+
+    return KeySequence
+
+
+def _philox(seed: int, start: int) -> np.random.Philox:
+    """Philox bit generator keyed by `seed` (masked to 128 bits), positioned at word `start`."""
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
-    bitgen = np.random.Philox(key=seed & _KEY_MASK)
+    bitgen = np.random.Philox(_key_sequence()(seed & _KEY_MASK))
     blocks, rem = divmod(start, _WORDS_PER_BLOCK)
     if blocks:
         bitgen.advance(blocks)
     if rem:
         bitgen.random_raw(rem)
-    return np.random.Generator(bitgen)
+    return bitgen
+
+
+def shot_stream(seed: int, start: int = 0) -> np.random.Generator:
+    """Generator positioned so its next draw is uniform number `start` of the stream."""
+    return np.random.Generator(_philox(seed, start))
 
 
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
@@ -52,22 +88,19 @@ def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     return shot_stream(seed, start).random(count)
 
 
-def _count_range(seed: int, start: int, end: int, size: int, threshold: float, stop: list) -> int:
-    """How many of uniforms [start, end) are < `threshold`, drawn `size` at a time into one buffer.
+def _count_range(seed: int, start: int, end: int, size: int, limit: np.uint64, stop: list) -> int:
+    """How many of words [start, end) of the stream are < `limit`, drawn `size` at a time.
 
-    Generator.random takes one Philox word per double and the Philox state
-    carries over between calls, so consecutive chunks continue the same
-    sequence. Returns early, with a partial count, once `stop` is non-empty.
+    The Philox state carries over between calls, so consecutive chunks
+    continue the same sequence. Returns early, with a partial count, once
+    `stop` is non-empty.
     """
-    stream = shot_stream(seed, start)
-    buffer = np.empty(min(end - start, size))
+    bitgen = _philox(seed, start)
     below = 0
     for first in range(start, end, size):
         if stop:
             break
-        chunk = buffer[: min(size, end - first)]
-        stream.random(out=chunk)
-        below += int(np.count_nonzero(chunk < threshold))
+        below += int(np.count_nonzero(bitgen.random_raw(min(size, end - first)) < limit))
     return below
 
 
@@ -75,19 +108,35 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     """How many of uniforms [0, count) of the stream keyed by `seed` are < `threshold`.
 
     Equal to np.count_nonzero(shot_uniforms(seed, count) < threshold) for
-    every seed and count, and the same integer whatever the number of CPUs.
+    every seed, count and threshold, and the same integer whatever the
+    number of CPUs.
+
+    A threshold p <= 0 or NaN counts none and p >= 1 counts all, with no
+    draw. Otherwise the raw Philox words w are compared, not the doubles:
+    u = (w >> 11) 2^-53 < p holds exactly when the integer w >> 11 is below
+    ceil(p 2^53), that is when w < ceil(p 2^53) 2^11. Scaling by 2^53 is
+    exact for every double, and p <= 1 - 2^-53 puts that limit at most
+    (2^53 - 1) 2^11, inside a uint64.
+
     The count splits into one contiguous range per CPU, at least one chunk
     each, and `_count_range` counts each range in fixed-size chunks, so all
-    buffers together hold `_COUNT_CHUNK` uniforms. A count of one range is
+    chunks together hold `_COUNT_CHUNK` words. A count of one range is
     counted right here, with no thread and no bookkeeping; otherwise the
     calling thread counts the first range and a thread started here counts
-    each other one. numpy fills and compares the buffers without holding
-    the GIL. If a range fails or is interrupted, the others stop before
-    their next chunk and the first error is raised here.
+    each other one. numpy draws and compares the words without holding the
+    GIL. If a range fails or is interrupted, the others stop before their
+    next chunk and the first error is raised here.
     """
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not threshold > 0:
+        return 0
+    if threshold >= 1:
+        return count
+    limit = np.uint64(math.ceil(threshold * 2.0**53) << 11)
     workers = max(1, min(_CPUS, count // _COUNT_CHUNK))
     if workers == 1:
-        return _count_range(seed, 0, count, _COUNT_CHUNK, threshold, [])
+        return _count_range(seed, 0, count, _COUNT_CHUNK, limit, [])
     bounds = [count * index // workers for index in range(workers + 1)]
     size = _COUNT_CHUNK // workers
     below = [0] * workers
@@ -95,7 +144,7 @@ def count_below(seed: int, count: int, threshold: float) -> int:
 
     def count_range(index: int) -> None:
         try:
-            below[index] = _count_range(seed, bounds[index], bounds[index + 1], size, threshold, errors)
+            below[index] = _count_range(seed, bounds[index], bounds[index + 1], size, limit, errors)
         except BaseException as error:  # re-raised by the caller below
             errors.append(error)
 

@@ -4,8 +4,8 @@
 run, `database=None` keeps hypothesis from replaying or storing failures,
 and `deadline=None` keeps a slow example on a loaded machine from failing
 the test.  Hypothesis also caches the constants it reads from the source
-files; that cache goes to a temporary directory removed at exit, so a
-test run writes no `.hypothesis/` directory.
+files; that cache goes to a temporary directory removed when pytest
+finishes, so a test run writes no `.hypothesis/` directory.
 """
 
 import tempfile
@@ -18,3 +18,7 @@ settings.load_profile("deterministic")
 
 _HYPOTHESIS_HOME = tempfile.TemporaryDirectory(prefix="hypothesis-")
 set_hypothesis_home_dir(_HYPOTHESIS_HOME.name)
+
+
+def pytest_unconfigure(config):
+    _HYPOTHESIS_HOME.cleanup()

@@ -1,12 +1,16 @@
 """Counter-based shot streams: determinism and chunk independence."""
 
+import os
+import subprocess
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qredshift
 from qredshift import rng
 from qredshift.rng import shot_stream, shot_uniforms, substream_seed
 
@@ -38,6 +42,27 @@ def test_split_into_chunks_reassembles():
 def test_stream_object_positioning():
     gen = shot_stream(9, start=10)
     np.testing.assert_array_equal(gen.random(5), shot_uniforms(9, 5, start=10))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**64, 2**127 - 1, 2**128 + 5])
+@pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 1001])
+def test_stream_opens_like_a_philox_key(seed, start):
+    # numpy's own keyed opening, advanced word by word, is the independent reference
+    reference = np.random.Philox(key=seed & (2**128 - 1))
+    reference.random_raw(start)
+    expected = reference.random_raw(64)
+    np.testing.assert_array_equal(shot_stream(seed, start).bit_generator.random_raw(64), expected)
+
+
+def test_import_leaves_numpy_random_unloaded():
+    # numpy.random takes about 17 ms to import; the first stream opened pays it, not the import
+    code = "import sys, qredshift, qredshift.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+    src = str(Path(qredshift.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True, timeout=60
+    )
+    assert result.stdout.strip() == "[]"
 
 
 def test_large_seed_accepted():
@@ -90,6 +115,22 @@ class TestCountBelow:
                     expected = int(np.count_nonzero(uniforms < threshold))
                     assert rng.count_below(seed, count, threshold) == expected, (seed, count, threshold)
 
+    def test_exact_at_the_boundaries(self, cpus):
+        # the raw-word limit must put each drawn uniform, and its neighbours, on the same side as `<` does
+        fixed = (5e-324, 2.0**-53, 1 - 2.0**-53, np.nextafter(1.0, 2.0), 2.0, -0.0)
+        for seed in self.SEEDS:
+            for count in (4 * 1001 + 3, cpus * rng._COUNT_CHUNK + 1):
+                uniforms = shot_uniforms(seed, count)
+                drawn = uniforms[np.linspace(0, count - 1, 9).astype(int)]
+                thresholds = [*drawn, *np.nextafter(drawn, 0.0), *np.nextafter(drawn, 2.0), *fixed]
+                for threshold in thresholds:
+                    expected = int(np.count_nonzero(uniforms < threshold))
+                    assert rng.count_below(seed, count, float(threshold)) == expected, (seed, count, threshold)
+
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValueError):
+            rng.count_below(1, -1, 0.5)
+
     def test_many_ranges_under_fast_thread_switching(self, monkeypatch):
         monkeypatch.setattr(rng, "_CPUS", 8)  # more ranges than this machine has cores, most likely
         count = 8 * rng._COUNT_CHUNK + 5
@@ -104,14 +145,14 @@ class TestCountBelow:
 
     def test_failing_range_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(rng, "_CPUS", 3)
-        real = rng.shot_stream
+        real = rng._philox
 
-        def failing(seed, start=0):
+        def failing(seed, start):
             if start > 0:
                 raise RuntimeError(f"range at {start} failed")
             return real(seed, start)
 
-        monkeypatch.setattr(rng, "shot_stream", failing)
+        monkeypatch.setattr(rng, "_philox", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="range at"):
             rng.count_below(1, 3 * rng._COUNT_CHUNK, 0.5)
@@ -119,23 +160,23 @@ class TestCountBelow:
 
     def test_interrupt_stops_the_other_ranges(self, monkeypatch):
         monkeypatch.setattr(rng, "_CPUS", 2)
-        real = rng.shot_stream
+        real = rng._philox
         draws = []
 
-        class CountingStream:
-            def __init__(self, stream):
-                self.stream = stream
+        class CountingWords:
+            def __init__(self, bitgen):
+                self.bitgen = bitgen
 
-            def random(self, out):
-                draws.append(out.size)
-                return self.stream.random(out=out)
+            def random_raw(self, size):
+                draws.append(size)
+                return self.bitgen.random_raw(size)
 
-        def interrupted(seed, start=0):
+        def interrupted(seed, start):
             if start == 0:
                 raise KeyboardInterrupt
-            return CountingStream(real(seed, start))
+            return CountingWords(real(seed, start))
 
-        monkeypatch.setattr(rng, "shot_stream", interrupted)
+        monkeypatch.setattr(rng, "_philox", interrupted)
         before = threading.active_count()
         count = 10**9  # 5e8 shots for the other range: seconds of drawing if it ran to the end
         with pytest.raises(KeyboardInterrupt):
