@@ -42,7 +42,6 @@ from .sensing import (
 )
 from .statevector import (
     Gate,
-    StateVector,
     apply_channel,
     apply_diagonal_phase,
     apply_gate,

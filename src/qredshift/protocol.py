@@ -18,16 +18,18 @@ controlled-X layer is what moves the branch phase difference onto the
 ancilla; without it the register stays entangled and the ancilla reads
 P(1) = 1/2 regardless of dphi.
 
-The statevector backend runs that circuit densely; the branch backend
-evaluates the sine law on dphi = sum_k |theta_k| directly and never builds
-the circuit.  On a chip with one qubit frequency that dphi comes from
-gravity.uniform_delta_phi in O(1), so the branch backend builds no per-site
-array at any register size; per-site frequencies take one numpy pass over
-the angle array of gravity.dephasing_angles, which is also what the dense
-circuit applies.  run_protocol counts the shots against the exact ancilla
-probability in fixed-size chunks of the counter-based streams of
-qredshift.rng, so its memory does not grow with the shot count and a run
-is reproducible from (seed, shot index) alone on either backend.
+The statevector backend applies that circuit gate by gate to the array
+of 2^(n+1) amplitudes of |0...0> and reads the ancilla off it; the branch
+backend evaluates the sine law on dphi = sum_k |theta_k| directly and
+never builds the circuit.  On a chip with one qubit frequency that dphi
+comes from gravity.uniform_delta_phi in O(1), so the branch backend builds
+no per-site array at any register size; per-site frequencies take one
+numpy pass over the angle array of gravity.dephasing_angles, which is
+also what the dense circuit applies.  run_protocol counts the shots
+against the exact ancilla probability in fixed-size chunks of the
+counter-based streams of qredshift.rng, so its memory does not grow with
+the shot count and a run is reproducible from (seed, shot index) alone on
+either backend.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ __all__ = [
     "ProtocolOutcome",
     "expected_delta_phi",
     "build_circuit",
-    "final_state",
     "run_protocol",
     "standard_pea_probabilities",
 ]
@@ -104,14 +105,6 @@ def build_circuit(theta: np.ndarray) -> list[sv.Gate]:
     return gates + [sv.s_gate(0), fan_out, sv.diagonal_phase(theta), fan_out, sv.hadamard(0)]
 
 
-def final_state(circuit: list[sv.Gate], qubit_count: int) -> sv.StateVector:
-    """Run the circuit on |0...0>; the ancilla is then read out."""
-    state = sv.init_zero(qubit_count)
-    for gate in circuit:
-        sv.apply_gate(state, gate)
-    return state
-
-
 def _estimate(p_hat: float) -> tuple[float, float, bool]:
     """(delta_phi_hat, std_error, saturated) from an observed P(1).
 
@@ -163,7 +156,9 @@ def run_protocol(
     if backend == "branch":
         _, p_one = branch_engine.ancilla_probabilities(analytic)
     else:
-        state = final_state(build_circuit(theta), qubit_count)
+        state = sv.init_zero(qubit_count)
+        for gate in build_circuit(theta):
+            sv.apply_gate(state, gate)
         p_one = sv.probability_of(state, 0, 1)
 
     count_one = count_below(seed, shots, p_one)

@@ -1,10 +1,12 @@
 """Dense statevector and density-matrix simulation of dephasing circuits.
 
-Amplitude index bit 0 is the ancilla; register site k lives at bit k.
-Every kernel works in place, in blocks of at most 2^15 amplitudes
-(512 KB), on views of the amplitudes as a matrix split at some index bit
-(Haner & Steiger, arXiv:1704.01127), so none builds a 2^n x 2^n matrix
-or allocates a temporary of the state's size.  H, S and the readout
+A q-qubit state is a plain 1-D complex128 array of 2^q amplitudes: index
+bit 0 is the ancilla, register site k lives at bit k.  Every kernel reads
+q off the array, rejects any other input with a ValueError before it
+touches an amplitude, and works in place, in blocks of at most 2^15
+amplitudes (512 KB), on views of the amplitudes as a matrix split at some
+index bit (Haner & Steiger, arXiv:1704.01127), so none builds a 2^n x 2^n
+matrix or allocates a temporary of the state's size.  H, S and the readout
 `probability_of` take the (bit = 0, bit = 1) halves of a (rows, 2, 2^bit)
 view: H mixes them through one block buffer, S scales the bit = 1 half,
 and the readout adds per-block sums of |amp|^2 in numpy's pairwise tree.
@@ -36,7 +38,6 @@ __all__ = [
     "MAX_QUBITS",
     "DENSITY_MAX_QUBITS",
     "ResourceCapError",
-    "StateVector",
     "Gate",
     "hadamard",
     "s_gate",
@@ -56,20 +57,6 @@ DENSITY_MAX_QUBITS = 6
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 15  # amplitudes per block: 512 KB of complex128, cache-sized
 _LOW_BITS = 11  # uncontrolled X: 2^11 amplitudes (32 KB) per row of the (high, low) matrix
-
-
-@dataclass
-class StateVector:
-    """qubit_count qubits (ancilla at bit 0), 2^qubit_count complex amplitudes."""
-
-    qubit_count: int
-    amplitudes: np.ndarray
-
-    def norm(self) -> float:
-        return math.sqrt(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.qubit_count, self.amplitudes.copy())
 
 
 @dataclass(frozen=True)
@@ -109,17 +96,18 @@ def diagonal_phase(angles: np.ndarray) -> Gate:
     return Gate("phase", angles=angles)
 
 
-def init_zero(qubit_count: int) -> StateVector:
+def init_zero(qubit_count: int) -> np.ndarray:
     """|0...0> on qubit_count qubits."""
+    qubit_count = _index(qubit_count, "qubit_count")
     if qubit_count < 1:
         raise ValueError(f"qubit_count must be >= 1, got {qubit_count}")
     if qubit_count > MAX_QUBITS:
         raise ResourceCapError(
             f"{qubit_count} qubits exceeds the dense cap of {MAX_QUBITS}; use the branch backend"
         )
-    amps = np.zeros(1 << qubit_count, dtype=np.complex128)
-    amps[0] = 1.0
-    return StateVector(qubit_count, amps)
+    state = np.zeros(1 << qubit_count, dtype=np.complex128)
+    state[0] = 1.0
+    return state
 
 
 def _index(value: object, name: str) -> int:
@@ -129,20 +117,31 @@ def _index(value: object, name: str) -> int:
         raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
-def _check_bit(state: StateVector, bit: object, name: str) -> int:
+def _qubits(state: np.ndarray) -> int:
+    """q of a 1-D complex128 array of 2^q amplitudes, 1 <= q <= MAX_QUBITS; ValueError for anything else."""
+    if isinstance(state, np.ndarray) and state.ndim == 1 and state.dtype == np.complex128:
+        qubits = state.size.bit_length() - 1
+        if 1 <= qubits <= MAX_QUBITS and state.size == 1 << qubits:
+            return qubits
+    raise ValueError(f"a state is a 1-D complex128 array of 2^q amplitudes, 1 <= q <= {MAX_QUBITS}; "
+                     f"got dtype {getattr(state, 'dtype', type(state).__name__)} and shape {np.shape(state)}")
+
+
+def _check_bit(state: np.ndarray, bit: object, name: str) -> int:
+    qubits = _qubits(state)
     bit = _index(bit, name)
-    if not 0 <= bit < state.qubit_count:
-        raise IndexError(f"{name} {bit} out of range for {state.qubit_count}-qubit state")
+    if not 0 <= bit < qubits:
+        raise IndexError(f"{name} {bit} out of range for {qubits}-qubit state")
     return bit
 
 
-def _pair_blocks(state: StateVector, bit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+def _pair_blocks(state: np.ndarray, bit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(bit = 0, bit = 1) views in matching blocks of at most _BLOCK amplitudes, in index order.
 
     Blocks of a (rows, 2, 2^bit) view: runs of whole rows, or column runs of
     one row wider than _BLOCK; at bit 0, 1-D stride-2 views.  All share one shape.
     """
-    pairs = state.amplitudes.reshape(-1, 2, 1 << bit)
+    pairs = state.reshape(-1, 2, 1 << bit)
     width = min(1 << bit, _BLOCK)
     height = min(len(pairs), _BLOCK // width)
     for r in range(0, len(pairs), height):
@@ -151,7 +150,7 @@ def _pair_blocks(state: StateVector, bit: int) -> Iterator[tuple[np.ndarray, np.
             yield block[:, 0], block[:, 1]
 
 
-def _apply_x(state: StateVector, targets: tuple[int, ...], control: int | None = None) -> None:
+def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = None) -> None:
     """Flip every target bit (where `control` is set): the index permutation j -> j ^ mask.
 
     The amplitudes are viewed as a (high, low) matrix: split at the control
@@ -169,11 +168,11 @@ def _apply_x(state: StateVector, targets: tuple[int, ...], control: int | None =
     if not mask:
         return
     if control is None:
-        low = min(state.qubit_count, _LOW_BITS)
-        matrix = state.amplitudes.reshape(-1, 1 << low)
+        low = min(_qubits(state), _LOW_BITS)
+        matrix = state.reshape(-1, 1 << low)
     else:
         low = control
-        matrix = state.amplitudes.reshape(-1, 2, 1 << low)[:, 1, :]
+        matrix = state.reshape(-1, 2, 1 << low)[:, 1, :]
         mask = (mask >> (low + 1) << low) | (mask & ((1 << low) - 1))  # squeeze out the control bit
     rows, cols = matrix.shape
     row_mask, col_mask = mask >> low, mask & (cols - 1)
@@ -209,14 +208,15 @@ def _apply_x(state: StateVector, targets: tuple[int, ...], control: int | None =
             p[...] = buffer
 
 
-def apply_gate(state: StateVector, gate: Gate) -> StateVector:
+def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
     """Apply `gate` in place and return the state.
 
-    A malformed gate raises before any amplitude is touched: an unknown
-    kind, "h" or "s" without exactly one target, a control on anything but
-    "cx" or a "cx" without one, targets or no angles on "phase", and
-    repeated or out-of-range bits.
+    A malformed state or gate raises before any amplitude is touched: a
+    state `_qubits` rejects, an unknown kind, "h" or "s" without exactly
+    one target, a control on anything but "cx" or a "cx" without one,
+    targets or no angles on "phase", and repeated or out-of-range bits.
     """
+    _qubits(state)
     kind = gate.kind
     if kind not in ("h", "s", "x", "cx", "phase"):
         raise ValueError(f"unknown gate kind {kind!r}")
@@ -272,24 +272,22 @@ def _basis_phases(theta: np.ndarray) -> np.ndarray:
     return phases
 
 
-def apply_diagonal_phase(state: StateVector, angles: np.ndarray) -> StateVector:
+def apply_diagonal_phase(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
     """Multiply each basis amplitude by exp(i * sum of theta_k over set register bits).
 
     Angles address register bits 1..n; the ancilla (bit 0) picks up no
-    phase.  Requires len(angles) == qubit_count - 1 and finite angles.
+    phase.  A q-qubit state requires q - 1 angles, all finite.
     The phase factors into the low bits (the ancilla, at angle 0, and
     register bits 1..n // 2) and the high bits (the rest); each row block
     of the (high, low) matrix is multiplied by the low factor, then by its
     high factors, each factor exp(i * _basis_phases) of its angles.
     """
+    qubits = _qubits(state)
     theta = _finite_angles(angles)
-    if theta.size != state.qubit_count - 1:
-        raise ValueError(
-            f"expected {state.qubit_count - 1} angles for a {state.qubit_count}-qubit state, "
-            f"got {theta.size}"
-        )
+    if theta.size != qubits - 1:
+        raise ValueError(f"expected {qubits - 1} angles for a {qubits}-qubit state, got {theta.size}")
     low = theta.size // 2
-    matrix = state.amplitudes.reshape(1 << (theta.size - low), 2 << low)
+    matrix = state.reshape(1 << (theta.size - low), 2 << low)
     low_factor = np.exp(1j * _basis_phases(np.concatenate(([0.0], theta[:low]))))  # bit 0, the ancilla: angle 0
     high_factor = np.exp(1j * _basis_phases(theta[low:]))[:, None]
     blocks = max(1, matrix.size // _BLOCK)  # row blocks of at most _BLOCK amplitudes
@@ -299,7 +297,7 @@ def apply_diagonal_phase(state: StateVector, angles: np.ndarray) -> StateVector:
     return state
 
 
-def probability_of(state: StateVector, site: int, bit: int) -> float:
+def probability_of(state: np.ndarray, site: int, bit: int) -> float:
     """Exact marginal probability that measuring `site` yields `bit`.
 
     Block sums of |amp|^2 over the `bit` half, added as a balanced tree; numpy's

@@ -1,5 +1,6 @@
 """Protocol: circuit construction, shot runs, estimator, phase sums."""
 
+import functools
 import math
 import tracemalloc
 import warnings
@@ -22,12 +23,11 @@ from qredshift.protocol import (
     MAX_SHOTS,
     build_circuit,
     expected_delta_phi,
-    final_state,
     run_protocol,
     standard_pea_probabilities,
 )
 from qredshift.sensing import closed_form_phase
-from qredshift.statevector import ResourceCapError, probability_of
+from qredshift.statevector import ResourceCapError, apply_gate, init_zero, probability_of
 
 OMEGA_10GHZ = 2.0 * math.pi * 10e9
 C2 = DEFAULT_CONSTANTS.c_squared
@@ -147,7 +147,7 @@ class TestSineLaw:
         for _ in range(10):
             theta = rng.uniform(-3, 3, size=n)
             angles = angles_of(*theta)
-            state = final_state(build_circuit(angles), n + 1)
+            state = functools.reduce(apply_gate, build_circuit(angles), init_zero(n + 1))
             p1 = probability_of(state, 0, 1)
             assert abs(p1 - (0.5 + 0.5 * math.sin(expected_delta_phi(angles)))) < 1e-12
 

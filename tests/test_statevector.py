@@ -7,6 +7,7 @@ kernels it checks.
 
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -64,85 +65,82 @@ def random_state(m: int, seed: int):
     vec = rng.normal(size=1 << m) + 1j * rng.normal(size=1 << m)
     vec /= np.linalg.norm(vec)
     state = init_zero(m)
-    state.amplitudes[:] = vec
+    state[:] = vec
     return state
 
 
 class TestInit:
     def test_single_qubit(self):
         state = init_zero(1)
-        np.testing.assert_array_equal(state.amplitudes, [1.0, 0.0])
+        np.testing.assert_array_equal(state, [1.0, 0.0])
 
     def test_three_qubits(self):
         state = init_zero(3)
-        assert state.amplitudes.size == 8
-        assert state.amplitudes[0] == 1.0
-        assert np.all(state.amplitudes[1:] == 0.0)
+        assert state.size == 8
+        assert state[0] == 1.0
+        assert np.all(state[1:] == 0.0)
 
     def test_unit_norm(self):
-        assert init_zero(5).norm() == 1.0
+        assert np.linalg.norm(init_zero(5)) == 1.0
 
-    @pytest.mark.parametrize("qubits, scale", [(1, 1.0), (7, 0.3), (12, 2.0), (18, 1.0)])
-    def test_norm_matches_sum_of_squares(self, qubits, scale):
-        state = random_state(qubits, seed=qubits)
-        state.amplitudes *= scale
-        expected = float(np.sqrt(np.sum(np.abs(state.amplitudes) ** 2)))
-        assert state.norm() == pytest.approx(expected, rel=1e-15)
-
-    def test_norm_allocates_no_state_size_temporary(self):
-        state = init_zero(21)  # 2^21 amplitudes: 32 MiB
-        state.amplitudes[:] = np.linspace(0.0, 1.0, state.amplitudes.size)
-        tracemalloc.start()
-        try:
-            state.norm()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    def test_plain_complex_array(self):
+        state = init_zero(4)
+        assert type(state) is np.ndarray
+        assert state.dtype == np.complex128 and state.shape == (16,)
 
     def test_cap(self):
         assert MAX_QUBITS >= 23
         with pytest.raises(ResourceCapError, match="branch"):
             init_zero(MAX_QUBITS + 1)
 
-    def test_bad_count(self):
-        with pytest.raises(ValueError):
-            init_zero(0)
+    @pytest.mark.parametrize(
+        "count, error, message",
+        [
+            (0, ValueError, "qubit_count must be >= 1, got 0"),
+            (2.5, TypeError, "qubit_count must be an integer, got 2.5"),
+            (np.float64(3.0), TypeError, f"qubit_count must be an integer, got {np.float64(3.0)!r}"),
+            ("3", TypeError, "qubit_count must be an integer, got '3'"),
+        ],
+        ids=["zero", "float", "numpy-float", "string"],
+    )
+    def test_bad_count(self, count, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            init_zero(count)
 
 
 class TestGates:
     def test_hadamard_on_zero(self):
         state = apply_gate(init_zero(1), hadamard(0))
-        np.testing.assert_allclose(state.amplitudes, [1 / math.sqrt(2), 1 / math.sqrt(2)])
+        np.testing.assert_allclose(state, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_s_on_plus(self):
         state = apply_gate(apply_gate(init_zero(1), hadamard(0)), s_gate(0))
-        np.testing.assert_allclose(state.amplitudes, [1 / math.sqrt(2), 1j / math.sqrt(2)])
+        np.testing.assert_allclose(state, [1 / math.sqrt(2), 1j / math.sqrt(2)])
 
     def test_x_sets_bit(self):
         state = apply_gate(init_zero(3), x_gate(2))
-        assert state.amplitudes[4] == 1.0
+        assert state[4] == 1.0
 
     def test_cx_flips_when_control_set(self):
         state = apply_gate(init_zero(2), x_gate(0))
         state = apply_gate(state, controlled_x(0, 1))
-        assert state.amplitudes[3] == 1.0
+        assert state[3] == 1.0
 
     def test_cx_idle_when_control_clear(self):
         state = apply_gate(init_zero(2), controlled_x(0, 1))
-        assert state.amplitudes[0] == 1.0
+        assert state[0] == 1.0
 
     def test_multi_target_cx(self):
         state = apply_gate(init_zero(4), x_gate(0))
         state = apply_gate(state, controlled_x(0, 1, 2, 3))
-        assert state.amplitudes[0b1111] == 1.0
+        assert state[0b1111] == 1.0
 
     @pytest.mark.parametrize("m", [2, 3, 4])
     def test_against_kron_oracle(self, m):
         rng = np.random.default_rng(m)
         for trial in range(25):
             state = random_state(m, seed=100 * m + trial)
-            expected = state.amplitudes.copy()
+            expected = state.copy()
             for _ in range(6):
                 choice = rng.integers(0, 6)
                 if choice == 0:
@@ -173,7 +171,7 @@ class TestGates:
                     apply_gate(state, controlled_x(control, *targets))
                     for target in targets:
                         expected = cx_matrix(control, target, m) @ expected
-            np.testing.assert_allclose(state.amplitudes, expected, atol=1e-13)
+            np.testing.assert_allclose(state, expected, atol=1e-13)
 
     @pytest.mark.parametrize(
         "control, targets",
@@ -196,7 +194,7 @@ class TestGates:
         apply_gate(fan_out, gate(*targets))
         for target in targets:
             apply_gate(one_at_a_time, gate(target))
-        np.testing.assert_array_equal(fan_out.amplitudes, one_at_a_time.amplitudes)
+        np.testing.assert_array_equal(fan_out, one_at_a_time)
 
     def test_norm_preserved_random_circuit(self):
         state = random_state(6, seed=3)
@@ -205,7 +203,7 @@ class TestGates:
             bit = int(rng.integers(0, 6))
             gate = [hadamard(bit), s_gate(bit), x_gate(bit)][rng.integers(0, 3)]
             apply_gate(state, gate)
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
@@ -242,10 +240,36 @@ class TestGates:
     )
     def test_bad_fan_out_rejected_before_any_pass(self, gate, error, match):
         state = random_state(3, seed=5)
-        before = state.amplitudes.copy()
+        before = state.copy()
         with pytest.raises(error, match=match):
             apply_gate(state, gate)
-        np.testing.assert_array_equal(state.amplitudes, before)
+        np.testing.assert_array_equal(state, before)
+
+
+@pytest.mark.parametrize(
+    "make, dtype, shape",
+    [
+        pytest.param(lambda: np.array([1.0, 0.0, 0.0, 0.0]), "float64", "(4,)", id="float64"),
+        pytest.param(lambda: np.eye(2, dtype=np.complex128), "complex128", "(2, 2)", id="2-D"),
+        pytest.param(lambda: np.array([1, 0, 0], dtype=np.complex128), "complex128", "(3,)", id="3-amplitudes"),
+        pytest.param(lambda: np.ones(1, dtype=np.complex128), "complex128", "(1,)", id="1-amplitude"),
+        pytest.param(lambda: np.zeros(0, dtype=np.complex128), "complex128", "(0,)", id="0-amplitudes"),
+        pytest.param(lambda: [1j, 0j, 0j, 0j], "list", "(4,)", id="list"),
+        # read-only and zero-strided: 2^(MAX_QUBITS + 1) amplitudes without allocating them
+        pytest.param(lambda: np.broadcast_to(np.complex128(0), (1 << (MAX_QUBITS + 1),)), "complex128",
+                     f"({1 << (MAX_QUBITS + 1)},)", id="over-the-cap"),
+    ],
+)
+def test_malformed_state_rejected_untouched(make, dtype, shape):
+    """Every kernel names the dtype and shape of an array that is no state, before touching an amplitude."""
+    state = make()
+    calls = [functools.partial(apply_gate, state, gate)
+             for gate in (hadamard(0), s_gate(0), x_gate(0), controlled_x(0, 1), diagonal_phase(np.zeros(1)))]
+    calls += [functools.partial(apply_diagonal_phase, state, np.zeros(1)), functools.partial(probability_of, state, 0, 1)]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"got dtype {dtype} and shape {re.escape(shape)}$"):
+            call()
+    np.testing.assert_array_equal(state[:4], make()[:4])  # every writable case whole; over-the-cap is read-only
 
 
 def h_oracle(amplitudes: np.ndarray, bit: int) -> np.ndarray:
@@ -295,7 +319,7 @@ def test_x_every_mask_and_control_matches_index_oracle(qubits):
         for control in [None, *(c for c in range(qubits) if not mask >> c & 1)]:
             state = start.copy()
             apply_gate(state, x_gate(*targets) if control is None else controlled_x(control, *targets))
-            np.testing.assert_array_equal(state.amplitudes, x_oracle(start.amplitudes, targets, control))
+            np.testing.assert_array_equal(state, x_oracle(start, targets, control))
 
 
 class TestBlockedKernels:
@@ -317,16 +341,16 @@ class TestBlockedKernels:
     @pytest.mark.parametrize("bit", range(QUBITS))
     def test_hadamard_matches_full_temporaries(self, bit):
         state = random_state(self.QUBITS, seed=bit)
-        expected = h_oracle(state.amplitudes, bit)
+        expected = h_oracle(state, bit)
         apply_gate(state, hadamard(bit))
-        np.testing.assert_array_equal(state.amplitudes, expected)
+        np.testing.assert_array_equal(state, expected)
 
     @pytest.mark.parametrize("bit", range(QUBITS))
     def test_s_matches_whole_half_scaling(self, bit):
         state = random_state(self.QUBITS, seed=bit)
-        expected = s_oracle(state.amplitudes, bit)
+        expected = s_oracle(state, bit)
         apply_gate(state, s_gate(bit))
-        np.testing.assert_array_equal(state.amplitudes, expected)
+        np.testing.assert_array_equal(state, expected)
 
     @pytest.mark.parametrize(
         "qubits, site",
@@ -347,7 +371,7 @@ class TestBlockedKernels:
     def test_probability_matches_one_sum_over_the_half(self, qubits, site):
         state = random_state(qubits, seed=site)
         for bit in (0, 1):
-            assert probability_of(state, site, bit) == half_probability(state.amplitudes, site, bit)
+            assert probability_of(state, site, bit) == half_probability(state, site, bit)
 
     @pytest.mark.parametrize(
         "control, targets",
@@ -377,13 +401,13 @@ class TestBlockedKernels:
     )
     def test_x_matches_index_oracle(self, control, targets):
         state = random_state(self.QUBITS, seed=len(targets))
-        expected = x_oracle(state.amplitudes, targets, control)
+        expected = x_oracle(state, targets, control)
         apply_gate(state, x_gate(*targets) if control is None else controlled_x(control, *targets))
-        np.testing.assert_array_equal(state.amplitudes, expected)
+        np.testing.assert_array_equal(state, expected)
 
     def test_no_state_size_temporary(self):
         state = init_zero(21)  # 2^21 amplitudes: 32 MiB
-        state.amplitudes[:] = np.linspace(0.0, 1.0, state.amplitudes.size)
+        state[:] = np.linspace(0.0, 1.0, state.size)
         angles = np.linspace(-1.0, 1.0, 20)
         gates = (hadamard(0), hadamard(1), hadamard(10), hadamard(20), s_gate(0), s_gate(20), x_gate(*range(1, 21)),
                  controlled_x(0, *range(1, 21)), x_gate(*range(1, 11)), x_gate(*range(11, 21)),
@@ -410,9 +434,9 @@ def test_numpy_sum_is_the_balanced_tree_of_block_sums(log_size):
 class TestDiagonalPhase:
     def test_zero_angles_identity(self):
         state = random_state(3, seed=9)
-        before = state.amplitudes.copy()
+        before = state.copy()
         apply_diagonal_phase(state, np.zeros(2))
-        np.testing.assert_array_equal(state.amplitudes, before)
+        np.testing.assert_array_equal(state, before)
 
     def test_pi_flips_x_expectation(self):
         # ancilla + one register qubit in |+x>
@@ -420,8 +444,8 @@ class TestDiagonalPhase:
         apply_gate(state, hadamard(1))
 
         def x_expectation(s):
-            flipped = s.amplitudes.reshape(-1, 2, 2)[:, ::-1, :]
-            return float(np.real(np.vdot(s.amplitudes, flipped.reshape(-1))))
+            flipped = s.reshape(-1, 2, 2)[:, ::-1, :]
+            return float(np.real(np.vdot(s, flipped.reshape(-1))))
 
         assert x_expectation(state) == pytest.approx(1.0, abs=1e-12)
         apply_diagonal_phase(state, np.array([math.pi]))
@@ -435,12 +459,12 @@ class TestDiagonalPhase:
         apply_diagonal_phase(a, theta1)
         apply_diagonal_phase(a, theta2)
         apply_diagonal_phase(b, theta1 + theta2)
-        np.testing.assert_allclose(a.amplitudes, b.amplitudes, atol=1e-14)
+        np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_norm_unchanged(self):
         state = random_state(4, seed=13)
         apply_diagonal_phase(state, np.array([0.3, -0.7, 2.1]))
-        assert abs(state.norm() - 1.0) < 1e-12
+        assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="angles"):
@@ -451,7 +475,7 @@ class TestDiagonalPhase:
         state = init_zero(3)
         with pytest.raises(ValueError, match="^dephasing angles must be finite$"):
             apply_diagonal_phase(state, np.array([0.0, bad]))
-        assert state.amplitudes[0] == 1.0
+        assert state[0] == 1.0
 
     @pytest.mark.parametrize("register", range(19))
     def test_matches_per_angle_oracle(self, register):
@@ -467,9 +491,9 @@ class TestDiagonalPhase:
         theta = rng.uniform(-3.0, 3.0, register)
         theta[rng.random(register) < 0.25] = 0.0  # exact zeros, which the loop skipped
         state = random_state(register + 1, seed=register)
-        expected = per_angle(state.amplitudes, theta)
+        expected = per_angle(state, theta)
         apply_diagonal_phase(state, theta)
-        np.testing.assert_allclose(state.amplitudes, expected, rtol=1e-14, atol=1e-15)
+        np.testing.assert_allclose(state, expected, rtol=1e-14, atol=1e-15)
 
     def test_phase_gate_wrapper(self):
         state = random_state(3, seed=21)
@@ -477,7 +501,7 @@ class TestDiagonalPhase:
         angles = np.array([0.4, -1.1])
         apply_gate(state, diagonal_phase(angles))
         apply_diagonal_phase(twin, angles)
-        np.testing.assert_array_equal(state.amplitudes, twin.amplitudes)
+        np.testing.assert_array_equal(state, twin)
 
 
 def assert_density(m: np.ndarray) -> None:
@@ -543,10 +567,10 @@ class TestChannel:
         # ancilla + 3 register qubits; channel leaves the ancilla alone
         state = random_state(4, seed=90)
         theta = np.random.default_rng(91).uniform(-2, 2, size=3)
-        rho = np.outer(state.amplitudes, state.amplitudes.conj())
+        rho = np.outer(state, state.conj())
         rho_out = apply_channel(rho, np.concatenate(([0.0], theta)))
         apply_diagonal_phase(state, theta)
-        expected = np.outer(state.amplitudes, state.amplitudes.conj())
+        expected = np.outer(state, state.conj())
         np.testing.assert_allclose(rho_out, expected, atol=1e-12)
 
     def test_angle_count_must_match(self):
