@@ -19,6 +19,9 @@ or JSON (`write_result_csv`); `sweep` evaluates a target's row at each
 grid value of one column and writes the result columns to a CSV file.
 The `phase` row (the rotated-chip closed form) is a sweep target only.
 
+The argparse parser is built once per process, on the first `main` call,
+and reused by every later call.
+
 Exit codes: 0 success, 2 validation or usage error (including results out
 of the floating-point range), 3 resource cap (sites of a chip with per-site
 frequencies, dense register size, shot count, sweep points), 4 I/O error;
@@ -30,6 +33,7 @@ coherence time) is one `warning: <message>` line on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -411,7 +415,14 @@ class _Parser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and reused: parsing only reads it.
+
+    Each parse fills a fresh Namespace, every default is an immutable
+    value, and argparse builds its help and usage formatters per call, so
+    no call sees another's state.
+    """
     parser = _Parser(
         prog="qredshift",
         description="Gravitational-redshift dephasing: channel numbers, protocol runs, sensing estimates.",
@@ -482,8 +493,7 @@ def _show_warning(message: Warning | str, *_: Any) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     with warnings.catch_warnings():  # restores showwarning for in-process callers
         warnings.showwarning = _show_warning
         try:

@@ -163,8 +163,21 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     return sum(below)
 
 
+def _check_seed(seed: int) -> None:
+    """A run's seed is a Philox key: an integer in [0, 2^128), never masked into range."""
+    if not 0 <= seed <= _KEY_MASK:
+        raise ValueError(f"seed must be in [0, 2^128), got {seed}")
+
+
 def substream_seed(seed: int, index: int) -> int:
-    """Independent child seed for run `index` of a batch (sweep point, repeated trial)."""
+    """Child seed for run `index` of a batch (sweep point, repeated trial).
+
+    The child is the low 64 bits of `seed` above the low 64 bits of
+    `index`, so children of one seed are distinct for indices below 2^64.
+    Bits 64 and up of `seed` are dropped: two seeds that differ only there
+    (5 and 5 + 2^64) give the same children, so they are not independent.
+    """
+    _check_seed(seed)
     if index < 0:
         raise ValueError(f"index must be >= 0, got {index}")
     return ((seed & _WORD_MASK) << 64) | (index & _WORD_MASK)

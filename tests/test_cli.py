@@ -1,15 +1,21 @@
 """Command-line interface: outputs, determinism, exit codes, sweeps."""
 
+import argparse
 import io
 import json
 import math
+import os
+import subprocess
 import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qredshift
+from qredshift import cli
 from qredshift.cli import main, read_result_csv, write_result_csv
 from qredshift.protocol import run_protocol
 from qredshift.rng import substream_seed
@@ -658,6 +664,84 @@ class TestIntegerFlags:
         assert single_row(run_cli(capsys, "--seed", str(seed), "protocol", path)[1])["seed"] == seed
         doc = json.loads(run_cli(capsys, "--seed", str(seed), "--out", "json", "protocol", path)[1])
         assert doc["inputs"]["seed"] == doc["results"]["seed"] == seed
+
+    def test_largest_seed_accepted(self, tmp_path, capsys):
+        # the argv matrix holds the rejected seeds, -1 and 2^128, from a flag, a scenario and a sweep
+        top = 2**128 - 1
+        assert single_row(run_cli(capsys, "--seed", str(top), "protocol", scenario_file(tmp_path))[1])["seed"] == top
+
+
+def run_captured(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process call, a SystemExit included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def parser_actions(parser: argparse.ArgumentParser):
+    """Every action of `parser` and of its subparsers."""
+    for action in parser._actions:
+        yield action
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from parser_actions(sub)
+
+
+def is_immutable(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(is_immutable, value))
+    return value is None or type(value) in (bool, int, float, str)
+
+
+class TestParserReuse:
+    """`main` builds the parser once per process, and no call leaves state in it."""
+
+    def test_built_once_on_the_first_call(self, capsys):
+        cli._parser.cache_clear()
+        for _ in range(2):
+            assert run_cli(capsys, "--reproducible", "redshift", "--delta-x", "0.01")[0] == 0
+        assert cli._parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(qredshift.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import qredshift.cli as cli; print(cli._parser.cache_info().misses)"
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True,
+                                timeout=60)
+        assert result.stdout.strip() == "0"
+
+    def test_a_call_leaves_no_state_for_the_next(self, tmp_path, capsys):
+        path = scenario_file(tmp_path)
+        first = ["--reproducible", "protocol", path]
+        before = run_captured(capsys, first)
+        assert before[0] == 0
+        assert run_captured(capsys, ["protocol", path, "--shots", "2.7"])[0] == 2
+        assert run_captured(capsys, ["--help"])[0] == 0
+        # a protocol sweep fills its run settings and flag defaults into its Namespace
+        sweep = ["--reproducible", "--seed", "9", "sweep", "--target", "protocol", "--param", "freq", "--from", "4",
+                 "--to", "8", "--steps", "2", "--scenario", path, "--shots", "10", "--time-s", "1",
+                 "--out", str(tmp_path / "sweep.csv")]
+        assert run_captured(capsys, sweep)[0] == 0
+        assert run_captured(capsys, first) == before
+
+    def test_every_default_is_immutable(self):
+        actions = list(parser_actions(cli._parser()))
+        assert len(actions) > 50
+        mutable = [(action.dest, action.default) for action in actions if not is_immutable(action.default)]
+        assert mutable == []
+
+    def test_help_wraps_at_each_calls_width(self, capsys, monkeypatch):
+        widths = {}
+        for columns in (60, 120):
+            monkeypatch.setenv("COLUMNS", str(columns))
+            code, out, _ = run_captured(capsys, ["--help"])
+            assert code == 0
+            # the subcommand list {redshift,...,sweep} is one word, which argparse never breaks
+            widths[columns] = max(len(line) for line in out.splitlines() if "{" not in line)
+        assert widths[60] <= 60 < widths[120] <= 120
 
 
 class TestSharedOutputPath:

@@ -20,6 +20,7 @@ from qredshift.gravity import (
     line_chip,
 )
 from qredshift.protocol import (
+    BACKENDS,
     MAX_SHOTS,
     build_circuit,
     expected_delta_phi,
@@ -283,6 +284,15 @@ class TestRunProtocol:
         seq_a = rng.shot_uniforms(5, 3000) < a.p_one
         seq_b = rng.shot_uniforms(5, 3000) < b.p_one
         np.testing.assert_array_equal(seq_a, seq_b)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_seed_outside_the_key_range_rejected(self, backend):
+        # a Philox key is 128 bits; a seed outside them is an error, not masked into range
+        for seed in (-1, 2**128, -(2**128)):
+            with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^128\), got {seed}$"):
+                run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=seed, backend=backend)
+        top = run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=2**128 - 1, backend=backend)
+        assert top.count_one == rng.count_below(2**128 - 1, 100, top.p_one)
 
     def test_estimator_consistency_over_seeds(self):
         # 3 sigma coverage of the arcsine estimator at 1e4 shots

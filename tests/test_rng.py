@@ -91,6 +91,18 @@ def test_substream_rejects_negative_index():
         substream_seed(1, -1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**128, -(2**128)])
+def test_substream_rejects_seed_outside_the_key_range(seed):
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^128\), got {seed}$"):
+        substream_seed(seed, 0)
+
+
+def test_substream_keeps_only_the_low_64_seed_bits():
+    # documented: seeds that agree in their low 64 bits have the same children
+    assert substream_seed(5 + 2**64, 3) == substream_seed(5, 3) == (5 << 64) | 3
+    assert substream_seed(2**128 - 1, 0) == (2**64 - 1) << 64
+
+
 class TestCountBelow:
     """`count_below` against the materialised stream, on every way of splitting it over CPUs."""
 

@@ -94,6 +94,7 @@ FILES = {
     "dense_cap.json": _scenario(geometry={"layout": "line", "n": 30, "spacing_m": 1e-3, "orientation_deg": 0.0}),
     "unknown_key.json": _scenario(geometry={"layout": "line", "n": 8, "spacing_m": 1e-3, "frobnicate": 1}),
     "bad_layout.json": _scenario(geometry={"layout": "ring", "n": 8, "spacing_m": 1e-3}),
+    "negative_seed.json": _scenario(run={"time_s": 1e-3, "shots": 100000, "seed": -1, "backend": "branch"}),
     "consts.json": {"c": 299792458.0, "g0": 9.81},
     "bad_consts.json": {"c": True},
 }
@@ -272,6 +273,13 @@ def commands() -> list[list[str]]:
         _sweep("phase", "ell", "-1", "1"),
         _sweep("phase", "freq", "-10", "10"),
         _sweep("protocol", "n", "2", "30", "2", "--scenario", "sv.json"),
+    ]
+    # seeds outside [0, 2^128), which a Philox key would otherwise mask into range
+    cmds += [
+        [R, "--seed", "-1", "protocol", "rotation.json"],
+        [R, "--seed", str(2**128), "protocol", "rotation.json"],
+        [R, "protocol", "negative_seed.json"],
+        [R, "--seed", "-1", *_sweep("protocol", "n", "2", "8", "2", "--scenario", "rotation.json")[1:]],
     ]
     return cmds
 
