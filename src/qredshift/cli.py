@@ -1,9 +1,9 @@
 """Command-line front end, driven by one table of row functions.
 
 Subcommands: redshift, protocol, gravimeter, strain, required-qubits,
-sweep.  Global flags: --seed, --constants-file, --out {csv,json},
---reproducible (suppresses the timestamp so repeated runs are
-byte-identical).
+sweep.  Global flags: --seed (protocol runs only), --constants-file,
+--out {csv,json} (one-row commands only; csv when unset), --reproducible
+(suppresses the timestamp so repeated runs are byte-identical).
 
 `_ROWS` holds one entry per computation: a row function that maps its
 parameters to one output row `(echoed input columns, result columns)`,
@@ -291,6 +291,8 @@ def _row_inputs(
 ) -> tuple[dict[str, Any], PhysicalConstants, ScenarioDocument | None]:
     """(the row's parameters, constants, scenario); a protocol's unset run settings are set on `args`."""
     if "scenario" not in row.params:
+        if args.seed is not None:
+            raise ValueError("--seed applies only to protocol runs; no other command draws shots")
         constants = load_constants(args.constants_file) if args.constants_file else DEFAULT_CONSTANTS
         return {key: getattr(args, key, None) for key in row.params}, constants, None
     if args.constants_file:
@@ -353,6 +355,8 @@ def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.out is not None:
+        raise ValueError(f"--out {args.out} sets stdout's format; sweep writes only CSV, to its own --out path")
     row = _ROWS[args.target]
     if args.param not in row.sweep:
         raise ValueError(
@@ -429,7 +433,7 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None, help="master seed for shot sampling")
     parser.add_argument("--constants-file", default=None, help="JSON file with constant overrides")
-    parser.add_argument("--out", choices=("csv", "json"), default="csv", help="stdout format")
+    parser.add_argument("--out", choices=("csv", "json"), default=None, help="stdout format")  # unset: csv
     parser.add_argument("--reproducible", action="store_true",
                         help="omit the timestamp so identical runs are byte-identical")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -1,13 +1,14 @@
 """Counter-based random streams for reproducible shot sampling.
 
-Shot i of a run consumes uniform u_i that depends only on (seed, i).
+Shot i of a run consumes uniform u_i that depends only on (seed, i); a seed
+is a Philox key in [0, 2^128), and any other raises ValueError.
 Streams are Philox counter-based: a worker can open the same stream at any
 offset and reproduce the tail bit for bit, so chunked or parallel shot
 loops give the same outcomes as a sequential one. `count_below` uses that
 to split a count over the CPUs the process may run on; its result, and so
 every output of the package, does not depend on how many there are.
 
-A stream opens from its 128-bit key alone: no OS entropy is drawn, and
+A stream opens from its key alone: no OS entropy is drawn, and
 numpy.random is imported on the first open rather than with the package.
 `count_below` compares raw Philox words with an integer limit instead of
 converting them to doubles first; `shot_uniforms` keeps the doubles and
@@ -19,11 +20,10 @@ from __future__ import annotations
 import functools
 import math
 import os
-import threading
 
 import numpy as np
 
-__all__ = ["shot_stream", "shot_uniforms", "count_below", "substream_seed"]
+__all__ = ["shot_uniforms", "count_below", "substream_seed"]
 
 _KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
@@ -65,11 +65,17 @@ def _key_sequence() -> type:
     return KeySequence
 
 
+def _check_seed(seed: int) -> None:
+    """A run's seed is a Philox key: an integer in [0, 2^128), never masked into range."""
+    if not 0 <= seed <= _KEY_MASK:
+        raise ValueError(f"seed must be in [0, 2^128), got {seed}")
+
+
 def _philox(seed: int, start: int) -> np.random.Philox:
-    """Philox bit generator keyed by `seed` (masked to 128 bits), positioned at word `start`."""
+    """Philox bit generator keyed by `seed`, positioned at word `start`."""
     if start < 0:
         raise ValueError(f"start must be >= 0, got {start}")
-    bitgen = np.random.Philox(_key_sequence()(seed & _KEY_MASK))
+    bitgen = np.random.Philox(_key_sequence()(seed))
     blocks, rem = divmod(start, _WORDS_PER_BLOCK)
     if blocks:
         bitgen.advance(blocks)
@@ -78,14 +84,10 @@ def _philox(seed: int, start: int) -> np.random.Philox:
     return bitgen
 
 
-def shot_stream(seed: int, start: int = 0) -> np.random.Generator:
-    """Generator positioned so its next draw is uniform number `start` of the stream."""
-    return np.random.Generator(_philox(seed, start))
-
-
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniforms [start, start + count) of the stream keyed by `seed`."""
-    return shot_stream(seed, start).random(count)
+    _check_seed(seed)
+    return np.random.Generator(_philox(seed, start)).random(count)
 
 
 def _count_range(seed: int, start: int, end: int, size: int, limit: np.uint64, stop: list) -> int:
@@ -93,15 +95,19 @@ def _count_range(seed: int, start: int, end: int, size: int, limit: np.uint64, s
 
     The Philox state carries over between calls, so consecutive chunks
     continue the same sequence. Returns early, with a partial count, once
-    `stop` is non-empty.
+    `stop` is non-empty, and makes it non-empty before raising an error.
     """
-    bitgen = _philox(seed, start)
-    below = 0
-    for first in range(start, end, size):
-        if stop:
-            break
-        below += int(np.count_nonzero(bitgen.random_raw(min(size, end - first)) < limit))
-    return below
+    try:
+        bitgen = _philox(seed, start)
+        below = 0
+        for first in range(start, end, size):
+            if stop:
+                break
+            below += int(np.count_nonzero(bitgen.random_raw(min(size, end - first)) < limit))
+        return below
+    except BaseException:
+        stop.append(True)
+        raise
 
 
 def count_below(seed: int, count: int, threshold: float) -> int:
@@ -109,7 +115,7 @@ def count_below(seed: int, count: int, threshold: float) -> int:
 
     Equal to np.count_nonzero(shot_uniforms(seed, count) < threshold) for
     every seed, count and threshold, and the same integer whatever the
-    number of CPUs.
+    number of CPUs. A seed outside [0, 2^128) raises at any count.
 
     A threshold p <= 0 or NaN counts none and p >= 1 counts all, with no
     draw. Otherwise the raw Philox words w are compared, not the doubles:
@@ -121,12 +127,13 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     The count splits into one contiguous range per CPU, at least one chunk
     each, and `_count_range` counts each range in fixed-size chunks, so all
     chunks together hold `_COUNT_CHUNK` words. A count of one range is
-    counted right here, with no thread and no bookkeeping; otherwise the
-    calling thread counts the first range and a thread started here counts
-    each other one. numpy draws and compares the words without holding the
-    GIL. If a range fails or is interrupted, the others stop before their
-    next chunk and the first error is raised here.
+    counted right here; otherwise the calling thread counts the first range
+    and a thread pool the others. numpy draws and compares the words
+    without holding the GIL. If a range fails or is interrupted, the others
+    stop before their next chunk and the pool's exit joins them; the
+    caller's own error is raised, else the first failed range's.
     """
+    _check_seed(seed)
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if not threshold > 0:
@@ -137,47 +144,29 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     workers = max(1, min(_CPUS, count // _COUNT_CHUNK))
     if workers == 1:
         return _count_range(seed, 0, count, _COUNT_CHUNK, limit, [])
+    from concurrent.futures import ThreadPoolExecutor
+
     bounds = [count * index // workers for index in range(workers + 1)]
     size = _COUNT_CHUNK // workers
-    below = [0] * workers
-    errors: list[BaseException] = []  # also the stop flag: ranges end at their next chunk once it is non-empty
-
-    def count_range(index: int) -> None:
+    stop: list[bool] = []  # every range ends at its next chunk once this is non-empty
+    with ThreadPoolExecutor(workers - 1) as pool:
         try:
-            below[index] = _count_range(seed, bounds[index], bounds[index + 1], size, limit, errors)
-        except BaseException as error:  # re-raised by the caller below
-            errors.append(error)
-
-    threads = [threading.Thread(target=count_range, args=(index,)) for index in range(1, workers)]
-    try:
-        for thread in threads:
-            thread.start()
-        count_range(0)
-        for thread in threads:
-            thread.join()
-    except BaseException as error:  # a failed start or an interrupted join: stop the started ranges
-        errors.append(error)
-        raise
-    if errors:
-        raise errors[0]
-    return sum(below)
-
-
-def _check_seed(seed: int) -> None:
-    """A run's seed is a Philox key: an integer in [0, 2^128), never masked into range."""
-    if not 0 <= seed <= _KEY_MASK:
-        raise ValueError(f"seed must be in [0, 2^128), got {seed}")
+            others = [pool.submit(_count_range, seed, bounds[index], bounds[index + 1], size, limit, stop)
+                      for index in range(1, workers)]
+            return _count_range(seed, 0, bounds[1], size, limit, stop) + sum(other.result() for other in others)
+        finally:  # also stops the ranges when a submit or a wait is interrupted
+            stop.append(True)
 
 
 def substream_seed(seed: int, index: int) -> int:
     """Child seed for run `index` of a batch (sweep point, repeated trial).
 
-    The child is the low 64 bits of `seed` above the low 64 bits of
-    `index`, so children of one seed are distinct for indices below 2^64.
+    The child is the low 64 bits of `seed` above `index`, which must be in
+    [0, 2^64), so children of one seed are distinct.
     Bits 64 and up of `seed` are dropped: two seeds that differ only there
     (5 and 5 + 2^64) give the same children, so they are not independent.
     """
     _check_seed(seed)
-    if index < 0:
-        raise ValueError(f"index must be >= 0, got {index}")
-    return ((seed & _WORD_MASK) << 64) | (index & _WORD_MASK)
+    if not 0 <= index <= _WORD_MASK:
+        raise ValueError(f"index must be in [0, 2^64), got {index}")
+    return ((seed & _WORD_MASK) << 64) | index

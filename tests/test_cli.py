@@ -436,6 +436,16 @@ class TestSweep:
         assert code == 4
         capsys.readouterr()
 
+    def test_directory_path_io_error_leaves_no_temp_file(self, tmp_path, capsys):
+        # the rows are written to a temporary file beside the path, which cannot replace a directory
+        (tmp_path / "out").mkdir()
+        code = main(["sweep", "--target", "gravimeter", "--param", "n",
+                     "--from", "10", "--to", "20", "--steps", "2", "--out", str(tmp_path / "out")])
+        assert code == 4
+        one_line_error(capsys)
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["out"]
+        assert list((tmp_path / "out").iterdir()) == []
+
 
 def one_line_error(capsys) -> str:
     captured = capsys.readouterr()

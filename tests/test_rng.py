@@ -12,7 +12,9 @@ import pytest
 
 import qredshift
 from qredshift import rng
-from qredshift.rng import shot_stream, shot_uniforms, substream_seed
+from qredshift.rng import shot_uniforms, substream_seed
+
+OUTSIDE_THE_KEY_RANGE = (-1, 2**128, -(2**128), 2**200 + 17)
 
 
 def test_same_seed_same_stream():
@@ -39,24 +41,32 @@ def test_split_into_chunks_reassembles():
     np.testing.assert_array_equal(full, np.concatenate(chunks))
 
 
-def test_stream_object_positioning():
-    gen = shot_stream(9, start=10)
-    np.testing.assert_array_equal(gen.random(5), shot_uniforms(9, 5, start=10))
+def test_stream_positioning():
+    # a stream opened at word 10 continues the one opened at word 0
+    np.testing.assert_array_equal(rng._philox(9, 10).random_raw(5), rng._philox(9, 0).random_raw(15)[10:])
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**64, 2**127 - 1, 2**128 + 5])
+@pytest.mark.parametrize("seed", [0, 1, 2**64, 2**127 - 1, 2**128 - 1])
 @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 1001])
 def test_stream_opens_like_a_philox_key(seed, start):
     # numpy's own keyed opening, advanced word by word, is the independent reference
-    reference = np.random.Philox(key=seed & (2**128 - 1))
+    reference = np.random.Philox(key=seed)
     reference.random_raw(start)
     expected = reference.random_raw(64)
-    np.testing.assert_array_equal(shot_stream(seed, start).bit_generator.random_raw(64), expected)
+    np.testing.assert_array_equal(rng._philox(seed, start).random_raw(64), expected)
 
 
-def test_import_leaves_numpy_random_unloaded():
-    # numpy.random takes about 17 ms to import; the first stream opened pays it, not the import
-    code = "import sys, qredshift, qredshift.cli; print(sorted(m for m in sys.modules if m.startswith('numpy.random')))"
+def test_uniforms_are_the_doubles_of_the_words():
+    # Generator.random() maps word w to (w >> 11) 2^-53
+    words = rng._philox(2**100 + 3, 7).random_raw(1000)
+    np.testing.assert_array_equal(shot_uniforms(2**100 + 3, 1000, start=7), (words >> np.uint64(11)) * 2.0**-53)
+
+
+def test_import_leaves_numpy_random_and_the_thread_pool_unloaded():
+    # numpy.random takes about 17 ms to import, and concurrent.futures loads only with a count split over
+    # several ranges: the first stream opened, or the first split count, pays for them, not the import
+    code = ("import sys, qredshift, qredshift.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('numpy.random', 'concurrent'))))")
     src = str(Path(qredshift.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
@@ -65,13 +75,20 @@ def test_import_leaves_numpy_random_unloaded():
     assert result.stdout.strip() == "[]"
 
 
-def test_large_seed_accepted():
-    shot_uniforms(2**200 + 17, 10)  # keys wider than 128 bits are masked
+@pytest.mark.parametrize("seed", OUTSIDE_THE_KEY_RANGE)
+def test_uniforms_reject_seed_outside_the_key_range(seed):
+    # the same error as run_protocol's, never a key masked into range
+    with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^128\), got {seed}$"):
+        shot_uniforms(seed, 10)
+
+
+def test_largest_seed_accepted():
+    assert shot_uniforms(2**128 - 1, 10).shape == (10,)
 
 
 def test_negative_start_rejected():
-    with pytest.raises(ValueError):
-        shot_stream(1, start=-1)
+    with pytest.raises(ValueError, match="start must be >= 0"):
+        shot_uniforms(1, 5, start=-1)
 
 
 def test_substream_seeds_distinct():
@@ -86,9 +103,15 @@ def test_substream_streams_independent():
     assert not np.array_equal(a, b)
 
 
-def test_substream_rejects_negative_index():
-    with pytest.raises(ValueError):
-        substream_seed(1, -1)
+@pytest.mark.parametrize("index", [-1, 2**64, 2**64 + 3])
+def test_substream_rejects_index_outside_64_bits(index):
+    # an index is never masked into range: 2^64 + 3 would otherwise repeat child 3
+    with pytest.raises(ValueError, match=rf"index must be in \[0, 2\^64\), got {index}$"):
+        substream_seed(1, index)
+
+
+def test_substream_accepts_the_largest_index():
+    assert substream_seed(1, 2**64 - 1) == (1 << 64) | (2**64 - 1)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, -(2**128)])
@@ -143,6 +166,14 @@ class TestCountBelow:
         with pytest.raises(ValueError):
             rng.count_below(1, -1, 0.5)
 
+    @pytest.mark.parametrize("seed", OUTSIDE_THE_KEY_RANGE)
+    def test_seed_outside_the_key_range_rejected(self, cpus, seed):
+        # whatever the count and threshold, including the ones that draw nothing
+        for count in (-1, 0, 1, cpus * rng._COUNT_CHUNK):
+            for threshold in (0.0, 0.5, 1.0, float("nan")):
+                with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^128\), got {seed}$"):
+                    rng.count_below(seed, count, threshold)
+
     def test_many_ranges_under_fast_thread_switching(self, monkeypatch):
         monkeypatch.setattr(rng, "_CPUS", 8)  # more ranges than this machine has cores, most likely
         count = 8 * rng._COUNT_CHUNK + 5
@@ -192,6 +223,33 @@ class TestCountBelow:
         before = threading.active_count()
         count = 10**9  # 5e8 shots for the other range: seconds of drawing if it ran to the end
         with pytest.raises(KeyboardInterrupt):
+            rng.count_below(1, count, 0.5)
+        assert threading.active_count() == before
+        assert sum(draws) < count // 2 // 10
+
+    def test_failing_range_stops_the_callers_range(self, monkeypatch):
+        # the failing range itself must stop the others: the calling thread is busy counting its own
+        monkeypatch.setattr(rng, "_CPUS", 2)
+        real = rng._philox
+        draws = []
+
+        class CountingWords:
+            def __init__(self, bitgen):
+                self.bitgen = bitgen
+
+            def random_raw(self, size):
+                draws.append(size)
+                return self.bitgen.random_raw(size)
+
+        def failing(seed, start):
+            if start > 0:
+                raise RuntimeError(f"range at {start} failed")
+            return CountingWords(real(seed, start))
+
+        monkeypatch.setattr(rng, "_philox", failing)
+        before = threading.active_count()
+        count = 10**9  # 5e8 shots for the calling thread's range: seconds of drawing if it ran to the end
+        with pytest.raises(RuntimeError, match="range at"):
             rng.count_below(1, count, 0.5)
         assert threading.active_count() == before
         assert sum(draws) < count // 2 // 10

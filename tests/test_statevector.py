@@ -230,6 +230,7 @@ class TestGates:
             (Gate("s", (1,), control=0), ValueError, "s gate takes no control"),
             (Gate("phase", control=0, angles=np.zeros(2)), ValueError, "phase gate takes no control"),
             (Gate("phase", (1,), angles=np.zeros(2)), ValueError, "phase gate takes no targets"),
+            (Gate("phase"), ValueError, "^phase gate needs angles$"),
             (Gate("cx", (1,)), ValueError, "cx gate needs a control"),
             (Gate("y", (1,)), ValueError, "unknown gate kind"),
             (hadamard(1.0), TypeError, "^target must be an integer, got 1.0$"),

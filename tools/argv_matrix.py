@@ -97,6 +97,13 @@ FILES = {
     "negative_seed.json": _scenario(run={"time_s": 1e-3, "shots": 100000, "seed": -1, "backend": "branch"}),
     "consts.json": {"c": 299792458.0, "g0": 9.81},
     "bad_consts.json": {"c": True},
+    # documents of the wrong shape or with out-of-range values
+    "list.json": [],
+    "geometry_list.json": _scenario(geometry=[]),
+    "constants_list.json": _scenario(constants=[]),
+    "zero_G.json": _scenario(constants={"G": 0}),
+    "zero_n.json": _scenario(geometry={"layout": "line", "n": 0, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    "negative_c.json": {"c": -1},
 }
 # files no JSON reader accepts: nesting beyond the recursion limit, bytes that are not UTF-8
 RAW_FILES = {"nested.json": b"[" * 2000, "undecodable.json": b"\xff{}"}
@@ -280,6 +287,26 @@ def commands() -> list[list[str]]:
         [R, "--seed", str(2**128), "protocol", "rotation.json"],
         [R, "protocol", "negative_seed.json"],
         [R, "--seed", "-1", *_sweep("protocol", "n", "2", "8", "2", "--scenario", "rotation.json")[1:]],
+    ]
+    # --seed on commands that draw no shots, the global --out on sweep
+    cmds += [
+        [R, "--seed", "-1", "gravimeter"],
+        [R, "--seed", "5", "redshift", "--delta-x", "1"],
+        [R, "--seed", "5", "strain"],
+        [R, "--seed", "0", "required-qubits"],
+        *([R, "--seed", "5", *_sweep(target, param, "1", "10", "2")[1:]] for target, param in
+          (("phase", "n"), ("gravimeter", "tc"), ("strain", "ell"), ("required-qubits", "freq"))),
+        [R, "--out", "json", *_sweep("phase", "n", "2", "10", "2")[1:]],
+        [R, "--out", "csv", *_sweep("protocol", "n", "2", "8", "2", "--scenario", "rotation.json")[1:]],
+    ]
+    # input errors: wrong document shapes and values, a non-numeric flag, a log grid through zero
+    cmds += [
+        *([R, "protocol", name] for name in ("list.json", "geometry_list.json", "constants_list.json",
+                                              "zero_G.json", "zero_n.json")),
+        [R, "--constants-file", "negative_c.json", "gravimeter"],
+        [R, "--constants-file", "list.json", "gravimeter"],
+        [R, "gravimeter", "--tc", "abc"],
+        _sweep("gravimeter", "n", "-1", "10", "3", "--log"),
     ]
     return cmds
 
