@@ -7,7 +7,7 @@ statevector or an exact two-branch backend, and computes the sensing
 figures of merit (gravimetry, strain response, required-qubit scaling).
 """
 
-from .branch import ancilla_probabilities
+from .branch import ancilla_probabilities, estimate, standard_pea_probabilities
 from .constants import DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import (
     ChipGeometry,
@@ -30,7 +30,6 @@ from .protocol import (
     build_circuit,
     expected_delta_phi,
     run_protocol,
-    standard_pea_probabilities,
 )
 from .sensing import (
     closed_form_phase,

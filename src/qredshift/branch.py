@@ -10,13 +10,16 @@ Evaluating the sine law on that one number reproduces the dense
 simulation exactly.  On a chip with one qubit frequency the number has a
 closed form (gravity.uniform_delta_phi), so a register of any size costs
 O(1); per-site frequencies cost one O(n) numpy pass over the angles.
+
+The module holds the whole readout: the sine law, its inverse from a shot
+count (estimate), and the cosine law of plain phase estimation.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = ["ancilla_probabilities"]
+__all__ = ["ancilla_probabilities", "estimate", "standard_pea_probabilities"]
 
 
 def ancilla_probabilities(delta_phi: float) -> tuple[float, float]:
@@ -27,3 +30,24 @@ def ancilla_probabilities(delta_phi: float) -> tuple[float, float]:
     """
     p_one = 0.5 + 0.5 * math.sin(delta_phi)
     return 1.0 - p_one, p_one
+
+
+def estimate(count_one: int, shots: int) -> tuple[float, float, float, bool]:
+    """(p_hat, delta_phi_hat, std_error, saturated) from `count_one` ones in `shots` shots.
+
+    Inverts the sine law, delta_phi_hat = asin(2 p_hat - 1); 2 p_hat - 1
+    lies in [-1, 1] for every count.  At the estimate the law's slope
+    cos(delta_phi_hat)/2 equals sqrt(p_hat (1 - p_hat)), so the binomial
+    error sqrt(p_hat (1 - p_hat) / N) propagates to exactly 1/sqrt(N).  A
+    count of 0 or N saturates the arcsine at -+pi/2, where the slope
+    vanishes: its std_error is NaN.
+    """
+    p_hat = count_one / shots
+    saturated = count_one in (0, shots)
+    return p_hat, math.asin(2.0 * p_hat - 1.0), math.nan if saturated else 1.0 / math.sqrt(shots), saturated
+
+
+def standard_pea_probabilities(delta_phi: float) -> tuple[float, float]:
+    """(P(0), P(1)) of plain phase estimation (no S gate): the cosine law, the baseline flat at dphi = 0."""
+    p_zero = 0.5 + 0.5 * math.cos(delta_phi)
+    return p_zero, 1.0 - p_zero

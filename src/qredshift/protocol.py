@@ -13,10 +13,11 @@ The ancilla-based circuit, fixed by the signs of the angles alone, is
 
 The S gate makes the readout linear in the phase: P(1) = 1/2 + sin(dphi)/2,
 with slope 1/2 at dphi = 0, where the plain phase-estimation readout
-(cosine law, see standard_pea_probabilities) has slope 0.  The second
-controlled-X layer is what moves the branch phase difference onto the
-ancilla; without it the register stays entangled and the ancilla reads
-P(1) = 1/2 regardless of dphi.
+(cosine law) has slope 0; qredshift.branch holds both laws and the
+estimate of dphi from the shot count.  The second controlled-X layer is
+what moves the branch phase difference onto the ancilla; without it the
+register stays entangled and the ancilla reads P(1) = 1/2 regardless of
+dphi.
 
 The statevector backend applies that circuit gate by gate to the array
 of 2^(n+1) amplitudes of |0...0> and reads the ancilla off it; the branch
@@ -52,7 +53,6 @@ __all__ = [
     "expected_delta_phi",
     "build_circuit",
     "run_protocol",
-    "standard_pea_probabilities",
 ]
 
 # Most shots run_protocol takes; above it the run raises ResourceCapError
@@ -105,19 +105,6 @@ def build_circuit(theta: np.ndarray) -> list[sv.Gate]:
     return gates + [sv.s_gate(0), fan_out, sv.diagonal_phase(theta), fan_out, sv.hadamard(0)]
 
 
-def _estimate(p_hat: float) -> tuple[float, float, bool]:
-    """(delta_phi_hat, std_error, saturated) from an observed P(1).
-
-    Inverts p = 1/2 + sin(dphi)/2 and propagates the binomial error through
-    the slope dP/dphi = cos(dphi)/2 evaluated at the estimate.  p_hat of
-    exactly 0 or 1 saturates the arcsine at -+pi/2 where the slope vanishes.
-    """
-    x = 2.0 * p_hat - 1.0
-    saturated = p_hat <= 0.0 or p_hat >= 1.0
-    delta_hat = math.asin(max(-1.0, min(1.0, x)))
-    return delta_hat, 0.5 * math.sqrt(max(0.0, 1.0 - x * x)), saturated
-
-
 def run_protocol(
     scenario: GravScenario,
     t: float,
@@ -163,15 +150,9 @@ def run_protocol(
         p_one = sv.probability_of(state, 0, 1)
 
     count_one = count_below(seed, shots, p_one)
-    p_hat = count_one / shots
-    delta_hat, slope, saturated = _estimate(p_hat)
+    p_hat, delta_hat, std_error, saturated = branch_engine.estimate(count_one, shots)
     if saturated:
-        warnings.warn(
-            f"p_hat = {p_hat} saturates the estimator at {delta_hat:+.6f} rad", stacklevel=2
-        )
-        std_error = math.nan
-    else:
-        std_error = math.sqrt(p_hat * (1.0 - p_hat) / shots) / slope
+        warnings.warn(f"p_hat = {p_hat} saturates the estimator at {delta_hat:+.6f} rad", stacklevel=2)
     range_exceeded = abs(analytic) > math.pi / 2.0
     if range_exceeded:
         warnings.warn(
@@ -191,12 +172,3 @@ def run_protocol(
         range_exceeded=range_exceeded,
     )
 
-
-def standard_pea_probabilities(delta_phi: float) -> tuple[float, float]:
-    """(P(0), P(1)) of plain phase estimation (no S gate): the cosine law.
-
-    Quadratic around dphi = 0, hence the comparison baseline for the
-    linear readout above.
-    """
-    p_zero = 0.5 + 0.5 * math.cos(delta_phi)
-    return p_zero, 1.0 - p_zero

@@ -16,16 +16,11 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
-from qredshift.branch import ancilla_probabilities
+from qredshift.branch import ancilla_probabilities, standard_pea_probabilities
 from qredshift.cli import main, read_result_csv
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import GravScenario, UniformDeltaG, VerticalRotation, dephasing_angles, line_chip
-from qredshift.protocol import (
-    build_circuit,
-    expected_delta_phi,
-    run_protocol,
-    standard_pea_probabilities,
-)
+from qredshift.protocol import build_circuit, expected_delta_phi, run_protocol
 from qredshift.rng import shot_uniforms
 from qredshift.sensing import (
     closed_form_phase,

@@ -1,4 +1,4 @@
-"""Two-branch readout: the sine law of the branch phase difference."""
+"""Two-branch readout: the sine law of the branch phase difference, its inverse and the cosine baseline."""
 
 import functools
 import math
@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from qredshift.branch import ancilla_probabilities
+from qredshift.branch import ancilla_probabilities, estimate
 from qredshift.protocol import build_circuit
 from qredshift.statevector import apply_gate, init_zero, probability_of
 
@@ -50,3 +50,42 @@ class TestSubspaceExactness:
             phi_minus = float(theta[theta < 0].sum())
             _, p1_branch = ancilla_probabilities(phi_plus - phi_minus)
             assert abs(p1_dense - p1_branch) < 1e-12
+
+
+def clamped_estimate(count_one: int, shots: int) -> tuple[float, float]:
+    """(delta_phi_hat, std_error) as the inverse computed them with clamps and the propagated slope."""
+    p_hat = count_one / shots
+    x = 2.0 * p_hat - 1.0
+    slope = 0.5 * math.sqrt(max(0.0, 1.0 - x * x))
+    std_error = math.nan if p_hat <= 0.0 or p_hat >= 1.0 else math.sqrt(p_hat * (1.0 - p_hat) / shots) / slope
+    return math.asin(max(-1.0, min(1.0, x))), std_error
+
+
+SHOT_COUNTS = [1, 2, 3, 7, 1000]
+
+
+class TestEstimate:
+    @pytest.mark.parametrize("shots", SHOT_COUNTS)
+    def test_arcsine_needs_no_clamp(self, shots):
+        for count in range(shots + 1):
+            p_hat, delta_hat, _, _ = estimate(count, shots)
+            assert p_hat == count / shots
+            assert delta_hat.hex() == clamped_estimate(count, shots)[0].hex(), count
+
+    @pytest.mark.parametrize("shots", SHOT_COUNTS)
+    def test_std_error_is_one_over_root_shots(self, shots):
+        for count in range(1, shots):
+            _, _, std_error, saturated = estimate(count, shots)
+            assert not saturated
+            assert std_error == 1.0 / math.sqrt(shots)
+            # the propagated slope rounds 1 - x^2, which cancels as |x| = |2 p_hat - 1| nears 1
+            x = 2.0 * count / shots - 1.0
+            bound = 1e-15 + 2.0**-53 / (1.0 - x * x)
+            assert abs(clamped_estimate(count, shots)[1] - std_error) <= bound * std_error, count
+
+    @pytest.mark.parametrize("shots", SHOT_COUNTS)
+    def test_zero_or_all_ones_saturate(self, shots):
+        for count, edge in ((0, -math.pi / 2), (shots, math.pi / 2)):
+            p_hat, delta_hat, std_error, saturated = estimate(count, shots)
+            assert saturated and math.isnan(std_error)
+            assert (p_hat, delta_hat) == (count / shots, edge)

@@ -10,6 +10,9 @@ numbers are drawn the same way, where the stderr of a run may also carry
 registers of at most 10 sites, uniform or per-site frequencies, the branch
 and statevector backends print the same exit code and `error:` line, and
 within the estimator range agree on `p_one` to 1e-12 and on `count_one`.
+Those draws reach a sweep's compute path almost never, so sweeps that
+draw only the flags their target reads, with positive moderate values and
+a `--param` the target sweeps, must exit 0 with every cell finite.
 """
 
 import contextlib
@@ -86,9 +89,48 @@ SWEEP = command(
 )
 
 
+# the flags each sweep target reads (besides --geometry), with values at which every target computes;
+# PARAM_FLAG is the flag of each --param, which a sweep of that param must leave out
+POSITIVE = st.floats(1e-3, 1e3)
+COUNTS = st.integers(1, 10**4)
+READS = {
+    "phase": {"--n": COUNTS, "--freq-ghz": POSITIVE, "--ell": POSITIVE, "--time-s": POSITIVE},
+    "gravimeter": {"--n": COUNTS, "--tc": POSITIVE, "--freq-ghz": POSITIVE, "--phase-res": POSITIVE},
+    "strain": {"--n": COUNTS, "--tc": POSITIVE, "--freq-ghz": POSITIVE, "--ell": POSITIVE, "--phase-res": POSITIVE},
+    "required-qubits": {"--tc": POSITIVE, "--freq-ghz": POSITIVE, "--ell": POSITIVE, "--phase-res": POSITIVE},
+}
+PARAM_FLAG = {"n": "--n", "tc": "--tc", "freq": "--freq-ghz", "ell": "--ell", "time": "--time-s"}
+
+
+@st.composite
+def computing_sweeps(draw) -> list[str]:
+    target = draw(st.sampled_from(sorted(SWEPT)))
+    param = draw(st.sampled_from(SWEPT[target]))
+    ends = COUNTS if param == "n" else POSITIVE
+    geometry = ([], ["--geometry=1d"], ["--geometry=2d"]) if target in ("phase", "required-qubits") else ([],)
+    return ["sweep", "--target", target, "--param", param, f"--from={draw(ends)!r}", f"--to={draw(ends)!r}",
+            f"--steps={draw(st.integers(2, 6))}", *draw(st.sampled_from([[], ["--log"]])),
+            *draw(st.sampled_from(geometry)),
+            *draw(flags({flag: v for flag, v in READS[target].items() if flag != PARAM_FLAG[param]}))]
+
+
 @pytest.fixture(scope="module")
 def sweep_csv(tmp_path_factory):
     return tmp_path_factory.mktemp("property") / "sweep.csv"
+
+
+def run_main(argv: list[str], sweep_csv) -> tuple[int, str, str]:
+    """(exit code, stdout, stderr) of one in-process run; a sweep writes to `sweep_csv`."""
+    if "sweep" in argv:
+        argv = [*argv, "--out", str(sweep_csv)]
+        sweep_csv.unlink(missing_ok=True)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage error
+            code = exc.code
+    return code, stdout.getvalue(), stderr.getvalue()
 
 
 def float_cells(argv: list[str], stdout: str, sweep_csv) -> list[float]:
@@ -110,23 +152,33 @@ def float_cells(argv: list[str], stdout: str, sweep_csv) -> list[float]:
 def test_finite_cells_or_one_error_line(sweep_csv, out, argv):
     # the global --out is a row command's stdout format: a sweep given it exits 2 before any other check
     argv = ["--reproducible", *([] if argv[0] == "sweep" else out), *argv]
-    if "sweep" in argv:
-        argv += ["--out", str(sweep_csv)]
-        sweep_csv.unlink(missing_ok=True)
-    stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
-        try:
-            code = main(argv)
-        except SystemExit as exc:  # argparse usage error
-            code = exc.code
+    code, stdout, stderr = run_main(argv, sweep_csv)
     if code == 0:
-        cells = float_cells(argv, stdout.getvalue(), sweep_csv)
+        cells = float_cells(argv, stdout, sweep_csv)
         assert all(math.isfinite(cell) for cell in cells), (argv, cells)
     else:
         assert code in (2, 3, 4), (argv, code)
-        assert stdout.getvalue() == ""
-        errors = [line for line in stderr.getvalue().splitlines() if "error:" in line]
-        assert len(errors) == 1, (argv, stderr.getvalue())
+        assert stdout == ""
+        errors = [line for line in stderr.splitlines() if "error:" in line]
+        assert len(errors) == 1, (argv, stderr)
+
+
+# one computing sweep per target, pinned because the drawn examples shift with the source literals
+# hypothesis reads
+@example(argv=["sweep", "--target", "phase", "--param", "n", "--from=2", "--to=1000", "--steps=3", "--ell=0.001"])
+@example(argv=["sweep", "--target", "gravimeter", "--param", "tc", "--from=0.001", "--to=1.0", "--steps=3", "--log",
+               "--n=1000"])
+@example(argv=["sweep", "--target", "strain", "--param", "ell", "--from=0.0001", "--to=0.01", "--steps=3",
+               "--tc=0.001"])
+@example(argv=["sweep", "--target", "required-qubits", "--param", "freq", "--from=4.0", "--to=8.0", "--steps=3",
+               "--geometry=2d"])
+@settings(max_examples=50)
+@given(computing_sweeps())
+def test_sweep_computes_finite_cells(sweep_csv, argv):
+    code, _, stderr = run_main(["--reproducible", *argv], sweep_csv)
+    assert code == 0, (argv, stderr)
+    cells = float_cells(argv, "", sweep_csv)
+    assert cells and all(math.isfinite(cell) for cell in cells), (argv, cells)
 
 
 # site counts up to 4096, weighted toward the statevector backend's n <= 10, or above the site cap

@@ -132,6 +132,36 @@ class TestFractionalShifts:
             assert potential_change(ProximalMass(rng.uniform(0, 1e6), rng.uniform(1e-3, 10))) <= 0.0
 
 
+class TestExternalAnchors:
+    """The fractional shift g h / c^2 of a clock raised by h, against published clock comparisons.
+
+    Chou et al., Science 329, 1630 (2010) measured (4.1 +- 1.6)e-17 for a
+    clock raised 33 cm; Pound and Rebka, PRL 4, 337 (1960) tested the one-way
+    prediction for their 22.5 m tower; Bothwell et al., Nature 602, 420 (2022)
+    resolved shifts of order 1e-19 across a millimetre-scale atomic sample.
+    """
+
+    @staticmethod
+    def shift(height: float) -> float:
+        return potential_change(VerticalTranslation(height)) / C2
+
+    @pytest.mark.parametrize("height, shown", [(0.33, "3.6008e-17"), (22.5, "2.4551e-15"), (1e-3, "1.0911e-19")])
+    def test_anchor_values(self, height, shown):
+        assert f"{self.shift(height):.4e}" == shown
+
+    def test_chou_2010_within_one_sigma(self):
+        assert abs(self.shift(0.33) - 4.1e-17) <= 1.6e-17
+
+    def test_pound_rebka_one_way_prediction(self):
+        assert self.shift(22.5) == pytest.approx(2.46e-15, rel=2e-3)
+
+    @pytest.mark.parametrize("height", [0.33, 22.5, 1e-3])
+    def test_raised_clock_runs_fast_by_g_over_c2_per_metre(self, height):
+        assert self.shift(height) > 0.0
+        assert self.shift(height) / height == pytest.approx(G0 / C2, rel=1e-15)
+        assert self.shift(2.0 * height) == pytest.approx(2.0 * self.shift(height), rel=1e-15)
+
+
 class TestPhaseRates:
     def test_transmon_reference(self):
         rate = phase_rate(0.01, OMEGA_10GHZ)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from qredshift import gravity, protocol, rng
+from qredshift.branch import ancilla_probabilities, standard_pea_probabilities
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
     GravScenario,
@@ -25,7 +26,6 @@ from qredshift.protocol import (
     build_circuit,
     expected_delta_phi,
     run_protocol,
-    standard_pea_probabilities,
 )
 from qredshift.sensing import closed_form_phase
 from qredshift.statevector import ResourceCapError, apply_gate, init_zero, probability_of
@@ -153,8 +153,6 @@ class TestSineLaw:
             assert abs(p1 - (0.5 + 0.5 * math.sin(expected_delta_phi(angles)))) < 1e-12
 
     def test_sign_flip_swaps_probabilities(self):
-        from qredshift.branch import ancilla_probabilities
-
         rng = np.random.default_rng(41)
         for _ in range(20):
             theta = rng.normal(size=6)
@@ -187,8 +185,6 @@ class TestStandardPea:
         h = 1e-6
         cos_slope = (standard_pea_probabilities(h)[1] - standard_pea_probabilities(-h)[1]) / (2 * h)
         assert cos_slope == pytest.approx(0.0, abs=1e-6)
-        from qredshift.branch import ancilla_probabilities
-
         up = ancilla_probabilities(h)[1]
         down = ancilla_probabilities(-h)[1]
         assert (up - down) / (2 * h) == pytest.approx(0.5, abs=1e-6)
