@@ -40,14 +40,22 @@ def estimate(count_one: int, shots: int) -> tuple[float, float, float, bool]:
     cos(delta_phi_hat)/2 equals sqrt(p_hat (1 - p_hat)), so the binomial
     error sqrt(p_hat (1 - p_hat) / N) propagates to exactly 1/sqrt(N).  A
     count of 0 or N saturates the arcsine at -+pi/2, where the slope
-    vanishes: its std_error is NaN.
+    vanishes: its std_error is NaN.  A count outside [0, shots], or fewer
+    than one shot, raises ValueError.
     """
+    if shots < 1 or not 0 <= count_one <= shots:
+        raise ValueError(f"need shots >= 1 and 0 <= count_one <= shots, got count_one={count_one}, shots={shots}")
     p_hat = count_one / shots
     saturated = count_one in (0, shots)
-    return p_hat, math.asin(2.0 * p_hat - 1.0), math.nan if saturated else 1.0 / math.sqrt(shots), saturated
+    std_error = math.nan if saturated else 1.0 / math.sqrt(shots)
+    return p_hat, math.asin(2.0 * p_hat - 1.0), std_error, saturated
 
 
 def standard_pea_probabilities(delta_phi: float) -> tuple[float, float]:
-    """(P(0), P(1)) of plain phase estimation (no S gate): the cosine law, the baseline flat at dphi = 0."""
+    """(P(0), P(1)) of plain phase estimation (no S gate): the cosine law.
+
+    Quadratic around dphi = 0, hence the comparison baseline for the
+    linear readout above.
+    """
     p_zero = 0.5 + 0.5 * math.cos(delta_phi)
     return p_zero, 1.0 - p_zero

@@ -152,7 +152,9 @@ def run_protocol(
     count_one = count_below(seed, shots, p_one)
     p_hat, delta_hat, std_error, saturated = branch_engine.estimate(count_one, shots)
     if saturated:
-        warnings.warn(f"p_hat = {p_hat} saturates the estimator at {delta_hat:+.6f} rad", stacklevel=2)
+        warnings.warn(
+            f"p_hat = {p_hat} saturates the estimator at {delta_hat:+.6f} rad", stacklevel=2
+        )
     range_exceeded = abs(analytic) > math.pi / 2.0
     if range_exceeded:
         warnings.warn(

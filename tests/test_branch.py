@@ -89,3 +89,8 @@ class TestEstimate:
             p_hat, delta_hat, std_error, saturated = estimate(count, shots)
             assert saturated and math.isnan(std_error)
             assert (p_hat, delta_hat) == (count / shots, edge)
+
+    @pytest.mark.parametrize("count, shots", [(5, 3), (-1, 3), (0, 0), (1, 0), (0, -2)])
+    def test_count_outside_the_shots_rejected(self, count, shots):
+        with pytest.raises(ValueError, match=rf"0 <= count_one <= shots, got count_one={count}, shots={shots}$"):
+            estimate(count, shots)
