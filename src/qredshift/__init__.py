@@ -42,7 +42,6 @@ from .sensing import (
 from .statevector import (
     Gate,
     apply_channel,
-    apply_diagonal_phase,
     apply_gate,
     init_zero,
     probability_of,

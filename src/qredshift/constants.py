@@ -20,14 +20,12 @@ class PhysicalConstants:
     c            speed of light, m/s
     G            gravitational constant, m^3/(kg s^2)
     g0           surface gravitational acceleration, m/s^2
-    earth_mass   kg
     earth_radius m
     """
 
     c: float = 299792458.0
     G: float = 6.6743e-11
     g0: float = 9.80665
-    earth_mass: float = 5.972e24
     earth_radius: float = 6.371e6
 
     def __post_init__(self) -> None:

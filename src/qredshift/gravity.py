@@ -286,7 +286,7 @@ def _angles(perturbation: Perturbation, constants: PhysicalConstants, t: float,
 
 
 def _check_time(t: float) -> None:
-    if t < 0.0:
+    if not t >= 0.0:  # also rejects NaN
         raise ValueError(f"accumulation time must be >= 0, got {t!r}")
 
 

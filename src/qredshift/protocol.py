@@ -100,9 +100,9 @@ def build_circuit(theta: np.ndarray) -> list[sv.Gate]:
     fan-out onto every site, so the circuit has at most 7 gates.
     """
     minus = tuple(int(k) + 1 for k in np.flatnonzero(theta < 0.0))
-    fan_out = sv.controlled_x(0, *range(1, len(theta) + 1))
-    gates = [sv.hadamard(0)] + ([sv.x_gate(*minus)] if minus else [])
-    return gates + [sv.s_gate(0), fan_out, sv.diagonal_phase(theta), fan_out, sv.hadamard(0)]
+    fan_out = sv.Gate("cx", tuple(range(1, len(theta) + 1)), control=0)
+    gates = [sv.Gate("h", (0,))] + ([sv.Gate("x", minus)] if minus else [])
+    return gates + [sv.Gate("s", (0,)), fan_out, sv.Gate("phase", angles=theta), fan_out, sv.Gate("h", (0,))]
 
 
 def run_protocol(

@@ -158,15 +158,20 @@ def count_below(seed: int, count: int, threshold: float) -> int:
             stop.append(True)
 
 
-def substream_seed(seed: int, index: int) -> int:
-    """Child seed for run `index` of a batch (sweep point, repeated trial).
+@functools.lru_cache(maxsize=64)  # a batch derives every child from one seed: hash it once, not on every call
+def _seed_hash(seed: int) -> int:
+    from hashlib import blake2b  # numpy.random loads hashlib before any shot is drawn; the package does not
 
-    The child is the low 64 bits of `seed` above `index`, which must be in
-    [0, 2^64), so children of one seed are distinct.
-    Bits 64 and up of `seed` are dropped: two seeds that differ only there
-    (5 and 5 + 2^64) give the same children, so they are not independent.
+    return int.from_bytes(blake2b(seed.to_bytes(16, "little"), digest_size=16).digest(), "little")
+
+
+def substream_seed(seed: int, index: int) -> int:
+    """Child seed for run `index` in [0, 2^64) of a batch (sweep point, repeated trial).
+
+    The child is the 128-bit BLAKE2b hash of all 128 bits of `seed` XOR
+    `index`, so children of one seed are distinct.
     """
     _check_seed(seed)
     if not 0 <= index <= _WORD_MASK:
         raise ValueError(f"index must be in [0, 2^64), got {index}")
-    return ((seed & _WORD_MASK) << 64) | index
+    return _seed_hash(seed) ^ index

@@ -13,7 +13,7 @@ an optional key and its default:
                     | {"kind": "mass",        "mass_kg": float, "distance_m": float}
                     | {"kind": "translation", "delta_x_m": float}
                     | {"kind": "strain",      "strain": float, "angle_deg": float = 90},
-      "constants": {overrides of any of c, G, g0, earth_mass, earth_radius} = {},
+      "constants": {overrides of any of c, G, g0, earth_radius} = {},
       "run": {"time_s": float, "shots": int, "seed": int,
               "backend": "branch"|"statevector" = "branch"}
     }

@@ -37,16 +37,9 @@ from .gravity import ResourceCapError
 __all__ = [
     "MAX_QUBITS",
     "DENSITY_MAX_QUBITS",
-    "ResourceCapError",
     "Gate",
-    "hadamard",
-    "s_gate",
-    "x_gate",
-    "controlled_x",
-    "diagonal_phase",
     "init_zero",
     "apply_gate",
-    "apply_diagonal_phase",
     "probability_of",
     "apply_channel",
 ]
@@ -61,7 +54,7 @@ _LOW_BITS = 11  # uncontrolled X: 2^11 amplitudes (32 KB) per row of the (high, 
 
 @dataclass(frozen=True)
 class Gate:
-    """One circuit element.
+    """One circuit element, built directly and run by `apply_gate`: Gate("cx", (1, 2), control=0).
 
     kind: "h" | "s" | "x" | "cx" | "phase"
     "h" and "s" act on one target; "x" flips every target bit and "cx"
@@ -73,27 +66,6 @@ class Gate:
     targets: tuple[int, ...] = ()
     control: int | None = None
     angles: np.ndarray | None = None
-
-
-def hadamard(target: int) -> Gate:
-    return Gate("h", (target,))
-
-
-def s_gate(target: int) -> Gate:
-    return Gate("s", (target,))
-
-
-def x_gate(*targets: int) -> Gate:
-    """One "x" gate that flips every target."""
-    return Gate("x", tuple(targets))
-
-
-def controlled_x(control: int, *targets: int) -> Gate:
-    return Gate("cx", tuple(targets), control=control)
-
-
-def diagonal_phase(angles: np.ndarray) -> Gate:
-    return Gate("phase", angles=angles)
 
 
 def init_zero(qubit_count: int) -> np.ndarray:
@@ -246,7 +218,7 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
         for _, one in _pair_blocks(state, bits[0]):
             one *= 1j
     elif kind == "phase":
-        apply_diagonal_phase(state, gate.angles)
+        _apply_phase(state, gate.angles)
     else:
         _apply_x(state, gate.targets, gate.control)
     return state
@@ -272,7 +244,7 @@ def _basis_phases(theta: np.ndarray) -> np.ndarray:
     return phases
 
 
-def apply_diagonal_phase(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
+def _apply_phase(state: np.ndarray, angles: np.ndarray) -> None:
     """Multiply each basis amplitude by exp(i * sum of theta_k over set register bits).
 
     Angles address register bits 1..n; the ancilla (bit 0) picks up no
@@ -294,7 +266,6 @@ def apply_diagonal_phase(state: np.ndarray, angles: np.ndarray) -> np.ndarray:
     for block, high in zip(np.split(matrix, blocks), np.split(high_factor, blocks)):
         block *= low_factor
         block *= high
-    return state
 
 
 def probability_of(state: np.ndarray, site: int, bit: int) -> float:

@@ -14,6 +14,7 @@ from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
     GravScenario,
     ProximalMass,
+    ResourceCapError,
     UniformDeltaG,
     VerticalRotation,
     dephasing_angles,
@@ -28,7 +29,7 @@ from qredshift.protocol import (
     run_protocol,
 )
 from qredshift.sensing import closed_form_phase
-from qredshift.statevector import ResourceCapError, apply_gate, init_zero, probability_of
+from qredshift.statevector import apply_gate, init_zero, probability_of
 
 OMEGA_10GHZ = 2.0 * math.pi * 10e9
 C2 = DEFAULT_CONSTANTS.c_squared
@@ -289,6 +290,11 @@ class TestRunProtocol:
                 run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=seed, backend=backend)
         top = run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=2**128 - 1, backend=backend)
         assert top.count_one == rng.count_below(2**128 - 1, 100, top.p_one)
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_nan_time_rejected(self, backend):
+        with pytest.raises(ValueError, match="^accumulation time must be >= 0, got nan$"):
+            run_protocol(ghz_scenario(0.2, n=4), math.nan, 100, seed=1, backend=backend)
 
     def test_estimator_consistency_over_seeds(self):
         # 3 sigma coverage of the arcsine estimator at 1e4 shots

@@ -1,12 +1,14 @@
-"""Public names: every `__all__` entry resolves, and every package re-export is listed.
+"""Public names: every `__all__` entry resolves, has one home, and every package re-export is listed.
 
 A stale `__all__` entry breaks `from qredshift.<module> import *`; a name
 that `qredshift/__init__.py` re-exports without its module listing it is
-public by accident.
+public by accident; a class or function that a module lists but imports
+from another module gives that name two public homes.
 """
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -25,6 +27,15 @@ def test_all_names_resolve(name):
     assert missing == [], f"qredshift.{name}.__all__ lists missing names {missing}"
     namespace: dict = {}
     exec(f"from qredshift.{name} import *", namespace)
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_listed_classes_and_functions_are_defined_in_their_module(name):
+    module = importlib.import_module(f"qredshift.{name}")
+    values = {attr: getattr(module, attr) for attr in module.__all__}
+    foreign = [attr for attr, value in values.items()
+               if (inspect.isclass(value) or inspect.isfunction(value)) and value.__module__ != module.__name__]
+    assert foreign == [], f"qredshift.{name}.__all__ lists names defined elsewhere: {foreign}"
 
 
 def test_reexports_are_listed_in_their_module():

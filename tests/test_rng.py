@@ -110,8 +110,11 @@ def test_substream_rejects_index_outside_64_bits(index):
         substream_seed(1, index)
 
 
-def test_substream_accepts_the_largest_index():
-    assert substream_seed(1, 2**64 - 1) == (1 << 64) | (2**64 - 1)
+def test_substream_largest_index_gives_a_key():
+    for seed in (0, 1, 2**128 - 1):
+        child = substream_seed(seed, 2**64 - 1)
+        assert 0 <= child < 2**128
+        assert shot_uniforms(child, 1).shape == (1,)
 
 
 @pytest.mark.parametrize("seed", [-1, 2**128, -(2**128)])
@@ -120,10 +123,14 @@ def test_substream_rejects_seed_outside_the_key_range(seed):
         substream_seed(seed, 0)
 
 
-def test_substream_keeps_only_the_low_64_seed_bits():
-    # documented: seeds that agree in their low 64 bits have the same children
-    assert substream_seed(5 + 2**64, 3) == substream_seed(5, 3) == (5 << 64) | 3
-    assert substream_seed(2**128 - 1, 0) == (2**64 - 1) << 64
+def test_substream_reads_every_seed_bit():
+    # seeds that agree in their low 64 bits still have different children
+    assert substream_seed(5 + 2**64, 3) != substream_seed(5, 3)
+    assert substream_seed(2**128 - 1, 0) != substream_seed(2**64 - 1, 0)
+
+
+def test_substream_children_of_one_seed_distinct():
+    assert len({substream_seed(5, i) for i in range(10**5)}) == 10**5
 
 
 class TestCountBelow:

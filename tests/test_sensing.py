@@ -214,18 +214,26 @@ class TestEquivalentChips:
                                                              rel=1e-12)
 
 
+PHASES = pytest.mark.parametrize("phase", [
+    lambda t: gravimeter_phase(1000, OMEGA_10GHZ, 0.01, t),
+    lambda t: strain_phase(1000, OMEGA_10GHZ, 1e-3, 0.1, t),
+    lambda t: closed_form_phase(100, OMEGA_10GHZ, 1e-3, t),
+], ids=["gravimeter_phase", "strain_phase", "closed_form_phase"])
+
+
 class TestNegativeTime:
-    @pytest.mark.parametrize("phase", [
-        lambda t: gravimeter_phase(1000, OMEGA_10GHZ, 0.01, t),
-        lambda t: strain_phase(1000, OMEGA_10GHZ, 1e-3, 0.1, t),
-        lambda t: closed_form_phase(100, OMEGA_10GHZ, 1e-3, t),
-    ], ids=["gravimeter_phase", "strain_phase", "closed_form_phase"])
+    @PHASES
     def test_rejected_with_the_channel_angles_error(self, phase):
         with pytest.raises(ValueError) as channel:
             dephasing_angles(GravScenario(line_chip(2, 1e-3, OMEGA_10GHZ), UniformDeltaG(1.0)), -1.0)
         with pytest.raises(ValueError) as sensing:
             phase(-1.0)
         assert str(sensing.value) == str(channel.value) == "accumulation time must be >= 0, got -1.0"
+
+    @PHASES
+    def test_nan_rejected(self, phase):
+        with pytest.raises(ValueError, match="^accumulation time must be >= 0, got nan$"):
+            phase(math.nan)
 
 
 class TestMonotonicity:

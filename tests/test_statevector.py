@@ -13,22 +13,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qredshift.gravity import ResourceCapError
 from qredshift.rng import shot_uniforms
 from qredshift.statevector import (
     DENSITY_MAX_QUBITS,
     MAX_QUBITS,
     Gate,
-    ResourceCapError,
     apply_channel,
-    apply_diagonal_phase,
     apply_gate,
-    controlled_x,
-    diagonal_phase,
-    hadamard,
     init_zero,
     probability_of,
-    s_gate,
-    x_gate,
 )
 
 H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
@@ -110,29 +104,29 @@ class TestInit:
 
 class TestGates:
     def test_hadamard_on_zero(self):
-        state = apply_gate(init_zero(1), hadamard(0))
+        state = apply_gate(init_zero(1), Gate("h", (0,)))
         np.testing.assert_allclose(state, [1 / math.sqrt(2), 1 / math.sqrt(2)])
 
     def test_s_on_plus(self):
-        state = apply_gate(apply_gate(init_zero(1), hadamard(0)), s_gate(0))
+        state = apply_gate(apply_gate(init_zero(1), Gate("h", (0,))), Gate("s", (0,)))
         np.testing.assert_allclose(state, [1 / math.sqrt(2), 1j / math.sqrt(2)])
 
     def test_x_sets_bit(self):
-        state = apply_gate(init_zero(3), x_gate(2))
+        state = apply_gate(init_zero(3), Gate("x", (2,)))
         assert state[4] == 1.0
 
     def test_cx_flips_when_control_set(self):
-        state = apply_gate(init_zero(2), x_gate(0))
-        state = apply_gate(state, controlled_x(0, 1))
+        state = apply_gate(init_zero(2), Gate("x", (0,)))
+        state = apply_gate(state, Gate("cx", (1,), control=0))
         assert state[3] == 1.0
 
     def test_cx_idle_when_control_clear(self):
-        state = apply_gate(init_zero(2), controlled_x(0, 1))
+        state = apply_gate(init_zero(2), Gate("cx", (1,), control=0))
         assert state[0] == 1.0
 
     def test_multi_target_cx(self):
-        state = apply_gate(init_zero(4), x_gate(0))
-        state = apply_gate(state, controlled_x(0, 1, 2, 3))
+        state = apply_gate(init_zero(4), Gate("x", (0,)))
+        state = apply_gate(state, Gate("cx", (1, 2, 3), control=0))
         assert state[0b1111] == 1.0
 
     @pytest.mark.parametrize("m", [2, 3, 4])
@@ -145,30 +139,30 @@ class TestGates:
                 choice = rng.integers(0, 6)
                 if choice == 0:
                     bit = int(rng.integers(0, m))
-                    apply_gate(state, hadamard(bit))
+                    apply_gate(state, Gate("h", (bit,)))
                     expected = kron_on(H, bit, m) @ expected
                 elif choice == 1:
                     bit = int(rng.integers(0, m))
-                    apply_gate(state, s_gate(bit))
+                    apply_gate(state, Gate("s", (bit,)))
                     expected = kron_on(S, bit, m) @ expected
                 elif choice == 2:
                     bit = int(rng.integers(0, m))
-                    apply_gate(state, x_gate(bit))
+                    apply_gate(state, Gate("x", (bit,)))
                     expected = kron_on(X, bit, m) @ expected
                 elif choice == 3:
                     control, target = rng.choice(m, size=2, replace=False)
-                    apply_gate(state, controlled_x(int(control), int(target)))
+                    apply_gate(state, Gate("cx", (int(target),), control=int(control)))
                     expected = cx_matrix(int(control), int(target), m) @ expected
                 elif choice == 4:
                     targets = random_subset(rng, range(m))
-                    apply_gate(state, x_gate(*targets))
+                    apply_gate(state, Gate("x", tuple(targets)))
                     for target in targets:
                         expected = kron_on(X, target, m) @ expected
                 else:
                     # the control lands below, above or between the targets
                     control = int(rng.integers(0, m))
                     targets = random_subset(rng, [b for b in range(m) if b != control])
-                    apply_gate(state, controlled_x(control, *targets))
+                    apply_gate(state, Gate("cx", tuple(targets), control=control))
                     for target in targets:
                         expected = cx_matrix(control, target, m) @ expected
             np.testing.assert_allclose(state, expected, atol=1e-13)
@@ -187,7 +181,7 @@ class TestGates:
     )
     def test_fan_out_equals_one_target_at_a_time(self, control, targets):
         def gate(*bits):
-            return x_gate(*bits) if control is None else controlled_x(control, *bits)
+            return Gate("x" if control is None else "cx", bits, control=control)
 
         fan_out = random_state(5, seed=31)
         one_at_a_time = fan_out.copy()
@@ -201,27 +195,27 @@ class TestGates:
         rng = np.random.default_rng(4)
         for _ in range(60):
             bit = int(rng.integers(0, 6))
-            gate = [hadamard(bit), s_gate(bit), x_gate(bit)][rng.integers(0, 3)]
+            gate = [Gate("h", (bit,)), Gate("s", (bit,)), Gate("x", (bit,))][rng.integers(0, 3)]
             apply_gate(state, gate)
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_index_out_of_range(self):
         with pytest.raises(IndexError):
-            apply_gate(init_zero(2), hadamard(2))
+            apply_gate(init_zero(2), Gate("h", (2,)))
 
     def test_cx_duplicate_targets_rejected(self):
         with pytest.raises(ValueError, match="distinct"):
-            apply_gate(init_zero(3), controlled_x(0, 1, 1))
+            apply_gate(init_zero(3), Gate("cx", (1, 1), control=0))
 
     @pytest.mark.parametrize(
         "gate, error, match",
         [
-            (x_gate(1, 2, 1), ValueError, "distinct"),
-            (controlled_x(0, 2, 1, 2), ValueError, "distinct"),
-            (controlled_x(1, 2, 1), ValueError, "distinct"),  # control is also a target
-            (x_gate(0, 1, 3), IndexError, "out of range"),
-            (controlled_x(0, 1, 3, 2), IndexError, "out of range"),
-            (controlled_x(3, 1, 2), IndexError, "out of range"),
+            (Gate("x", (1, 2, 1)), ValueError, "distinct"),
+            (Gate("cx", (2, 1, 2), control=0), ValueError, "distinct"),
+            (Gate("cx", (2, 1), control=1), ValueError, "distinct"),  # control is also a target
+            (Gate("x", (0, 1, 3)), IndexError, "out of range"),
+            (Gate("cx", (1, 3, 2), control=0), IndexError, "out of range"),
+            (Gate("cx", (1, 2), control=3), IndexError, "out of range"),
             (Gate("x", (1,), control=0), ValueError, "x gate takes no control"),
             (Gate("h", (0, 1)), ValueError, "h gate takes one target"),
             (Gate("h", ()), ValueError, "h gate takes one target"),
@@ -233,10 +227,10 @@ class TestGates:
             (Gate("phase"), ValueError, "^phase gate needs angles$"),
             (Gate("cx", (1,)), ValueError, "cx gate needs a control"),
             (Gate("y", (1,)), ValueError, "unknown gate kind"),
-            (hadamard(1.0), TypeError, "^target must be an integer, got 1.0$"),
-            (s_gate(0.5), TypeError, "^target must be an integer, got 0.5$"),
-            (x_gate(1, 2.0), TypeError, "^target must be an integer, got 2.0$"),
-            (controlled_x(0.0, 1), TypeError, "^control must be an integer, got 0.0$"),
+            (Gate("h", (1.0,)), TypeError, "^target must be an integer, got 1.0$"),
+            (Gate("s", (0.5,)), TypeError, "^target must be an integer, got 0.5$"),
+            (Gate("x", (1, 2.0)), TypeError, "^target must be an integer, got 2.0$"),
+            (Gate("cx", (1,), control=0.0), TypeError, "^control must be an integer, got 0.0$"),
         ],
     )
     def test_bad_fan_out_rejected_before_any_pass(self, gate, error, match):
@@ -264,9 +258,9 @@ class TestGates:
 def test_malformed_state_rejected_untouched(make, dtype, shape):
     """Every kernel names the dtype and shape of an array that is no state, before touching an amplitude."""
     state = make()
-    calls = [functools.partial(apply_gate, state, gate)
-             for gate in (hadamard(0), s_gate(0), x_gate(0), controlled_x(0, 1), diagonal_phase(np.zeros(1)))]
-    calls += [functools.partial(apply_diagonal_phase, state, np.zeros(1)), functools.partial(probability_of, state, 0, 1)]
+    gates = (Gate("h", (0,)), Gate("s", (0,)), Gate("x", (0,)), Gate("cx", (1,), control=0), Gate("phase", angles=np.zeros(1)))
+    calls = [functools.partial(apply_gate, state, gate) for gate in gates]
+    calls += [functools.partial(probability_of, state, 0, 1)]
     for call in calls:
         with pytest.raises(ValueError, match=f"got dtype {dtype} and shape {re.escape(shape)}$"):
             call()
@@ -319,7 +313,7 @@ def test_x_every_mask_and_control_matches_index_oracle(qubits):
         targets = tuple(b for b in range(qubits) if mask >> b & 1)
         for control in [None, *(c for c in range(qubits) if not mask >> c & 1)]:
             state = start.copy()
-            apply_gate(state, x_gate(*targets) if control is None else controlled_x(control, *targets))
+            apply_gate(state, Gate("x" if control is None else "cx", targets, control=control))
             np.testing.assert_array_equal(state, x_oracle(start, targets, control))
 
 
@@ -343,14 +337,14 @@ class TestBlockedKernels:
     def test_hadamard_matches_full_temporaries(self, bit):
         state = random_state(self.QUBITS, seed=bit)
         expected = h_oracle(state, bit)
-        apply_gate(state, hadamard(bit))
+        apply_gate(state, Gate("h", (bit,)))
         np.testing.assert_array_equal(state, expected)
 
     @pytest.mark.parametrize("bit", range(QUBITS))
     def test_s_matches_whole_half_scaling(self, bit):
         state = random_state(self.QUBITS, seed=bit)
         expected = s_oracle(state, bit)
-        apply_gate(state, s_gate(bit))
+        apply_gate(state, Gate("s", (bit,)))
         np.testing.assert_array_equal(state, expected)
 
     @pytest.mark.parametrize(
@@ -403,16 +397,17 @@ class TestBlockedKernels:
     def test_x_matches_index_oracle(self, control, targets):
         state = random_state(self.QUBITS, seed=len(targets))
         expected = x_oracle(state, targets, control)
-        apply_gate(state, x_gate(*targets) if control is None else controlled_x(control, *targets))
+        apply_gate(state, Gate("x" if control is None else "cx", targets, control=control))
         np.testing.assert_array_equal(state, expected)
 
     def test_no_state_size_temporary(self):
         state = init_zero(21)  # 2^21 amplitudes: 32 MiB
         state[:] = np.linspace(0.0, 1.0, state.size)
         angles = np.linspace(-1.0, 1.0, 20)
-        gates = (hadamard(0), hadamard(1), hadamard(10), hadamard(20), s_gate(0), s_gate(20), x_gate(*range(1, 21)),
-                 controlled_x(0, *range(1, 21)), x_gate(*range(1, 11)), x_gate(*range(11, 21)),
-                 controlled_x(20, *range(1, 11)), diagonal_phase(angles))
+        gates = [Gate("h", (bit,)) for bit in (0, 1, 10, 20)] + [Gate("s", (0,)), Gate("s", (20,))]
+        gates += [Gate("x", tuple(range(1, 21))), Gate("cx", tuple(range(1, 21)), control=0),
+                  Gate("x", tuple(range(1, 11))), Gate("x", tuple(range(11, 21))),
+                  Gate("cx", tuple(range(1, 11)), control=20), Gate("phase", angles=angles)]
         calls = [functools.partial(apply_gate, state, gate) for gate in gates]
         calls += [functools.partial(probability_of, state, 0, 1), functools.partial(probability_of, state, 20, 0)]
         for call in calls:
@@ -436,20 +431,20 @@ class TestDiagonalPhase:
     def test_zero_angles_identity(self):
         state = random_state(3, seed=9)
         before = state.copy()
-        apply_diagonal_phase(state, np.zeros(2))
+        apply_gate(state, Gate("phase", angles=np.zeros(2)))
         np.testing.assert_array_equal(state, before)
 
     def test_pi_flips_x_expectation(self):
         # ancilla + one register qubit in |+x>
         state = init_zero(2)
-        apply_gate(state, hadamard(1))
+        apply_gate(state, Gate("h", (1,)))
 
         def x_expectation(s):
             flipped = s.reshape(-1, 2, 2)[:, ::-1, :]
             return float(np.real(np.vdot(s, flipped.reshape(-1))))
 
         assert x_expectation(state) == pytest.approx(1.0, abs=1e-12)
-        apply_diagonal_phase(state, np.array([math.pi]))
+        apply_gate(state, Gate("phase", angles=np.array([math.pi])))
         assert x_expectation(state) == pytest.approx(-1.0, abs=1e-12)
 
     def test_composition_adds_angles(self):
@@ -457,25 +452,25 @@ class TestDiagonalPhase:
         theta1, theta2 = rng.uniform(-2, 2, size=(2, 4))
         a = random_state(5, seed=12)
         b = a.copy()
-        apply_diagonal_phase(a, theta1)
-        apply_diagonal_phase(a, theta2)
-        apply_diagonal_phase(b, theta1 + theta2)
+        apply_gate(a, Gate("phase", angles=theta1))
+        apply_gate(a, Gate("phase", angles=theta2))
+        apply_gate(b, Gate("phase", angles=theta1 + theta2))
         np.testing.assert_allclose(a, b, atol=1e-14)
 
     def test_norm_unchanged(self):
         state = random_state(4, seed=13)
-        apply_diagonal_phase(state, np.array([0.3, -0.7, 2.1]))
+        apply_gate(state, Gate("phase", angles=np.array([0.3, -0.7, 2.1])))
         assert abs(np.linalg.norm(state) - 1.0) < 1e-12
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError, match="angles"):
-            apply_diagonal_phase(init_zero(3), np.zeros(3))
+            apply_gate(init_zero(3), Gate("phase", angles=np.zeros(3)))
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_rejected(self, bad):
         state = init_zero(3)
         with pytest.raises(ValueError, match="^dephasing angles must be finite$"):
-            apply_diagonal_phase(state, np.array([0.0, bad]))
+            apply_gate(state, Gate("phase", angles=np.array([0.0, bad])))
         assert state[0] == 1.0
 
     @pytest.mark.parametrize("register", range(19))
@@ -493,16 +488,8 @@ class TestDiagonalPhase:
         theta[rng.random(register) < 0.25] = 0.0  # exact zeros, which the loop skipped
         state = random_state(register + 1, seed=register)
         expected = per_angle(state, theta)
-        apply_diagonal_phase(state, theta)
+        apply_gate(state, Gate("phase", angles=theta))
         np.testing.assert_allclose(state, expected, rtol=1e-14, atol=1e-15)
-
-    def test_phase_gate_wrapper(self):
-        state = random_state(3, seed=21)
-        twin = state.copy()
-        angles = np.array([0.4, -1.1])
-        apply_gate(state, diagonal_phase(angles))
-        apply_diagonal_phase(twin, angles)
-        np.testing.assert_array_equal(state, twin)
 
 
 def assert_density(m: np.ndarray) -> None:
@@ -570,7 +557,7 @@ class TestChannel:
         theta = np.random.default_rng(91).uniform(-2, 2, size=3)
         rho = np.outer(state, state.conj())
         rho_out = apply_channel(rho, np.concatenate(([0.0], theta)))
-        apply_diagonal_phase(state, theta)
+        apply_gate(state, Gate("phase", angles=theta))
         expected = np.outer(state, state.conj())
         np.testing.assert_allclose(rho_out, expected, atol=1e-12)
 
@@ -603,7 +590,7 @@ class TestChannel:
 
 class TestMeasurement:
     def test_balanced_superposition_statistics(self):
-        state = apply_gate(init_zero(1), hadamard(0))
+        state = apply_gate(init_zero(1), Gate("h", (0,)))
         p_one = probability_of(state, 0, 1)
         outcomes = shot_uniforms(2718, 10**6) < p_one
         # 3 sigma of a fair binomial at 1e6 shots is 0.0015; allow 0.002
@@ -611,7 +598,7 @@ class TestMeasurement:
 
     def test_probability_examples(self):
         assert probability_of(init_zero(1), 0, 0) == 1.0
-        plus = apply_gate(init_zero(1), hadamard(0))
+        plus = apply_gate(init_zero(1), Gate("h", (0,)))
         assert probability_of(plus, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize(

@@ -104,6 +104,7 @@ FILES = {
     "zero_G.json": _scenario(constants={"G": 0}),
     "zero_n.json": _scenario(geometry={"layout": "line", "n": 0, "spacing_m": 1e-3, "orientation_deg": 0.0}),
     "negative_c.json": {"c": -1},
+    "earth_mass.json": {"earth_mass": 5.972e24},
 }
 # files no JSON reader accepts: nesting beyond the recursion limit, bytes that are not UTF-8
 RAW_FILES = {"nested.json": b"[" * 2000, "undecodable.json": b"\xff{}"}
@@ -307,6 +308,11 @@ def commands() -> list[list[str]]:
         [R, "--constants-file", "list.json", "gravimeter"],
         [R, "gravimeter", "--tc", "abc"],
         _sweep("gravimeter", "n", "-1", "10", "3", "--log"),
+    ]
+    # a seed that differs from 5 only from bit 64 up, a constant no formula reads
+    cmds += [
+        [R, "--seed", str(5 + 2**64), *_sweep("protocol", "freq", "4", "8", "3", "--scenario", "rotation.json")[1:]],
+        [R, "--constants-file", "earth_mass.json", "gravimeter"],
     ]
     return cmds
 
