@@ -68,8 +68,8 @@ __all__ = ["MAX_SWEEP_POINTS", "main", "read_result_csv", "write_result_csv"]
 _FLOAT_FMT = ".17g"
 # accumulation time of `sweep --target phase` when --time-s is not given
 _PHASE_TIME_S = 1e-3
-# flag defaults by dest; `sweep` leaves its copies of these flags unset, so it can tell a given flag
-# from a default, and fills them in from here
+# flag defaults by dest; every parser leaves these flags unset, so `sweep` can tell a given flag from a
+# default, and `_row_inputs` fills an unset one in from here
 _DEFAULTS = {"n": 1000, "tc_s": 1e-3, "freq_ghz": 10.0, "ell_m": 1e-3, "phase_res_rad": 0.1, "geometry": "1d"}
 # Most grid points one sweep evaluates; a larger --steps exits 3 before the
 # grid is built.  A million closed-form points take ~5 s and ~270 MB.
@@ -289,22 +289,23 @@ _SWEEP_FLAGS = {"scenario": "--scenario", "shots": "--shots", "time_s": "--time-
 def _row_inputs(
     args: argparse.Namespace, row: _RowSpec
 ) -> tuple[dict[str, Any], PhysicalConstants, ScenarioDocument | None]:
-    """(the row's parameters, constants, scenario); a protocol's unset run settings are set on `args`."""
+    """(the row's parameters, constants, scenario): an unset flag takes its `_DEFAULTS` value, and a
+    protocol row's unset run setting the scenario's."""
     if "scenario" not in row.params:
         if args.seed is not None:
             raise ValueError("--seed applies only to protocol runs; no other command draws shots")
         constants = load_constants(args.constants_file) if args.constants_file else DEFAULT_CONSTANTS
-        return {key: getattr(args, key, None) for key in row.params}, constants, None
-    if args.constants_file:
-        raise ValueError("--constants-file does not apply to protocol runs; "
-                         "use the scenario's \"constants\" object")
-    if not args.scenario:
-        raise ValueError("sweep --target protocol needs --scenario")
-    doc = load_scenario(args.scenario)
-    for key, value in asdict(doc.run).items():
-        if getattr(args, key, None) is None:
-            setattr(args, key, value)
-    return {key: getattr(args, key) for key in row.params}, doc.scenario.constants, doc
+        doc, unset = None, _DEFAULTS
+    else:
+        if args.constants_file:
+            raise ValueError("--constants-file does not apply to protocol runs; "
+                             "use the scenario's \"constants\" object")
+        if not args.scenario:
+            raise ValueError("sweep --target protocol needs --scenario")
+        doc = load_scenario(args.scenario)
+        constants, unset = doc.scenario.constants, asdict(doc.run)
+    given = {key: getattr(args, key, None) for key in row.params}
+    return {key: unset.get(key) if value is None else value for key, value in given.items()}, constants, doc
 
 
 def _run_row(name: str, p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
@@ -326,7 +327,7 @@ def _cmd_row(args: argparse.Namespace) -> int:
     p, constants, doc = _row_inputs(args, _ROWS[args.command])
     echo, results = _run_row(args.command, p, constants, doc)
     cells = _cells({**echo, **results})
-    provenance = _provenance(constants, args.seed, args.reproducible)
+    provenance = _provenance(constants, p.get("seed"), args.reproducible)
     if args.out == "json":
         out = {"inputs": {"command": args.command, **_cells(p)}, "results": cells, "provenance": provenance}
         sys.stdout.write(json.dumps(out, indent=2, sort_keys=True) + "\n")
@@ -371,15 +372,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     unread = [flag for dest, flag in _SWEEP_FLAGS.items() if getattr(args, dest) is not None and dest not in reads]
     if unread:
         raise ValueError(f"sweep --target {args.target} does not read {', '.join(unread)}")
-    for dest, value in _DEFAULTS.items():
-        if getattr(args, dest) is None:
-            setattr(args, dest, value)
     base, constants, doc = _row_inputs(args, row)
     rows = []
     for index, value in enumerate(_sweep_values(args)):
         point = {**base, column: value}
         if "seed" in point:  # each protocol point draws its shots from its own substream
-            point["seed"] = substream_seed(args.seed, index)
+            point["seed"] = substream_seed(base["seed"], index)
         try:
             _, results = _run_row(args.target, point, constants, doc)
         except (ValueError, ArithmeticError, ResourceCapError) as exc:  # same type, so main's exit code holds
@@ -387,7 +385,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             exc.args = (f"sweep point {args.param} = {point}: {exc}",)
             raise
         rows.append(tuple(_cells({column: value, **results}).values()))
-    provenance = _provenance(constants, args.seed, args.reproducible)
+    provenance = _provenance(constants, base.get("seed"), args.reproducible)
 
     out_path = Path(args.out_path)
     fd, tmp_name = tempfile.mkstemp(dir=out_path.parent, suffix=".tmp")
@@ -405,11 +403,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _add_sensing_flags(parser: argparse.ArgumentParser, dests: tuple[str, ...],
-                       defaults: dict[str, Any] = _DEFAULTS) -> None:
+def _add_sensing_flags(parser: argparse.ArgumentParser, dests: tuple[str, ...]) -> None:
     for dest in dests:
         flag, metavar, kind, text = _SENSING_FLAGS[dest]
-        parser.add_argument(flag, dest=dest, metavar=metavar, type=kind, default=defaults.get(dest), help=text)
+        parser.add_argument(flag, dest=dest, metavar=metavar, type=kind, help=text)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -445,7 +442,7 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--mass", dest="mass_kg", metavar="MASS", type=_finite_float, help="proximal mass, kg")
     p.add_argument("--distance", dest="distance_m", metavar="DISTANCE", type=_finite_float,
                    help="distance to the proximal mass, m")
-    p.add_argument("--freq-ghz", type=_finite_float, default=_DEFAULTS["freq_ghz"], help="qubit frequency, GHz")
+    p.add_argument("--freq-ghz", type=_finite_float, help="qubit frequency, GHz")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("protocol", help="run the phase-measurement protocol on a scenario file")
@@ -469,7 +466,7 @@ def _parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
-    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS), default=_DEFAULTS["geometry"])
+    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS))
     _add_sensing_flags(p, ("tc_s", "freq_ghz", "ell_m", "phase_res_rad"))
     p.set_defaults(func=_cmd_row)
 
@@ -486,7 +483,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--time-s", dest="time_s", type=_finite_float, default=None,
                    help="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
     p.add_argument("--shots", type=_int_arg, default=None, help="shots (default: the scenario's run.shots)")
-    _add_sensing_flags(p, tuple(_SENSING_FLAGS), defaults={})
+    _add_sensing_flags(p, tuple(_SENSING_FLAGS))
     p.set_defaults(func=_cmd_sweep)
 
     return parser

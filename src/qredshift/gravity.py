@@ -35,6 +35,7 @@ Rotation and strain angles are measured from horizontal.  A chip's own
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from math import isqrt
 from numbers import Real
@@ -76,6 +77,14 @@ MAX_SITES = 5 * 10**7
 
 class ResourceCapError(RuntimeError):
     """A run exceeds a documented cap: per-site arrays, dense or density-matrix size, or shots."""
+
+
+def _index(value: object, name: str) -> int:
+    """`value` as a Python int (numpy integers too); TypeError naming `name` for a float or anything else."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _check_sites(n: int) -> None:

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import branch as branch_engine
 from . import statevector as sv
-from .gravity import GravScenario, ResourceCapError, dephasing_angles, uniform_delta_phi
+from .gravity import GravScenario, ResourceCapError, _index, dephasing_angles, uniform_delta_phi
 from .rng import _check_seed, count_below
 
 __all__ = [
@@ -114,17 +114,19 @@ def run_protocol(
 ) -> ProtocolOutcome:
     """Execute the protocol on `backend` ("branch" or "statevector") and estimate dphi.
 
-    The shot and dense-size caps and the seed range [0, 2^128) are checked
-    before any per-site work.  An infinite dphi raises ArithmeticError, a
-    NaN one (zero times an infinite factor) ValueError.
+    Shots and seed are integers (numpy ones too), and the shot and
+    dense-size caps and the seed range [0, 2^128) are checked before any
+    per-site work.  An infinite dphi raises ArithmeticError, a NaN one
+    (zero times an infinite factor) ValueError.
     """
+    shots = _index(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if shots > MAX_SHOTS:
         raise ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     if backend not in BACKENDS:
         raise ValueError(f"backend must be {' or '.join(map(repr, BACKENDS))}, got {backend!r}")
-    _check_seed(seed)
+    seed = _check_seed(seed)
     qubit_count = scenario.geometry.qubit_count + 1
     if backend == "statevector" and qubit_count > sv.MAX_QUBITS:
         raise ResourceCapError(

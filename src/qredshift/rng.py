@@ -1,7 +1,8 @@
 """Counter-based random streams for reproducible shot sampling.
 
 Shot i of a run consumes uniform u_i that depends only on (seed, i); a seed
-is a Philox key in [0, 2^128), and any other raises ValueError.
+is a Philox key, an integer in [0, 2^128): a seed out of range raises
+ValueError, and a seed, count or index that is not an integer TypeError.
 Streams are Philox counter-based: a worker can open the same stream at any
 offset and reproduce the tail bit for bit, so chunked or parallel shot
 loops give the same outcomes as a sequential one. `count_below` uses that
@@ -22,6 +23,8 @@ import math
 import os
 
 import numpy as np
+
+from .gravity import _index
 
 __all__ = ["shot_uniforms", "count_below", "substream_seed"]
 
@@ -65,10 +68,12 @@ def _key_sequence() -> type:
     return KeySequence
 
 
-def _check_seed(seed: int) -> None:
-    """A run's seed is a Philox key: an integer in [0, 2^128), never masked into range."""
+def _check_seed(seed: int) -> int:
+    """A run's seed is a Philox key: an integer in [0, 2^128), never masked into range; returned as an int."""
+    seed = _index(seed, "seed")
     if not 0 <= seed <= _KEY_MASK:
         raise ValueError(f"seed must be in [0, 2^128), got {seed}")
+    return seed
 
 
 def _philox(seed: int, start: int) -> np.random.Philox:
@@ -86,7 +91,7 @@ def _philox(seed: int, start: int) -> np.random.Philox:
 
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniforms [start, start + count) of the stream keyed by `seed`."""
-    _check_seed(seed)
+    seed = _check_seed(seed)
     return np.random.Generator(_philox(seed, start)).random(count)
 
 
@@ -133,7 +138,7 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     stop before their next chunk and the pool's exit joins them; the
     caller's own error is raised, else the first failed range's.
     """
-    _check_seed(seed)
+    seed, count = _check_seed(seed), _index(count, "count")
     if count < 0:
         raise ValueError(f"count must be >= 0, got {count}")
     if not threshold > 0:
@@ -171,7 +176,7 @@ def substream_seed(seed: int, index: int) -> int:
     The child is the 128-bit BLAKE2b hash of all 128 bits of `seed` XOR
     `index`, so children of one seed are distinct.
     """
-    _check_seed(seed)
+    seed, index = _check_seed(seed), _index(index, "index")
     if not 0 <= index <= _WORD_MASK:
         raise ValueError(f"index must be in [0, 2^64), got {index}")
     return _seed_hash(seed) ^ index

@@ -11,9 +11,10 @@ matrix or allocates a temporary of the state's size.  H, S and the readout
 view: H mixes them through one block buffer, S scales the bit = 1 half,
 and the readout adds per-block sums of |amp|^2 in numpy's pairwise tree.
 X on a set of targets is the index permutation j -> j ^ mask (where the
-control bit is set, for CX): columns permute by one index vector, rows
-swap in pairs.  The dephasing phase e^{i phi_j} factors over the low and
-high index bits, and each row block is multiplied by both factor vectors.
+control bit is set, for CX): the mask's bits from 15 up pair blocks, and
+one gather per block takes the amplitudes that move from its partner.
+The dephasing phase e^{i phi_j} factors over the low and high index bits,
+and each row block is multiplied by both factor vectors.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -26,13 +27,12 @@ on small registers.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
 
-from .gravity import ResourceCapError
+from .gravity import ResourceCapError, _index
 
 __all__ = [
     "MAX_QUBITS",
@@ -49,7 +49,6 @@ DENSITY_MAX_QUBITS = 6
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
 _BLOCK = 1 << 15  # amplitudes per block: 512 KB of complex128, cache-sized
-_LOW_BITS = 11  # uncontrolled X: 2^11 amplitudes (32 KB) per row of the (high, low) matrix
 
 
 @dataclass(frozen=True)
@@ -80,13 +79,6 @@ def init_zero(qubit_count: int) -> np.ndarray:
     state = np.zeros(1 << qubit_count, dtype=np.complex128)
     state[0] = 1.0
     return state
-
-
-def _index(value: object, name: str) -> int:
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _qubits(state: np.ndarray) -> int:
@@ -125,59 +117,44 @@ def _pair_blocks(state: np.ndarray, bit: int) -> Iterator[tuple[np.ndarray, np.n
 def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = None) -> None:
     """Flip every target bit (where `control` is set): the index permutation j -> j ^ mask.
 
-    The amplitudes are viewed as a (high, low) matrix: split at the control
-    bit, the rows holding only its control = 1 half (still a view), or with
-    no control at _LOW_BITS.  The mask splits alike.  Row h pairs with row
-    h ^ high mask, and every row's columns permute by one index vector,
-    arange ^ low mask, applied with np.take; the columns below the lowest
-    flipped one move together.  Rows go in blocks of at most _BLOCK
-    amplitudes: a block and its partner swap through one block-size
-    buffer, and a high bit inside a block is a flip of the block's view,
-    so a mask with no low bits swaps slices without any gather, and no
-    temporary is of the state's size.
+    The state splits into blocks of at most _BLOCK amplitudes: block b pairs
+    with block b ^ (mask >> 15), and a control above the block bits skips
+    the blocks where it is clear.  A block is a run of chunks as wide as its
+    lowest flipped or control bit, and one np.take per block gathers the
+    chunks that move, all of them or, under a control inside the block,
+    those where it is set: each from the partner's chunk at the flipped
+    index.  A pair swaps through two block buffers, so no temporary is of
+    the state's size.
     """
     mask = sum(1 << t for t in targets)
     if not mask:
         return
-    if control is None:
-        low = min(_qubits(state), _LOW_BITS)
-        matrix = state.reshape(-1, 1 << low)
-    else:
-        low = control
-        matrix = state.reshape(-1, 2, 1 << low)[:, 1, :]
-        mask = (mask >> (low + 1) << low) | (mask & ((1 << low) - 1))  # squeeze out the control bit
-    rows, cols = matrix.shape
-    row_mask, col_mask = mask >> low, mask & (cols - 1)
-    block_cols = min(cols, _BLOCK)
-    block_rows = min(rows, _BLOCK // block_cols)
-    in_rows, in_cols = row_mask & (block_rows - 1), col_mask & (block_cols - 1)
-    chunk = in_cols & -in_cols or block_cols
-    col_index = np.arange(block_cols // chunk) ^ (in_cols // chunk)
-    k = block_rows.bit_length() - 1  # a block's rows as a (2,) * k tensor: row bit b on axis k - 1 - b
-    row_axes = tuple(k - 1 - b for b in range(k) if in_rows >> b & 1)
-    shape = (2,) * k + (block_cols // chunk, chunk)
-    buffer = np.empty(shape, np.complex128)
+    size = min(state.size, _BLOCK)
+    blocks = state.reshape(-1, size)
+    pair, low = divmod(mask, size)  # the mask's bits of the block index, and inside a block
+    gate, inner = divmod(0 if control is None else 1 << control, size)  # the control's bit, likewise
+    width = (low | inner) & -(low | inner) or size
+    chunks, step = np.arange(size // width), inner // width
+    source = chunks[(chunks & step) == step] ^ low // width  # the chunks that move, flipped
 
-    def move(block: np.ndarray, out: np.ndarray) -> None:
-        """out = block permuted by the mask bits inside a block."""
-        block = np.flip(block.reshape(shape), row_axes)
-        if in_cols:
-            np.take(block, col_index, axis=k, out=out, mode="wrap")  # "raise" would buffer `out`
-        else:
-            out[...] = block
+    def view(block: np.ndarray) -> np.ndarray:
+        return block.reshape(-1, 2, inner)[:, 1] if inner else block
 
-    for r0 in range(0, rows, block_rows):
-        r1 = r0 ^ (row_mask & -block_rows)
-        for c0 in range(0, cols, block_cols):
-            c1 = c0 ^ (col_mask & -block_cols)
-            if (r1, c1) < (r0, c0):
-                continue  # swapped from its partner
-            p = matrix[r0 : r0 + block_rows, c0 : c0 + block_cols].reshape(shape)
-            q = matrix[r1 : r1 + block_rows, c1 : c1 + block_cols].reshape(shape)
-            move(q, buffer)
-            if (r1, c1) != (r0, c0):
-                move(p, q)
-            p[...] = buffer
+    buffers = np.empty((2,) + view(blocks[0]).shape, np.complex128)
+
+    def gather(block: np.ndarray, out: np.ndarray) -> np.ndarray:
+        # mode "raise" would buffer `out`
+        np.take(block.reshape(-1, width), source, axis=0, out=out.reshape(-1, width), mode="wrap")
+        return out
+
+    for b, block in enumerate(blocks):
+        p = b ^ pair
+        if p < b or (b & gate) != gate:
+            continue  # swapped from its partner, or the control is clear
+        first = gather(blocks[p], buffers[0])
+        if p != b:
+            view(blocks[p])[...] = gather(block, buffers[1])
+        view(block)[...] = first
 
 
 def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -290,6 +291,17 @@ class TestRunProtocol:
                 run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=seed, backend=backend)
         top = run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=2**128 - 1, backend=backend)
         assert top.count_one == rng.count_below(2**128 - 1, 100, top.p_one)
+
+    @pytest.mark.parametrize("value", [np.int64(100), np.uint16(100), 100.0, np.float64(100.0), "100"])
+    @pytest.mark.parametrize("name", ["shots", "seed"])
+    def test_integer_arguments(self, name, value):
+        # a numpy integer runs as the equal int; anything else is one TypeError naming the argument
+        call = functools.partial(run_protocol, ghz_scenario(0.2, n=4), 1e-3)
+        if isinstance(value, np.integer):
+            assert call(**{"shots": 100, "seed": 100, name: value}) == call(shots=100, seed=100)
+        else:
+            with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+                call(**{"shots": 100, "seed": 100, name: value})
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_nan_time_rejected(self, backend):

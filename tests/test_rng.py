@@ -1,6 +1,7 @@
 """Counter-based shot streams: determinism and chunk independence."""
 
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -15,6 +16,20 @@ from qredshift import rng
 from qredshift.rng import shot_uniforms, substream_seed
 
 OUTSIDE_THE_KEY_RANGE = (-1, 2**128, -(2**128), 2**200 + 17)
+
+# Integer arguments given as 5: numpy integers act as the int, anything else raises one TypeError.
+FIVES = (np.int64(5), np.uint8(5), 5.0, np.float64(5.0), "5")
+
+
+def check_integer_argument(call, args, position, name, value):
+    """call(*args) with args[position], a 5, replaced by `value`: a numpy integer gives call(*args)'s
+    result, anything else one TypeError naming `name`."""
+    changed = (*args[:position], value, *args[position + 1 :])
+    if isinstance(value, np.integer):
+        np.testing.assert_array_equal(call(*changed), call(*args))
+    else:
+        with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+            call(*changed)
 
 
 def test_same_seed_same_stream():
@@ -82,6 +97,11 @@ def test_uniforms_reject_seed_outside_the_key_range(seed):
         shot_uniforms(seed, 10)
 
 
+@pytest.mark.parametrize("value", FIVES)
+def test_uniforms_take_an_integer_seed(value):
+    check_integer_argument(shot_uniforms, (5, 3), 0, "seed", value)
+
+
 def test_largest_seed_accepted():
     assert shot_uniforms(2**128 - 1, 10).shape == (10,)
 
@@ -121,6 +141,12 @@ def test_substream_largest_index_gives_a_key():
 def test_substream_rejects_seed_outside_the_key_range(seed):
     with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^128\), got {seed}$"):
         substream_seed(seed, 0)
+
+
+@pytest.mark.parametrize("value", FIVES)
+@pytest.mark.parametrize("position, name", [(0, "seed"), (1, "index")])
+def test_substream_takes_integer_arguments(position, name, value):
+    check_integer_argument(substream_seed, (5, 5), position, name, value)
 
 
 def test_substream_reads_every_seed_bit():
@@ -168,6 +194,11 @@ class TestCountBelow:
                 for threshold in thresholds:
                     expected = int(np.count_nonzero(uniforms < threshold))
                     assert rng.count_below(seed, count, float(threshold)) == expected, (seed, count, threshold)
+
+    @pytest.mark.parametrize("value", FIVES)
+    @pytest.mark.parametrize("position, name", [(0, "seed"), (1, "count")])
+    def test_integer_arguments(self, position, name, value):
+        check_integer_argument(rng.count_below, (5, 5, 0.5), position, name, value)
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):

@@ -323,12 +323,12 @@ class TestBlockedKernels:
     H, S and `probability_of` view the amplitudes as a (rows, 2, 2^bit)
     array: on 18 qubits each half holds 2^17 amplitudes, four blocks of
     whole rows, or from bit 15 up of columns of one row.  X is the
-    permutation j -> j ^ mask on a (high, low) matrix: rows of 2^11
-    amplitudes, 16 to a block, without a control; with one, the
-    control = 1 half split at the control bit.  A target below the split
-    permutes columns, one above it pairs rows, inside a block or across
-    blocks; a control at bit 17 leaves rows of 2^17 amplitudes, which
-    split into column blocks.
+    permutation j -> j ^ mask on eight blocks of 2^15 amplitudes: the
+    targets from bit 15 up pair blocks, and those below it pick the
+    chunks, as wide as the lowest flipped bit, that one gather takes from
+    the partner block.  A control below bit 15 caps the chunk width at its
+    bit and moves only the chunks where it is set; one at bit 15 to 17
+    skips the blocks where it is clear.
     """
 
     QUBITS = 18
@@ -396,6 +396,16 @@ class TestBlockedKernels:
     )
     def test_x_matches_index_oracle(self, control, targets):
         state = random_state(self.QUBITS, seed=len(targets))
+        expected = x_oracle(state, targets, control)
+        apply_gate(state, Gate("x" if control is None else "cx", targets, control=control))
+        np.testing.assert_array_equal(state, expected)
+
+    @pytest.mark.parametrize(
+        "control, targets", [(None, tuple(range(1, 11))), (0, tuple(range(1, 21)))], ids=["x-layer", "fan-out"]
+    )
+    def test_x_matches_index_oracle_on_the_dense_benchmark(self, control, targets):
+        # the only X and CX shapes the dense benchmark applies: 21 qubits, X on 1..10, the fan-out onto 1..20
+        state = random_state(21, seed=len(targets))
         expected = x_oracle(state, targets, control)
         apply_gate(state, Gate("x" if control is None else "cx", targets, control=control))
         np.testing.assert_array_equal(state, expected)
