@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import math
 
+from .gravity import _index
+
 __all__ = ["ancilla_probabilities", "estimate", "standard_pea_probabilities"]
 
 
@@ -41,8 +43,9 @@ def estimate(count_one: int, shots: int) -> tuple[float, float, float, bool]:
     error sqrt(p_hat (1 - p_hat) / N) propagates to exactly 1/sqrt(N).  A
     count of 0 or N saturates the arcsine at -+pi/2, where the slope
     vanishes: its std_error is NaN.  A count outside [0, shots], or fewer
-    than one shot, raises ValueError.
+    than one shot, raises ValueError; a non-integer argument TypeError.
     """
+    count_one, shots = _index(count_one, "count_one"), _index(shots, "shots")
     if shots < 1 or not 0 <= count_one <= shots:
         raise ValueError(f"need shots >= 1 and 0 <= count_one <= shots, got count_one={count_one}, shots={shots}")
     p_hat = count_one / shots

@@ -18,6 +18,8 @@ error.  A subcommand prints its one row with a provenance header as CSV
 or JSON (`write_result_csv`); `sweep` evaluates a target's row at each
 grid value of one column and writes the result columns to a CSV file.
 The `phase` row (the rotated-chip closed form) is a sweep target only.
+Each flag that sets a row parameter is declared once, in `_FLAGS`: every
+subcommand adds its flags from there, and `sweep` names an unread one by it.
 
 The argparse parser is built once per process, on the first `main` call,
 and reused by every later call.
@@ -52,7 +54,7 @@ from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
 from .gravity import ProximalMass, ResourceCapError, VerticalTranslation, potential_change
 from .protocol import BACKENDS, run_protocol
 from .rng import substream_seed
-from .scenario import ScenarioDocument, load_constants, load_scenario
+from .scenario import ScenarioDocument, _omega, load_constants, load_scenario
 from .sensing import (
     PHASE_EXPONENTS,
     closed_form_phase,
@@ -172,10 +174,6 @@ def _int_arg(text: str) -> int:
 _Row = tuple[dict[str, Any], dict[str, Any]]
 
 
-def _omega(freq_ghz: float) -> float:
-    return 2.0 * math.pi * 1e9 * freq_ghz
-
-
 def _accumulation_time(p: dict[str, Any]) -> float:
     """--time-s, by default the coherence time; warns when it exceeds the coherence time."""
     if p["time_s"] is None:
@@ -271,19 +269,29 @@ _ROWS = {
     "protocol": _RowSpec(_protocol, ("scenario", "time_s", "shots", "seed", "backend"),
                          ("n", "freq", "ell", "shots", "time")),
 }
-_SWEEP_PARAMS = {target: row.sweep for target, row in _ROWS.items() if row.sweep}
 _PARAM_COLUMN = {"n": "n", "tc": "tc_s", "freq": "freq_ghz", "ell": "ell_m", "shots": "shots", "time": "time_s"}
-# the flags of the sensing inputs, by dest: (flag, metavar, type, help)
-_SENSING_FLAGS = {
-    "n": ("--n", "N", _int_arg, "qubit count"),
-    "tc_s": ("--tc", "TC", _finite_float, "coherence time, s"),
-    "freq_ghz": ("--freq-ghz", "FREQ_GHZ", _finite_float, "mean qubit frequency, GHz"),
-    "ell_m": ("--ell", "ELL", _finite_float, "site spacing, m"),
-    "phase_res_rad": ("--phase-res", "PHASE_RES", _finite_float, "resolvable phase, rad"),
+# every flag that sets a row parameter, by dest: (option string, argparse keywords).  The sweep's flags
+# come first, in the order its "does not read" message names them.
+_FLAGS = {
+    "scenario": ("--scenario", {"help": "scenario file for --target protocol"}),
+    "shots": ("--shots", {"type": _int_arg}),
+    "time_s": ("--time-s", {"type": _finite_float}),
+    "geometry": ("--geometry", {"choices": tuple(PHASE_EXPONENTS)}),
+    "n": ("--n", {"metavar": "N", "type": _int_arg, "help": "qubit count"}),
+    "tc_s": ("--tc", {"metavar": "TC", "type": _finite_float, "help": "coherence time, s"}),
+    "freq_ghz": ("--freq-ghz", {"type": _finite_float, "help": "mean qubit frequency, GHz"}),
+    "ell_m": ("--ell", {"metavar": "ELL", "type": _finite_float, "help": "site spacing, m"}),
+    "phase_res_rad": ("--phase-res", {"metavar": "PHASE_RES", "type": _finite_float, "help": "resolvable phase, rad"}),
+    "delta_x_m": ("--delta-x", {"metavar": "DELTA_X", "type": _finite_float, "help": "vertical displacement, m"}),
+    "mass_kg": ("--mass", {"metavar": "MASS", "type": _finite_float, "help": "proximal mass, kg"}),
+    "distance_m": ("--distance", {"metavar": "DISTANCE", "type": _finite_float,
+                                  "help": "distance to the proximal mass, m"}),
+    "backend": ("--backend", {"choices": BACKENDS, "help": "override run.backend"}),
+    "delta_g": ("--delta-g", {"type": _finite_float, "help": "also report the phase for this delta_g"}),
+    "strain": ("--strain", {"type": _finite_float, "help": "also report the phase at this strain"}),
 }
-# the sweep's flags that set a row parameter, by dest
-_SWEEP_FLAGS = {"scenario": "--scenario", "shots": "--shots", "time_s": "--time-s", "geometry": "--geometry",
-                **{dest: spec[0] for dest, spec in _SENSING_FLAGS.items()}}
+# the sweep's row-parameter flags, in its --help order
+_SWEEP = ("geometry", "scenario", "time_s", "shots", "n", "tc_s", "freq_ghz", "ell_m", "phase_res_rad")
 
 
 def _row_inputs(
@@ -369,7 +377,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # it cannot sweep (gravimeter and strain read a time only with --delta-g or --strain)
     sweepable = {_PARAM_COLUMN[name] for name in row.sweep}
     reads = {dest for dest in row.params if dest in sweepable or dest not in _PARAM_COLUMN.values()} - {column}
-    unread = [flag for dest, flag in _SWEEP_FLAGS.items() if getattr(args, dest) is not None and dest not in reads]
+    unread = [flag for dest, (flag, _) in _FLAGS.items() if getattr(args, dest, None) is not None and dest not in reads]
     if unread:
         raise ValueError(f"sweep --target {args.target} does not read {', '.join(unread)}")
     base, constants, doc = _row_inputs(args, row)
@@ -403,10 +411,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 # --- parser -----------------------------------------------------------------
 
 
-def _add_sensing_flags(parser: argparse.ArgumentParser, dests: tuple[str, ...]) -> None:
+def _add_flags(parser: argparse._ActionsContainer, dests: tuple[str, ...], **helps: str) -> None:
+    """Add the `_FLAGS` flags of `dests` in order; `helps` replaces a flag's help text, by dest."""
     for dest in dests:
-        flag, metavar, kind, text = _SENSING_FLAGS[dest]
-        parser.add_argument(flag, dest=dest, metavar=metavar, type=kind, help=text)
+        flag, kwargs = _FLAGS[dest]
+        parser.add_argument(flag, dest=dest, **dict(kwargs, help=helps.get(dest, kwargs.get("help"))))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -436,54 +445,37 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("redshift", help="single-qubit frequency shift and phase rate")
-    group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--delta-x", dest="delta_x_m", metavar="DELTA_X", type=_finite_float,
-                       help="vertical displacement, m")
-    group.add_argument("--mass", dest="mass_kg", metavar="MASS", type=_finite_float, help="proximal mass, kg")
-    p.add_argument("--distance", dest="distance_m", metavar="DISTANCE", type=_finite_float,
-                   help="distance to the proximal mass, m")
-    p.add_argument("--freq-ghz", type=_finite_float, help="qubit frequency, GHz")
+    _add_flags(p.add_mutually_exclusive_group(required=True), ("delta_x_m", "mass_kg"))
+    _add_flags(p, ("distance_m", "freq_ghz"), freq_ghz="qubit frequency, GHz")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("protocol", help="run the phase-measurement protocol on a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--shots", type=_int_arg, default=None, help="override run.shots")
-    p.add_argument("--time-s", type=_finite_float, default=None, help="override run.time_s")
-    p.add_argument("--backend", choices=BACKENDS, default=None,
-                   help="override run.backend")
+    _add_flags(p, ("shots", "time_s", "backend"), shots="override run.shots", time_s="override run.time_s")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("gravimeter", help="delta-g sensitivity of a GHZ register")
-    _add_sensing_flags(p, _GRAVIMETER)
-    p.add_argument("--delta-g", type=_finite_float, default=None, help="also report the phase for this delta_g")
-    p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --delta-g")
+    _add_flags(p, _ROWS["gravimeter"].params, time_s="accumulation time for --delta-g")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("strain", help="minimum detectable strain of a GHZ register")
-    _add_sensing_flags(p, _STRAIN)
-    p.add_argument("--strain", type=_finite_float, default=None, help="also report the phase at this strain")
-    p.add_argument("--time-s", type=_finite_float, default=None, help="accumulation time for --strain")
+    _add_flags(p, _ROWS["strain"].params, time_s="accumulation time for --strain")
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
-    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS))
-    _add_sensing_flags(p, ("tc_s", "freq_ghz", "ell_m", "phase_res_rad"))
+    _add_flags(p, _ROWS["required-qubits"].params)
     p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("sweep", help="evaluate a target over a parameter grid, write CSV")
-    p.add_argument("--target", choices=tuple(_SWEEP_PARAMS), required=True)
+    p.add_argument("--target", choices=tuple(name for name, row in _ROWS.items() if row.sweep), required=True)
     p.add_argument("--param", choices=tuple(_PARAM_COLUMN), required=True)
     p.add_argument("--from", dest="sweep_from", type=_finite_float, required=True)
     p.add_argument("--to", dest="sweep_to", type=_finite_float, required=True)
     p.add_argument("--steps", type=_int_arg, required=True)
     p.add_argument("--log", action="store_true", help="log-spaced grid")
     p.add_argument("--out", dest="out_path", required=True, help="output CSV path")
-    p.add_argument("--geometry", choices=tuple(PHASE_EXPONENTS))
-    p.add_argument("--scenario", default=None, help="scenario file for --target protocol")
-    p.add_argument("--time-s", dest="time_s", type=_finite_float, default=None,
-                   help="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
-    p.add_argument("--shots", type=_int_arg, default=None, help="shots (default: the scenario's run.shots)")
-    _add_sensing_flags(p, tuple(_SENSING_FLAGS))
+    _add_flags(p, _SWEEP, shots="shots (default: the scenario's run.shots)",
+               time_s="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

@@ -118,6 +118,7 @@ class ChipGeometry:
     frequency: float | np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "qubit_count", _index(self.qubit_count, "qubit_count"))
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be {' or '.join(map(repr, LAYOUTS))}, got {self.layout!r}")
         if self.qubit_count < 1:

@@ -91,7 +91,7 @@ def _philox(seed: int, start: int) -> np.random.Philox:
 
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniforms [start, start + count) of the stream keyed by `seed`."""
-    seed = _check_seed(seed)
+    seed, count, start = _check_seed(seed), _index(count, "count"), _index(start, "start")
     return np.random.Generator(_philox(seed, start)).random(count)
 
 

@@ -60,6 +60,11 @@ _PERTURBATIONS = {
 }
 
 
+def _omega(freq_ghz: float) -> float:
+    """A frequency in GHz as an angular frequency, rad/s; the CLI's --freq-ghz goes through it too."""
+    return 2.0 * math.pi * 1e9 * freq_ghz
+
+
 class ScenarioError(ValueError):
     """A scenario or constants document failed to decode or validate; the message names the file or field."""
 
@@ -177,9 +182,9 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
     if isinstance(freq, list):
         if len(freq) != n:
             raise ScenarioError(f"scenario: qubits.frequency_ghz lists {len(freq)} values for {n} sites")
-        omega = [2.0 * math.pi * 1e9 * _number(f, "qubits.frequency_ghz[]") for f in freq]
+        omega = [_omega(_number(f, "qubits.frequency_ghz[]")) for f in freq]
     else:
-        omega = 2.0 * math.pi * 1e9 * _number(freq, "qubits.frequency_ghz")
+        omega = _omega(_number(freq, "qubits.frequency_ghz"))
     try:
         geometry = ChipGeometry(layout, n, spacing, orientation, omega)
     except ValueError as exc:

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -89,6 +90,22 @@ class TestEstimate:
             p_hat, delta_hat, std_error, saturated = estimate(count, shots)
             assert saturated and math.isnan(std_error)
             assert (p_hat, delta_hat) == (count / shots, edge)
+
+    @pytest.mark.parametrize("name, value", [
+        ("count_one", np.int64(3)), ("count_one", np.uint8(3)), ("count_one", 3.0), ("count_one", 3.5),
+        ("count_one", np.float64(3.0)), ("count_one", "3"),
+        ("shots", np.int64(10)), ("shots", np.uint16(10)), ("shots", 10.0), ("shots", np.float64(10.0)), ("shots", "10"),
+    ])
+    def test_integer_arguments(self, name, value):
+        # a numpy integer gives the equal int's estimate, in Python floats; anything else is one TypeError naming it
+        args = {"count_one": 3, "shots": 10}
+        if isinstance(value, np.integer):
+            result = estimate(**{**args, name: value})
+            assert result == estimate(**args)
+            assert [type(cell) for cell in result] == [float, float, float, bool]
+        else:
+            with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
+                estimate(**{**args, name: value})
 
     @pytest.mark.parametrize("count, shots", [(5, 3), (-1, 3), (0, 0), (1, 0), (0, -2)])
     def test_count_outside_the_shots_rejected(self, count, shots):

@@ -706,6 +706,15 @@ def is_immutable(value) -> bool:
     return value is None or type(value) in (bool, int, float, str)
 
 
+def test_row_subcommands_take_their_row_parameters():
+    # the flags of each one-row subcommand set exactly its row's parameters; the seed is the global --seed
+    sub = next(action for action in parser_actions(cli._parser()) if isinstance(action, argparse._SubParsersAction))
+    for name, parser in sub.choices.items():
+        if name in cli._ROWS:
+            dests = {action.dest for action in parser_actions(parser)} - {"help"}
+            assert dests == set(cli._ROWS[name].params) - {"seed"}, name
+
+
 class TestParserReuse:
     """`main` builds the parser once per process, and no call leaves state in it."""
 

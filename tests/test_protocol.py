@@ -303,6 +303,22 @@ class TestRunProtocol:
             with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
                 call(**{"shots": 100, "seed": 100, name: value})
 
+    @pytest.mark.parametrize("value", [np.int64(4), np.uint16(4), 4.0, np.float64(4.0), "4"])
+    @pytest.mark.parametrize("chip", [line_chip, grid_chip])
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_integer_qubit_count(self, backend, chip, value):
+        # a numpy integer builds the int's chip and runs alike; anything else is one TypeError naming qubit_count
+        def run(n):
+            scenario = GravScenario(chip(n, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+            return run_protocol(scenario, 1e-3, 100, seed=1, backend=backend)
+
+        if isinstance(value, np.integer):
+            assert type(chip(value, 1e-3, OMEGA_10GHZ).qubit_count) is int
+            assert run(value) == run(4)
+        else:
+            with pytest.raises(TypeError, match=f"^{re.escape(f'qubit_count must be an integer, got {value!r}')}$"):
+                run(value)
+
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_nan_time_rejected(self, backend):
         with pytest.raises(ValueError, match="^accumulation time must be >= 0, got nan$"):

@@ -102,6 +102,12 @@ def test_uniforms_take_an_integer_seed(value):
     check_integer_argument(shot_uniforms, (5, 3), 0, "seed", value)
 
 
+@pytest.mark.parametrize("value", FIVES)
+@pytest.mark.parametrize("position, name", [(1, "count"), (2, "start")])
+def test_uniforms_take_an_integer_count_and_start(position, name, value):
+    check_integer_argument(shot_uniforms, (3, 5, 5), position, name, value)
+
+
 def test_largest_seed_accepted():
     assert shot_uniforms(2**128 - 1, 10).shape == (10,)
 
