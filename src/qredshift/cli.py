@@ -6,20 +6,20 @@ sweep.  Global flags: --seed (protocol runs only), --constants-file,
 (suppresses the timestamp so repeated runs are byte-identical).
 
 `_ROWS` holds one entry per computation: a row function that maps its
-parameters to one output row `(echoed input columns, result columns)`,
-the parameters it reads, and the `--param` names `sweep` may vary.  The
-parameters are the argparse dests, named after their columns (`tc_s`,
-`ell_m`, `phase_res_rad`, ...), so the parsed flag values are the row's
-arguments and the JSON `inputs` as they stand.  A protocol row's unset
-`time_s`, `shots`, `seed` and `backend` come from the scenario's `run`
-object, its constants from the scenario alone.  Every row goes through
-`_run_row`, which turns a cell outside the floating-point range into an
-error.  A subcommand prints its one row with a provenance header as CSV
-or JSON (`write_result_csv`); `sweep` evaluates a target's row at each
-grid value of one column and writes the result columns to a CSV file.
-The `phase` row (the rotated-chip closed form) is a sweep target only.
-Each flag that sets a row parameter is declared once, in `_FLAGS`: every
-subcommand adds its flags from there, and `sweep` names an unread one by it.
+parameters to one output row `(echoed input columns, result columns)`, the
+parameters it reads, the `--param` names `sweep` may vary, and which flag
+needs which (gravimeter's `--time-s` needs `--delta-g`); `main` dispatches
+from it.  The parameters are the argparse dests, named after their columns
+(`tc_s`, `ell_m`, `phase_res_rad`, ...), so the parsed flag values are the
+row's arguments and the JSON `inputs`.  A protocol row's unset `time_s`,
+`shots`, `seed` and `backend` come from the scenario's `run` object, its
+constants from the scenario alone.  Every row goes through `_run_row`,
+which turns a cell outside the floating-point range into an error.  A
+subcommand prints its one row with a provenance header as CSV or JSON
+(`write_result_csv`); `sweep` evaluates a target's row at each grid value
+of one column and writes the result columns to a CSV file.  The `phase`
+row (the rotated-chip closed form) is a sweep target only.  `_FLAGS`
+declares each flag that sets a row parameter, once, for every subcommand.
 
 The argparse parser is built once per process, on the first `main` call,
 and reused by every later call.
@@ -185,8 +185,6 @@ def _accumulation_time(p: dict[str, Any]) -> float:
 
 def _redshift(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
     if p["delta_x_m"] is not None:
-        if p["distance_m"] is not None:
-            raise ValueError("--distance only applies to the --mass perturbation")
         kind, pert = "vertical", VerticalTranslation(p["delta_x_m"])
     elif p["distance_m"] is None:
         raise ValueError("--mass requires --distance")
@@ -217,8 +215,6 @@ def _protocol(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocu
 
 
 def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
-    if p["time_s"] is not None and p["delta_g"] is None:
-        raise ValueError("--time-s only applies with --delta-g")
     omega = _omega(p["freq_ghz"])
     results = gravimeter_sensitivity(p["n"], omega, p["tc_s"], p["phase_res_rad"], constants)
     if p["delta_g"] is not None:
@@ -227,8 +223,6 @@ def _gravimeter(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDo
 
 
 def _strain(p: dict[str, Any], constants: PhysicalConstants, doc: ScenarioDocument | None) -> _Row:
-    if p["time_s"] is not None and p["strain"] is None:
-        raise ValueError("--time-s only applies with --strain")
     omega = _omega(p["freq_ghz"])
     results = min_detectable_strain(p["n"], omega, p["ell_m"], p["tc_s"], p["phase_res_rad"], constants)
     if p["strain"] is not None:
@@ -254,15 +248,19 @@ class _RowSpec:
     compute: Callable[[dict[str, Any], PhysicalConstants, ScenarioDocument | None], _Row]
     params: tuple[str, ...]
     sweep: tuple[str, ...] = ()
+    # (dest, needed) pairs: the flag of dest applies only with the flag of needed
+    needs: tuple[tuple[str, str], ...] = ()
 
 
 # the sensing inputs gravimeter and strain take as flags and echo as columns
 _GRAVIMETER = ("n", "tc_s", "freq_ghz", "phase_res_rad")
 _STRAIN = ("n", "tc_s", "freq_ghz", "ell_m", "phase_res_rad")
 _ROWS = {
-    "redshift": _RowSpec(_redshift, ("delta_x_m", "mass_kg", "distance_m", "freq_ghz")),
-    "gravimeter": _RowSpec(_gravimeter, (*_GRAVIMETER, "delta_g", "time_s"), ("n", "tc", "freq")),
-    "strain": _RowSpec(_strain, (*_STRAIN, "strain", "time_s"), ("n", "tc", "freq", "ell")),
+    "redshift": _RowSpec(_redshift, ("delta_x_m", "mass_kg", "distance_m", "freq_ghz"),
+                         needs=(("distance_m", "mass_kg"),)),
+    "gravimeter": _RowSpec(_gravimeter, (*_GRAVIMETER, "delta_g", "time_s"), ("n", "tc", "freq"),
+                           (("time_s", "delta_g"),)),
+    "strain": _RowSpec(_strain, (*_STRAIN, "strain", "time_s"), ("n", "tc", "freq", "ell"), (("time_s", "strain"),)),
     "required-qubits": _RowSpec(_required_qubits, ("geometry", "tc_s", "freq_ghz", "ell_m", "phase_res_rad"),
                                 ("tc", "freq", "ell")),
     "phase": _RowSpec(_phase, ("n", "freq_ghz", "ell_m", "time_s", "geometry"), ("n", "freq", "ell", "time")),
@@ -298,7 +296,7 @@ def _row_inputs(
     args: argparse.Namespace, row: _RowSpec
 ) -> tuple[dict[str, Any], PhysicalConstants, ScenarioDocument | None]:
     """(the row's parameters, constants, scenario): an unset flag takes its `_DEFAULTS` value, and a
-    protocol row's unset run setting the scenario's."""
+    protocol row's unset run setting the scenario's.  A flag given without the flag it needs is an error."""
     if "scenario" not in row.params:
         if args.seed is not None:
             raise ValueError("--seed applies only to protocol runs; no other command draws shots")
@@ -313,6 +311,9 @@ def _row_inputs(
         doc = load_scenario(args.scenario)
         constants, unset = doc.scenario.constants, asdict(doc.run)
     given = {key: getattr(args, key, None) for key in row.params}
+    for dest, needed in row.needs:
+        if given[dest] is not None and given[needed] is None:
+            raise ValueError(f"{_FLAGS[dest][0]} only applies with {_FLAGS[needed][0]}")
     return {key: unset.get(key) if value is None else value for key, value in given.items()}, constants, doc
 
 
@@ -373,10 +374,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             f"(supported: {', '.join(row.sweep)})"
         )
     column = _PARAM_COLUMN[args.param]
-    # a target reads its row's parameters, but not the swept column (each point sets it) nor a column
-    # it cannot sweep (gravimeter and strain read a time only with --delta-g or --strain)
-    sweepable = {_PARAM_COLUMN[name] for name in row.sweep}
-    reads = {dest for dest in row.params if dest in sweepable or dest not in _PARAM_COLUMN.values()} - {column}
+    # a target reads its row's parameters, but not the swept column (each point sets it) nor one that
+    # needs a flag sweep does not take (gravimeter and strain read a time only with --delta-g or --strain)
+    reads = set(row.params) - {dest for dest, needed in row.needs if needed not in _SWEEP} - {column}
     unread = [flag for dest, (flag, _) in _FLAGS.items() if getattr(args, dest, None) is not None and dest not in reads]
     if unread:
         raise ValueError(f"sweep --target {args.target} does not read {', '.join(unread)}")
@@ -447,24 +447,19 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("redshift", help="single-qubit frequency shift and phase rate")
     _add_flags(p.add_mutually_exclusive_group(required=True), ("delta_x_m", "mass_kg"))
     _add_flags(p, ("distance_m", "freq_ghz"), freq_ghz="qubit frequency, GHz")
-    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("protocol", help="run the phase-measurement protocol on a scenario file")
     p.add_argument("scenario", help="scenario JSON file")
     _add_flags(p, ("shots", "time_s", "backend"), shots="override run.shots", time_s="override run.time_s")
-    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("gravimeter", help="delta-g sensitivity of a GHZ register")
     _add_flags(p, _ROWS["gravimeter"].params, time_s="accumulation time for --delta-g")
-    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("strain", help="minimum detectable strain of a GHZ register")
     _add_flags(p, _ROWS["strain"].params, time_s="accumulation time for --strain")
-    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("required-qubits", help="qubits needed to resolve the rotated-chip phase")
     _add_flags(p, _ROWS["required-qubits"].params)
-    p.set_defaults(func=_cmd_row)
 
     p = sub.add_parser("sweep", help="evaluate a target over a parameter grid, write CSV")
     p.add_argument("--target", choices=tuple(name for name, row in _ROWS.items() if row.sweep), required=True)
@@ -476,7 +471,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="out_path", required=True, help="output CSV path")
     _add_flags(p, _SWEEP, shots="shots (default: the scenario's run.shots)",
                time_s="accumulation time, s (default: the scenario's run.time_s; 1e-3 for --target phase)")
-    p.set_defaults(func=_cmd_sweep)
 
     return parser
 
@@ -490,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     with warnings.catch_warnings():  # restores showwarning for in-process callers
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
+            return (_cmd_row if args.command in _ROWS else _cmd_sweep)(args)
         except (ValueError, ArithmeticError) as exc:  # ScenarioError is a ValueError
             code, error = 2, exc
         except ResourceCapError as exc:

@@ -79,12 +79,18 @@ class ResourceCapError(RuntimeError):
     """A run exceeds a documented cap: per-site arrays, dense or density-matrix size, or shots."""
 
 
-def _index(value: object, name: str) -> int:
-    """`value` as a Python int (numpy integers too); TypeError naming `name` for a float or anything else."""
+def _index(value: object, name: str, minimum: int | None = None) -> int:
+    """`value` as a Python int (numpy integers too): TypeError naming `name` for a bool, a float or anything
+    else, ValueError for an int below `minimum`."""
     try:
-        return operator.index(value)
+        if type(value) is not bool:  # operator.index(True) is 1
+            index = operator.index(value)
+            if minimum is not None and index < minimum:
+                raise ValueError(f"{name} must be >= {minimum}, got {index}")
+            return index
     except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+        pass
+    raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_sites(n: int) -> None:
@@ -118,11 +124,9 @@ class ChipGeometry:
     frequency: float | np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "qubit_count", _index(self.qubit_count, "qubit_count"))
+        object.__setattr__(self, "qubit_count", _index(self.qubit_count, "qubit_count", 1))
         if self.layout not in LAYOUTS:
             raise ValueError(f"layout must be {' or '.join(map(repr, LAYOUTS))}, got {self.layout!r}")
-        if self.qubit_count < 1:
-            raise ValueError(f"qubit_count must be >= 1, got {self.qubit_count}")
         if self.layout == "grid" and isqrt(self.qubit_count) ** 2 != self.qubit_count:
             raise ValueError(f"grid layout needs a perfect-square qubit count, got {self.qubit_count}")
         if not self.spacing > 0.0:

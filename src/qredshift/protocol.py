@@ -119,9 +119,7 @@ def run_protocol(
     per-site work.  An infinite dphi raises ArithmeticError, a NaN one
     (zero times an infinite factor) ValueError.
     """
-    shots = _index(shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = _index(shots, "shots", 1)
     if shots > MAX_SHOTS:
         raise ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
     if backend not in BACKENDS:

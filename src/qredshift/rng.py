@@ -1,8 +1,9 @@
 """Counter-based random streams for reproducible shot sampling.
 
 Shot i of a run consumes uniform u_i that depends only on (seed, i); a seed
-is a Philox key, an integer in [0, 2^128): a seed out of range raises
-ValueError, and a seed, count or index that is not an integer TypeError.
+is a Philox key, an integer in [0, 2^128): a seed out of range, or a
+negative count or start, raises ValueError, and a seed, count or index
+that is not an integer (a bool included) TypeError.
 Streams are Philox counter-based: a worker can open the same stream at any
 offset and reproduce the tail bit for bit, so chunked or parallel shot
 loops give the same outcomes as a sequential one. `count_below` uses that
@@ -77,13 +78,9 @@ def _check_seed(seed: int) -> int:
 
 
 def _philox(seed: int, start: int) -> np.random.Philox:
-    """Philox bit generator keyed by `seed`, positioned at word `start`."""
-    if start < 0:
-        raise ValueError(f"start must be >= 0, got {start}")
-    bitgen = np.random.Philox(_key_sequence()(seed))
+    """Philox bit generator keyed by `seed`, positioned at word `start` >= 0."""
     blocks, rem = divmod(start, _WORDS_PER_BLOCK)
-    if blocks:
-        bitgen.advance(blocks)
+    bitgen = np.random.Philox(_key_sequence()(seed), counter=blocks)
     if rem:
         bitgen.random_raw(rem)
     return bitgen
@@ -91,7 +88,7 @@ def _philox(seed: int, start: int) -> np.random.Philox:
 
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
     """Uniforms [start, start + count) of the stream keyed by `seed`."""
-    seed, count, start = _check_seed(seed), _index(count, "count"), _index(start, "start")
+    seed, count, start = _check_seed(seed), _index(count, "count", 0), _index(start, "start", 0)
     return np.random.Generator(_philox(seed, start)).random(count)
 
 
@@ -138,9 +135,7 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     stop before their next chunk and the pool's exit joins them; the
     caller's own error is raised, else the first failed range's.
     """
-    seed, count = _check_seed(seed), _index(count, "count")
-    if count < 0:
-        raise ValueError(f"count must be >= 0, got {count}")
+    seed, count = _check_seed(seed), _index(count, "count", 0)
     if not threshold > 0:
         return 0
     if threshold >= 1:

@@ -43,6 +43,7 @@ from .gravity import (
     VerticalTranslation,
 )
 from .protocol import BACKENDS
+from .rng import _check_seed
 
 __all__ = ["ScenarioError", "RunSettings", "ScenarioDocument",
            "load_constants", "load_scenario", "parse_constants", "parse_scenario"]
@@ -200,6 +201,10 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
     if shots < 1:
         raise ScenarioError(f"scenario: run.shots must be >= 1, got {shots}")
     seed = _integer(_require(run_doc, "seed", "run"), "run.seed")
+    try:
+        _check_seed(seed)  # a seed the CLI's --seed replaces is checked too, like shots and time_s
+    except ValueError as exc:
+        raise ScenarioError(f"scenario: run.{exc}") from None
     backend = run_doc.get("backend", "branch")
     if backend not in BACKENDS:
         raise ScenarioError(f"scenario: run.backend must be {' or '.join(map(repr, BACKENDS))}, got {backend!r}")

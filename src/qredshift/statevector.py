@@ -69,9 +69,7 @@ class Gate:
 
 def init_zero(qubit_count: int) -> np.ndarray:
     """|0...0> on qubit_count qubits."""
-    qubit_count = _index(qubit_count, "qubit_count")
-    if qubit_count < 1:
-        raise ValueError(f"qubit_count must be >= 1, got {qubit_count}")
+    qubit_count = _index(qubit_count, "qubit_count", 1)
     if qubit_count > MAX_QUBITS:
         raise ResourceCapError(
             f"{qubit_count} qubits exceeds the dense cap of {MAX_QUBITS}; use the branch backend"

@@ -93,8 +93,9 @@ class TestEstimate:
 
     @pytest.mark.parametrize("name, value", [
         ("count_one", np.int64(3)), ("count_one", np.uint8(3)), ("count_one", 3.0), ("count_one", 3.5),
-        ("count_one", np.float64(3.0)), ("count_one", "3"),
+        ("count_one", np.float64(3.0)), ("count_one", "3"), ("count_one", True),
         ("shots", np.int64(10)), ("shots", np.uint16(10)), ("shots", 10.0), ("shots", np.float64(10.0)), ("shots", "10"),
+        ("shots", True),
     ])
     def test_integer_arguments(self, name, value):
         # a numpy integer gives the equal int's estimate, in Python floats; anything else is one TypeError naming it

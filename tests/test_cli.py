@@ -715,6 +715,13 @@ def test_row_subcommands_take_their_row_parameters():
             assert dests == set(cli._ROWS[name].params) - {"seed"}, name
 
 
+def test_flag_dependencies_name_their_rows_flags():
+    # each (dest, needed) pair of a row names two flags of that row's own parameters
+    for name, row in cli._ROWS.items():
+        for pair in row.needs:
+            assert set(pair) <= set(row.params) & set(cli._FLAGS) and pair[0] != pair[1], (name, pair)
+
+
 class TestParserReuse:
     """`main` builds the parser once per process, and no call leaves state in it."""
 
@@ -848,6 +855,7 @@ class TestUnreadFlags:
     @pytest.mark.parametrize("argv, message", [
         (["gravimeter", "--time-s=-1"], "--time-s only applies with --delta-g"),
         (["strain", "--time-s", "1"], "--time-s only applies with --strain"),
+        (["redshift", "--delta-x", "1", "--distance", "2"], "--distance only applies with --mass"),
         (["sweep", "--target", "gravimeter", "--param", "n", "--time-s=-5"],
          "sweep --target gravimeter does not read --time-s"),
         (["sweep", "--target", "strain", "--param", "tc", "--time-s", "1"],
@@ -875,7 +883,7 @@ class TestUnreadFlags:
         # the swept parameter's own flag: every point overwrites it
         (["sweep", "--target", "gravimeter", "--param", "n", "--n", "77"],
          "sweep --target gravimeter does not read --n"),
-    ], ids=["gravimeter", "strain", "sweep-gravimeter", "sweep-strain", "sweep-required-qubits",
+    ], ids=["gravimeter", "strain", "redshift-distance", "sweep-gravimeter", "sweep-strain", "sweep-required-qubits",
             "sweep-phase", "sweep-gravimeter-scenario", "sweep-gravimeter-geometry", "sweep-gravimeter-ell",
             "sweep-strain-geometry",
             "sweep-required-qubits-n", "sweep-phase-tc-phase-res", "sweep-protocol-defaulted", "sweep-swept-flag"])

@@ -292,7 +292,7 @@ class TestRunProtocol:
         top = run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=2**128 - 1, backend=backend)
         assert top.count_one == rng.count_below(2**128 - 1, 100, top.p_one)
 
-    @pytest.mark.parametrize("value", [np.int64(100), np.uint16(100), 100.0, np.float64(100.0), "100"])
+    @pytest.mark.parametrize("value", [np.int64(100), np.uint16(100), 100.0, np.float64(100.0), "100", True])
     @pytest.mark.parametrize("name", ["shots", "seed"])
     def test_integer_arguments(self, name, value):
         # a numpy integer runs as the equal int; anything else is one TypeError naming the argument
@@ -303,7 +303,7 @@ class TestRunProtocol:
             with pytest.raises(TypeError, match=f"^{re.escape(f'{name} must be an integer, got {value!r}')}$"):
                 call(**{"shots": 100, "seed": 100, name: value})
 
-    @pytest.mark.parametrize("value", [np.int64(4), np.uint16(4), 4.0, np.float64(4.0), "4"])
+    @pytest.mark.parametrize("value", [np.int64(4), np.uint16(4), 4.0, np.float64(4.0), "4", True])
     @pytest.mark.parametrize("chip", [line_chip, grid_chip])
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_integer_qubit_count(self, backend, chip, value):

@@ -17,8 +17,8 @@ from qredshift.rng import shot_uniforms, substream_seed
 
 OUTSIDE_THE_KEY_RANGE = (-1, 2**128, -(2**128), 2**200 + 17)
 
-# Integer arguments given as 5: numpy integers act as the int, anything else raises one TypeError.
-FIVES = (np.int64(5), np.uint8(5), 5.0, np.float64(5.0), "5")
+# Integer arguments given as 5: numpy integers act as the int, anything else (a bool too) raises one TypeError.
+FIVES = (np.int64(5), np.uint8(5), 5.0, np.float64(5.0), "5", True)
 
 
 def check_integer_argument(call, args, position, name, value):
@@ -117,6 +117,12 @@ def test_negative_start_rejected():
         shot_uniforms(1, 5, start=-1)
 
 
+def test_negative_count_rejected():
+    # the error count_below gives, not numpy's "negative dimensions"
+    with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
+        shot_uniforms(1, -1)
+
+
 def test_substream_seeds_distinct():
     seeds = {substream_seed(42, i) for i in range(100)}
     assert len(seeds) == 100
@@ -207,7 +213,7 @@ class TestCountBelow:
         check_integer_argument(rng.count_below, (5, 5, 0.5), position, name, value)
 
     def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
             rng.count_below(1, -1, 0.5)
 
     @pytest.mark.parametrize("seed", OUTSIDE_THE_KEY_RANGE)

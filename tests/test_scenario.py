@@ -175,6 +175,13 @@ class TestStrictness:
         with pytest.raises(ScenarioError, match="shots"):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_the_key_range(self, seed):
+        raw = base_doc()
+        raw["run"]["seed"] = seed
+        with pytest.raises(ScenarioError, match=rf"^scenario: run\.seed must be in \[0, 2\^128\), got {seed}$"):
+            parse_scenario(raw)
+
     def test_unknown_perturbation_kind(self):
         raw = base_doc()
         raw["perturbation"] = {"kind": "tilt", "angle_deg": 3.0}

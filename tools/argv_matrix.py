@@ -260,6 +260,7 @@ def commands() -> list[list[str]]:
     cmds += [
         [R, "gravimeter", "--time-s=-1"],
         [R, "strain", "--time-s", "1"],
+        [R, "redshift", "--delta-x", "1", "--distance", "2"],
         _sweep("gravimeter", "n", "10", "100", "2", "--time-s=-5"),
         _sweep("strain", "tc", "1e-4", "1e-2", "2", "--time-s", "1"),
         _sweep("required-qubits", "tc", "1e-4", "1e-2", "2", "--time-s", "1"),
@@ -287,6 +288,7 @@ def commands() -> list[list[str]]:
         [R, "--seed", "-1", "protocol", "rotation.json"],
         [R, "--seed", str(2**128), "protocol", "rotation.json"],
         [R, "protocol", "negative_seed.json"],
+        [R, "--seed", "5", "protocol", "negative_seed.json"],
         [R, "--seed", "-1", *_sweep("protocol", "n", "2", "8", "2", "--scenario", "rotation.json")[1:]],
     ]
     # --seed on commands that draw no shots, the global --out on sweep
