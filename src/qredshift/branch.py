@@ -28,7 +28,7 @@ def ancilla_probabilities(delta_phi: float) -> tuple[float, float]:
     """(P(0), P(1)) of the ancilla after disentangling and the final Hadamard.
 
     The readout is the sine law P(1) = 1/2 + 1/2 sin(dphi); P(0) is
-    returned as 1 - P(1) so the pair always sums to one exactly.
+    returned as 1 - P(1) so the pair always sums to one exactly.  A NaN dphi gives (NaN, NaN).
     """
     p_one = 0.5 + 0.5 * math.sin(delta_phi)
     return 1.0 - p_one, p_one
@@ -58,7 +58,7 @@ def standard_pea_probabilities(delta_phi: float) -> tuple[float, float]:
     """(P(0), P(1)) of plain phase estimation (no S gate): the cosine law.
 
     Quadratic around dphi = 0, hence the comparison baseline for the
-    linear readout above.
+    linear readout above.  A NaN dphi gives (NaN, NaN).
     """
     p_zero = 0.5 + 0.5 * math.cos(delta_phi)
     return p_zero, 1.0 - p_zero

@@ -51,7 +51,7 @@ import numpy as np
 
 from . import __version__
 from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import ProximalMass, ResourceCapError, VerticalTranslation, potential_change
+from .gravity import ProximalMass, ResourceCapError, VerticalTranslation, _index, potential_change
 from .protocol import BACKENDS, run_protocol
 from .rng import substream_seed
 from .scenario import ScenarioDocument, _omega, load_constants, load_scenario
@@ -349,9 +349,7 @@ def _cmd_row(args: argparse.Namespace) -> int:
 
 
 def _sweep_values(args: argparse.Namespace) -> list[float] | list[int]:
-    if args.steps < 2:
-        raise ValueError(f"sweep needs steps >= 2, got {args.steps}")
-    if args.steps > MAX_SWEEP_POINTS:
+    if _index(args.steps, "--steps", 2) > MAX_SWEEP_POINTS:
         raise ResourceCapError(f"{args.steps} sweep points exceed the cap of {MAX_SWEEP_POINTS}")
     if args.log and (args.sweep_from <= 0 or args.sweep_to <= 0):
         raise ValueError("log-spaced sweeps need positive endpoints")

@@ -38,12 +38,11 @@ import math
 import operator
 from dataclasses import dataclass, field
 from math import isqrt
-from numbers import Real
 from typing import Sequence, Union
 
 import numpy as np
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import _REAL, DEFAULT_CONSTANTS, PhysicalConstants, _choice, _positive
 
 __all__ = [
     "LAYOUTS",
@@ -125,14 +124,12 @@ class ChipGeometry:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "qubit_count", _index(self.qubit_count, "qubit_count", 1))
-        if self.layout not in LAYOUTS:
-            raise ValueError(f"layout must be {' or '.join(map(repr, LAYOUTS))}, got {self.layout!r}")
+        _choice(self.layout, LAYOUTS, "layout")
         if self.layout == "grid" and isqrt(self.qubit_count) ** 2 != self.qubit_count:
             raise ValueError(f"grid layout needs a perfect-square qubit count, got {self.qubit_count}")
-        if not self.spacing > 0.0:
-            raise ValueError(f"spacing must be positive, got {self.spacing!r}")
-        freq = self.frequency
-        if not isinstance(freq, Real):  # one frequency per site
+        _positive(spacing=self.spacing)
+        freq = float(self.frequency) if isinstance(self.frequency, _REAL) else self.frequency
+        if not isinstance(freq, float):  # one frequency per site
             _check_sites(self.qubit_count)
             freq = np.asarray(freq, dtype=float)
             if freq.shape != (self.qubit_count,):
@@ -216,8 +213,7 @@ class ProximalMass:
     distance: float
 
     def __post_init__(self) -> None:
-        if not self.distance > 0.0:
-            raise ValueError(f"proximal-mass distance must be positive, got {self.distance!r}")
+        _positive(distance=self.distance)
 
 
 @dataclass(frozen=True)
@@ -235,7 +231,7 @@ class UniformStrain:
     angle: float = math.pi / 2.0
 
     def __post_init__(self) -> None:
-        if not abs(self.strain) < 1.0:
+        if not (isinstance(self.strain, _REAL) and abs(self.strain) < 1.0):
             raise ValueError(f"|strain| must be < 1, got {self.strain!r}")
 
 
@@ -260,8 +256,7 @@ def universal_rate(
     with N a dimensionless layout factor (waveguide geometry, index of
     refraction); the frequency then cancels out of the phase rate.
     """
-    if not engineering_factor > 0.0:
-        raise ValueError(f"engineering factor must be positive, got {engineering_factor!r}")
+    _positive(engineering_factor=engineering_factor)
     return engineering_factor * constants.g0 / constants.c
 
 
@@ -277,7 +272,7 @@ def potential_change(
     """dPhi (m^2/s^2) of sites at chip-axis `coordinates` (m); only tilts read the coordinates.
 
     dPhi / c^2 is the fractional frequency shift of a site, and dPhi * omega / c^2
-    its phase rate (rad/s).
+    its phase rate (rad/s).  Unchecked: a NaN coordinate gives a NaN dPhi.
     """
     pert = perturbation
     if isinstance(pert, VerticalRotation):
@@ -299,9 +294,9 @@ def _angles(perturbation: Perturbation, constants: PhysicalConstants, t: float,
     return -(t / constants.c_squared) * potential_change(perturbation, coordinates, constants) * omega
 
 
-def _check_time(t: float) -> None:
-    if not t >= 0.0:  # also rejects NaN
-        raise ValueError(f"accumulation time must be >= 0, got {t!r}")
+def _check_time(t: float, name: str = "accumulation time t") -> None:
+    if not (isinstance(t, _REAL) and 0.0 <= t < math.inf):
+        raise ValueError(f"{name} must be finite and >= 0, got {t!r}")
 
 
 def dephasing_angles(scenario: GravScenario, t: float) -> np.ndarray:

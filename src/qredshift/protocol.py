@@ -43,6 +43,7 @@ import numpy as np
 
 from . import branch as branch_engine
 from . import statevector as sv
+from .constants import _choice
 from .gravity import GravScenario, ResourceCapError, _index, dephasing_angles, uniform_delta_phi
 from .rng import _check_seed, count_below
 
@@ -122,8 +123,7 @@ def run_protocol(
     shots = _index(shots, "shots", 1)
     if shots > MAX_SHOTS:
         raise ResourceCapError(f"{shots} shots exceed the cap of {MAX_SHOTS}")
-    if backend not in BACKENDS:
-        raise ValueError(f"backend must be {' or '.join(map(repr, BACKENDS))}, got {backend!r}")
+    _choice(backend, BACKENDS, "backend")
     seed = _check_seed(seed)
     qubit_count = scenario.geometry.qubit_count + 1
     if backend == "statevector" and qubit_count > sv.MAX_QUBITS:

@@ -1,9 +1,9 @@
 """Counter-based random streams for reproducible shot sampling.
 
 Shot i of a run consumes uniform u_i that depends only on (seed, i); a seed
-is a Philox key, an integer in [0, 2^128): a seed out of range, or a
-negative count or start, raises ValueError, and a seed, count or index
-that is not an integer (a bool included) TypeError.
+is a Philox key, an integer in [0, 2^128): a seed out of range, a negative
+count, or a start outside the stream's [0, 2^258) raises ValueError, and a
+seed, count, start or index that is not an integer (a bool included) TypeError.
 Streams are Philox counter-based: a worker can open the same stream at any
 offset and reproduce the tail bit for bit, so chunked or parallel shot
 loops give the same outcomes as a sequential one. `count_below` uses that
@@ -29,7 +29,6 @@ from .gravity import _index
 
 __all__ = ["shot_uniforms", "count_below", "substream_seed"]
 
-_KEY_MASK = (1 << 128) - 1
 _WORD_MASK = (1 << 64) - 1
 
 # Philox emits 4 uint64 words per counter increment; Generator.random()
@@ -69,12 +68,17 @@ def _key_sequence() -> type:
     return KeySequence
 
 
-def _check_seed(seed: int) -> int:
-    """A run's seed is a Philox key: an integer in [0, 2^128), never masked into range; returned as an int."""
-    seed = _index(seed, "seed")
-    if not 0 <= seed <= _KEY_MASK:
-        raise ValueError(f"seed must be in [0, 2^128), got {seed}")
-    return seed
+def _uint(value: int, name: str, bits: int) -> int:
+    """`value` as an int in [0, 2^bits), never masked into range: ValueError naming it `name` outside."""
+    value = _index(value, name)
+    if value < 0 or value >> bits:
+        raise ValueError(f"{name} must be in [0, 2^{bits}), got {value}")
+    return value
+
+
+def _check_seed(seed: int, name: str = "seed") -> int:
+    """A run's seed is a Philox key: an integer in [0, 2^128), returned as an int."""
+    return _uint(seed, name, 128)
 
 
 def _philox(seed: int, start: int) -> np.random.Philox:
@@ -87,8 +91,8 @@ def _philox(seed: int, start: int) -> np.random.Philox:
 
 
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms [start, start + count) of the stream keyed by `seed`."""
-    seed, count, start = _check_seed(seed), _index(count, "count", 0), _index(start, "start", 0)
+    """Uniforms [start, start + count) of the stream keyed by `seed`; the stream ends at word 2^258."""
+    seed, count, start = _check_seed(seed), _index(count, "count", 0), _uint(start, "start", 258)
     return np.random.Generator(_philox(seed, start)).random(count)
 
 
@@ -171,7 +175,5 @@ def substream_seed(seed: int, index: int) -> int:
     The child is the 128-bit BLAKE2b hash of all 128 bits of `seed` XOR
     `index`, so children of one seed are distinct.
     """
-    seed, index = _check_seed(seed), _index(index, "index")
-    if not 0 <= index <= _WORD_MASK:
-        raise ValueError(f"index must be in [0, 2^64), got {index}")
+    seed, index = _check_seed(seed), _uint(index, "index", 64)
     return _seed_hash(seed) ^ index

@@ -19,7 +19,9 @@ an optional key and its default:
     }
 
 Frequencies are given in GHz and converted to angular rad/s internally;
-angles in the file are degrees.
+angles in the file are degrees.  A value that a library rule rejects
+raises ScenarioError("scenario: <the rule's message>"), named by its JSON
+path where the loader applies the rule (geometry.n and the run settings).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
 
-from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants
+from .constants import CONSTANT_NAMES, DEFAULT_CONSTANTS, PhysicalConstants, _choice
 from .gravity import (
     LAYOUTS,
     ChipGeometry,
@@ -41,6 +43,8 @@ from .gravity import (
     UniformStrain,
     VerticalRotation,
     VerticalTranslation,
+    _check_time,
+    _index,
 )
 from .protocol import BACKENDS
 from .rng import _check_seed
@@ -120,12 +124,6 @@ def _number(value: Any, where: str, source: str = "scenario") -> float:
     raise ScenarioError(f"{source}: '{where}' must be a finite number, got {value!r}")
 
 
-def _integer(value: Any, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ScenarioError(f"scenario: '{where}' must be an integer, got {value!r}")
-    return value
-
-
 def parse_constants(overrides: Any, source: str) -> PhysicalConstants:
     """Constants from a JSON object of overrides: a scenario's "constants", or --constants-file."""
     if not isinstance(overrides, dict):
@@ -143,7 +141,7 @@ def parse_constants(overrides: Any, source: str) -> PhysicalConstants:
 
 def _perturbation(pert_doc: dict[str, Any]) -> Perturbation:
     kind = _require(pert_doc, "kind", "perturbation")
-    if kind not in _PERTURBATIONS:
+    if not isinstance(kind, str) or kind not in _PERTURBATIONS:  # a list is unhashable
         raise ScenarioError(f"scenario: perturbation.kind must be one of {sorted(_PERTURBATIONS)}, got {kind!r}")
     cls, keys = _PERTURBATIONS[kind]
     _reject_unknown(pert_doc, {"kind", *keys}, f"perturbation ({kind})")
@@ -153,13 +151,20 @@ def _perturbation(pert_doc: dict[str, Any]) -> Perturbation:
         if key in pert_doc or name not in optional:
             value = _number(_require(pert_doc, key, "perturbation"), f"perturbation.{key}")
             values[name] = math.radians(value) if key.endswith("_deg") else value
-    try:
-        return cls(**values)
-    except ValueError as exc:
-        raise ScenarioError(f"scenario: {exc}") from exc
+    return cls(**values)
 
 
 def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
+    """The validated document; a library rule that rejects a value raises ScenarioError("scenario: ...")."""
+    try:
+        return _document(doc)
+    except ScenarioError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"scenario: {exc}") from exc
+
+
+def _document(doc: dict[str, Any]) -> ScenarioDocument:
     if not isinstance(doc, dict):
         raise ScenarioError("scenario: top level must be an object")
     _reject_unknown(doc, {"version", "geometry", "qubits", "perturbation", "constants", "run"}, "scenario")
@@ -173,9 +178,8 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
 
     geo = _section(doc, "geometry", {"layout", "n", "spacing_m", "orientation_deg"})
     layout = _require(geo, "layout", "geometry")
-    if layout not in LAYOUTS:
-        raise ScenarioError(f"scenario: geometry.layout must be {' or '.join(map(repr, LAYOUTS))}, got {layout!r}")
-    n = _integer(_require(geo, "n", "geometry"), "geometry.n")
+    _choice(layout, LAYOUTS, "geometry.layout")
+    n = _index(_require(geo, "n", "geometry"), "geometry.n", 1)
     spacing = _number(_require(geo, "spacing_m", "geometry"), "geometry.spacing_m")
     orientation = math.radians(_number(geo.get("orientation_deg", 0.0), "geometry.orientation_deg"))
 
@@ -186,28 +190,16 @@ def parse_scenario(doc: dict[str, Any]) -> ScenarioDocument:
         omega = [_omega(_number(f, "qubits.frequency_ghz[]")) for f in freq]
     else:
         omega = _omega(_number(freq, "qubits.frequency_ghz"))
-    try:
-        geometry = ChipGeometry(layout, n, spacing, orientation, omega)
-    except ValueError as exc:
-        raise ScenarioError(f"scenario: {exc}") from exc
-
+    geometry = ChipGeometry(layout, n, spacing, orientation, omega)
     pert = _perturbation(_section(doc, "perturbation"))
 
     run_doc = _section(doc, "run", {"time_s", "shots", "seed", "backend"})
     time_s = _number(_require(run_doc, "time_s", "run"), "run.time_s")
-    if time_s < 0.0:
-        raise ScenarioError(f"scenario: run.time_s must be >= 0, got {time_s}")
-    shots = _integer(_require(run_doc, "shots", "run"), "run.shots")
-    if shots < 1:
-        raise ScenarioError(f"scenario: run.shots must be >= 1, got {shots}")
-    seed = _integer(_require(run_doc, "seed", "run"), "run.seed")
-    try:
-        _check_seed(seed)  # a seed the CLI's --seed replaces is checked too, like shots and time_s
-    except ValueError as exc:
-        raise ScenarioError(f"scenario: run.{exc}") from None
-    backend = run_doc.get("backend", "branch")
-    if backend not in BACKENDS:
-        raise ScenarioError(f"scenario: run.backend must be {' or '.join(map(repr, BACKENDS))}, got {backend!r}")
+    _check_time(time_s, "run.time_s")
+    shots = _index(_require(run_doc, "shots", "run"), "run.shots", 1)
+    # a seed the CLI's --seed replaces is checked too, like shots and time_s
+    seed = _check_seed(_require(run_doc, "seed", "run"), "run.seed")
+    backend = _choice(run_doc.get("backend", "branch"), BACKENDS, "run.backend")
 
     return ScenarioDocument(
         scenario=GravScenario(geometry=geometry, perturbation=pert, constants=constants),

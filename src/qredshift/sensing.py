@@ -13,22 +13,22 @@ Each estimate is gravity's law on this chip, one site's angle from
     strain gauge  n sites raised by one strained spacing,
                   VerticalTranslation(spacing * (1 + strain)): n times |theta|
 
-Every estimate takes plain arguments, only the ones its law reads, and
-rejects n < 1 and a mean_frequency, spacing, coherence_time or
-phase_resolution that is not positive.  The sensitivities assume the
-protocol resolves a phase of `phase_resolution` (default 0.1 rad) within
-one coherence window T_c, and invert their phase at unit input
-(delta_g = 1, no strain, n = 1); a unit phase that underflows to 0 gives
-inf.  Nothing here warns about a time beyond T_c: a phase at time t does
-not read T_c.
+Every estimate takes plain arguments, only the ones its law reads: a GHZ
+count n is an integer >= 1 (a real in the closed form), t a finite real
+>= 0 and the other inputs finite reals > 0, or a TypeError or ValueError
+names the argument.  The sensitivities assume the protocol resolves a
+phase of `phase_resolution` (default 0.1 rad) within one coherence window
+T_c, and invert their phase at unit input (delta_g = 1, no strain, n = 1);
+a unit phase that underflows to 0 gives inf.  Nothing here warns about a
+time beyond T_c: a phase at time t does not read T_c.
 """
 
 from __future__ import annotations
 
 import math
 
-from .constants import DEFAULT_CONSTANTS, PhysicalConstants
-from .gravity import UniformDeltaG, VerticalRotation, VerticalTranslation, _angles, _check_time
+from .constants import _REAL, DEFAULT_CONSTANTS, PhysicalConstants, _choice, _positive
+from .gravity import UniformDeltaG, UniformStrain, VerticalRotation, VerticalTranslation, _angles, _check_time, _index
 
 __all__ = [
     "PHASE_EXPONENTS",
@@ -46,16 +46,6 @@ PHASE_EXPONENTS = {"1d": 2.0, "2d": 1.5}
 _UPRIGHT = VerticalRotation(math.pi / 2.0)
 
 
-def _check(**values: float) -> None:
-    """Reject, in argument order, an n below 1 and any other value that is not positive."""
-    for name, value in values.items():
-        if name == "n":
-            if value < 1:
-                raise ValueError(f"n must be >= 1, got {value}")
-        elif not value > 0.0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-
-
 def _inverse(resolution: float, unit_phase: float) -> float:
     """The input whose phase is `resolution`, from the phase of a unit input; inf when that phase is 0."""
     return resolution / unit_phase if unit_phase else math.inf
@@ -63,8 +53,9 @@ def _inverse(resolution: float, unit_phase: float) -> float:
 
 def gravimeter_phase(n: int, mean_frequency: float, delta_g: float, t: float,
                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Phase of the GHZ register: n times the signed site angle under UniformDeltaG(delta_g)."""
-    _check(n=n, mean_frequency=mean_frequency)
+    """Phase of the GHZ register: n times the signed site angle under UniformDeltaG(delta_g); NaN at a NaN delta_g."""
+    n = _index(n, "n", 1)
+    _positive(mean_frequency=mean_frequency)
     _check_time(t)
     return n * _angles(UniformDeltaG(delta_g), constants, t, 0.0, mean_frequency)
 
@@ -77,7 +68,8 @@ def gravimeter_sensitivity(n: int, mean_frequency: float, coherence_time: float,
     A phase at unit delta_g beyond the float range would make delta_g 0,
     so it raises ArithmeticError naming `delta_g`.
     """
-    _check(n=n, mean_frequency=mean_frequency, coherence_time=coherence_time, phase_resolution=phase_resolution)
+    n = _index(n, "n", 1)
+    _positive(mean_frequency=mean_frequency, coherence_time=coherence_time, phase_resolution=phase_resolution)
     unit = gravimeter_phase(n, mean_frequency, 1.0, coherence_time, constants)
     if math.isinf(unit):
         raise ArithmeticError(f"delta_g = {phase_resolution / unit}: the phase at delta_g = 1 overflows")
@@ -94,9 +86,10 @@ def closed_form_phase(n: float, mean_frequency: float, spacing: float, t: float,
     in place of n^2 / 2.  An n^p beyond the float range makes the phase
     inf, like any other overflow.
     """
-    _check(n=n, mean_frequency=mean_frequency, spacing=spacing)
-    if geometry not in PHASE_EXPONENTS:
-        raise ValueError(f"geometry must be {' or '.join(map(repr, PHASE_EXPONENTS))}, got {geometry!r}")
+    if not (isinstance(n, _REAL) and n >= 1):
+        raise ValueError(f"n must be >= 1, got {n}")
+    _positive(mean_frequency=mean_frequency, spacing=spacing)
+    _choice(geometry, PHASE_EXPONENTS, "geometry")
     _check_time(t)
     try:
         scale = float(n) ** PHASE_EXPONENTS[geometry]
@@ -115,8 +108,8 @@ def required_qubits(mean_frequency: float, spacing: float, coherence_time: float
     sqrt(n) * spacing (2D)}.  A count beyond the float range raises
     OverflowError naming `n_required`.
     """
-    _check(mean_frequency=mean_frequency, coherence_time=coherence_time, spacing=spacing,
-           phase_resolution=phase_resolution)
+    _positive(mean_frequency=mean_frequency, coherence_time=coherence_time, spacing=spacing,
+              phase_resolution=phase_resolution)
     unit = closed_form_phase(1, mean_frequency, spacing, coherence_time, geometry, constants)
     root = _inverse(phase_resolution, unit) ** (1.0 / PHASE_EXPONENTS[geometry])
     if not math.isfinite(root):
@@ -129,9 +122,9 @@ def required_qubits(mean_frequency: float, spacing: float, coherence_time: float
 def strain_phase(n: int, mean_frequency: float, spacing: float, strain: float, t: float,
                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
     """Phase of a GHZ register raised by one strained spacing: n times |theta| of each site."""
-    _check(n=n, mean_frequency=mean_frequency, spacing=spacing)
-    if not abs(strain) < 1.0:
-        raise ValueError(f"|strain| must be < 1, got {strain!r}")
+    n = _index(n, "n", 1)
+    _positive(mean_frequency=mean_frequency, spacing=spacing)
+    UniformStrain(strain)  # rejects |strain| >= 1
     _check_time(t)
     raised = VerticalTranslation(spacing * (1.0 + strain))
     return n * abs(_angles(raised, constants, t, 0.0, mean_frequency))
@@ -147,7 +140,8 @@ def min_detectable_strain(n: int, mean_frequency: float, spacing: float, coheren
     the device cannot compete with existing strain gauges (MEMS devices
     resolve about 1e-6) at this resolution.
     """
-    _check(n=n, mean_frequency=mean_frequency, coherence_time=coherence_time, spacing=spacing,
-           phase_resolution=phase_resolution)
+    n = _index(n, "n", 1)
+    _positive(mean_frequency=mean_frequency, coherence_time=coherence_time, spacing=spacing,
+              phase_resolution=phase_resolution)
     baseline = strain_phase(n, mean_frequency, spacing, 0.0, coherence_time, constants)
     return {"baseline_phase_rad": baseline, "min_strain": _inverse(phase_resolution, baseline)}

@@ -244,7 +244,7 @@ def _apply_phase(state: np.ndarray, angles: np.ndarray) -> None:
 
 
 def probability_of(state: np.ndarray, site: int, bit: int) -> float:
-    """Exact marginal probability that measuring `site` yields `bit`.
+    """Exact marginal probability that measuring `site` yields `bit`; a site off the state raises IndexError.
 
     Block sums of |amp|^2 over the `bit` half, added as a balanced tree; numpy's
     pairwise sum halves 2^k terms exactly, so this is np.sum of the half bit for bit.

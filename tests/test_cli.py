@@ -304,7 +304,7 @@ class TestSensingCommands:
         assert code == 2
         assert captured.out == ""
         point = "sweep point time = -1.0: " if argv[0] == "sweep" else ""
-        assert captured.err == f"error: {point}accumulation time must be >= 0, got -1.0\n"
+        assert captured.err == f"error: {point}accumulation time t must be finite and >= 0, got -1.0\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("overrides", [{"c": True}, {"g0": float("inf")}])

@@ -78,9 +78,9 @@ class TestMassPotential:
         assert far == pytest.approx(surface / 2, rel=1e-15)
         assert far == pytest.approx(-3.128e7, rel=1e-3)
 
-    @pytest.mark.parametrize("distance", [0.0, -1.0])
+    @pytest.mark.parametrize("distance", [0.0, -1.0, math.inf, math.nan])
     def test_nonpositive_distance_rejected(self, distance):
-        with pytest.raises(ValueError, match="distance"):
+        with pytest.raises(ValueError, match=f"^distance must be finite and strictly positive, got {distance}$"):
             ProximalMass(1.0, distance)
 
 
@@ -172,8 +172,10 @@ class TestPhaseRates:
         assert universal_rate(2.0) == pytest.approx(2.0 * universal_rate(1.0), rel=1e-15)
 
     def test_universal_rate_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            universal_rate(0.0)
+        for factor in (0.0, math.inf, math.nan):
+            message = f"engineering_factor must be finite and strictly positive, got {factor}"
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                universal_rate(factor)
 
     @given(
         st.floats(min_value=1e-3, max_value=1e3),
@@ -232,8 +234,9 @@ class TestGeometry:
     def test_invalid_inputs(self):
         with pytest.raises(ValueError, match="layout"):
             line_chip(2, 1e-3, OMEGA_10GHZ).__class__("ring", 2, 1e-3, 0.0, np.ones(2))
-        with pytest.raises(ValueError, match="spacing"):
-            line_chip(2, 0.0, OMEGA_10GHZ)
+        for spacing in (0.0, math.inf):
+            with pytest.raises(ValueError, match=f"^spacing must be finite and strictly positive, got {spacing}$"):
+                line_chip(3, spacing, OMEGA_10GHZ)
         with pytest.raises(ValueError, match="frequencies"):
             line_chip(3, 1e-3, [1.0, 2.0])
         with pytest.raises(ValueError, match="positive"):
@@ -342,8 +345,14 @@ class TestUniformDeltaPhi:
 
     def test_nan_time_rejected(self):
         sc = GravScenario(line_chip(2, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
-        with pytest.raises(ValueError, match="^accumulation time must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^accumulation time t must be finite and >= 0, got nan$"):
             uniform_delta_phi(sc, math.nan)
+
+    @pytest.mark.parametrize("angles", [uniform_delta_phi, dephasing_angles])
+    def test_infinite_time_rejected(self, angles):
+        sc = GravScenario(line_chip(2, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        with pytest.raises(ValueError, match="^accumulation time t must be finite and >= 0, got inf$"):
+            angles(sc, math.inf)
 
     @pytest.mark.parametrize(
         "chip, pert, t",
@@ -468,7 +477,7 @@ class TestChannelAngles:
             dephasing_angles(self.rotation_scenario(), -1.0)
 
     def test_nan_time_rejected(self):
-        with pytest.raises(ValueError, match="^accumulation time must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^accumulation time t must be finite and >= 0, got nan$"):
             dephasing_angles(self.rotation_scenario(), math.nan)
 
     def test_angle_count_matches_register(self):

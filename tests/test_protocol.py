@@ -321,7 +321,7 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_nan_time_rejected(self, backend):
-        with pytest.raises(ValueError, match="^accumulation time must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^accumulation time t must be finite and >= 0, got nan$"):
             run_protocol(ghz_scenario(0.2, n=4), math.nan, 100, seed=1, backend=backend)
 
     def test_estimator_consistency_over_seeds(self):

@@ -113,8 +113,15 @@ def test_largest_seed_accepted():
 
 
 def test_negative_start_rejected():
-    with pytest.raises(ValueError, match="start must be >= 0"):
+    with pytest.raises(ValueError, match=r"^start must be in \[0, 2\^258\), got -1$"):
         shot_uniforms(1, 5, start=-1)
+
+
+def test_start_beyond_the_stream_rejected():
+    # the last word of the stream is drawn; one past it is named, not numpy's "counter must be positive"
+    assert shot_uniforms(1, 1, start=2**258 - 1)[0] == shot_uniforms(1, 2, start=2**258 - 2)[1]
+    with pytest.raises(ValueError, match=rf"^start must be in \[0, 2\^258\), got {2**258}$"):
+        shot_uniforms(1, 1, start=2**258)
 
 
 def test_negative_count_rejected():

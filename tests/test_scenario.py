@@ -182,10 +182,36 @@ class TestStrictness:
         with pytest.raises(ScenarioError, match=rf"^scenario: run\.seed must be in \[0, 2\^128\), got {seed}$"):
             parse_scenario(raw)
 
+    @pytest.mark.parametrize("section, key, value, error", [
+        ("geometry", "n", 2.5, "geometry.n must be an integer, got 2.5"),
+        ("geometry", "n", True, "geometry.n must be an integer, got True"),
+        ("geometry", "n", 0, "geometry.n must be >= 1, got 0"),
+        ("run", "shots", True, "run.shots must be an integer, got True"),
+        ("run", "shots", 0, "run.shots must be >= 1, got 0"),
+        ("run", "seed", 1.5, "run.seed must be an integer, got 1.5"),
+        ("run", "time_s", -1, "run.time_s must be finite and >= 0, got -1.0"),
+        ("run", "backend", "gpu", "run.backend must be 'branch' or 'statevector', got 'gpu'"),
+        ("geometry", "spacing_m", 0, "spacing must be finite and strictly positive, got 0.0"),
+    ])
+    def test_library_rule_named_once(self, section, key, value, error):
+        raw = base_doc()
+        raw[section][key] = value
+        with pytest.raises(ScenarioError, match=f"^{re.escape(f'scenario: {error}')}$"):
+            parse_scenario(raw)
+
+    def test_perturbation_rule_named(self):
+        raw = base_doc()
+        raw["perturbation"] = {"kind": "mass", "mass_kg": 1.0, "distance_m": 0.0}
+        with pytest.raises(ScenarioError, match=r"^scenario: distance must be finite and strictly positive, got 0\.0$"):
+            parse_scenario(raw)
+
     def test_unknown_perturbation_kind(self):
         raw = base_doc()
         raw["perturbation"] = {"kind": "tilt", "angle_deg": 3.0}
         with pytest.raises(ScenarioError, match="kind"):
+            parse_scenario(raw)
+        raw["perturbation"] = {"kind": []}  # unhashable: once a TypeError that escaped the loader
+        with pytest.raises(ScenarioError, match=r"^scenario: perturbation\.kind must be one of .*, got \[\]$"):
             parse_scenario(raw)
 
     def test_foreign_parameter_for_kind(self):

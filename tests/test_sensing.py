@@ -228,11 +228,11 @@ class TestNegativeTime:
             dephasing_angles(GravScenario(line_chip(2, 1e-3, OMEGA_10GHZ), UniformDeltaG(1.0)), -1.0)
         with pytest.raises(ValueError) as sensing:
             phase(-1.0)
-        assert str(sensing.value) == str(channel.value) == "accumulation time must be >= 0, got -1.0"
+        assert str(sensing.value) == str(channel.value) == "accumulation time t must be finite and >= 0, got -1.0"
 
     @PHASES
     def test_nan_rejected(self, phase):
-        with pytest.raises(ValueError, match="^accumulation time must be >= 0, got nan$"):
+        with pytest.raises(ValueError, match="^accumulation time t must be finite and >= 0, got nan$"):
             phase(math.nan)
 
 
@@ -265,8 +265,11 @@ class TestMonotonicity:
         assert counts == sorted(counts, reverse=True)
 
 
+POSITIVE = "must be finite and strictly positive"
+
+
 class TestConfigValidation:
-    """Every estimate rejects n < 1 and a non-positive input it reads, the first in argument order."""
+    """Every estimate rejects n < 1 and an input it reads that is not finite and > 0, the first in argument order."""
 
     def test_positive_fields(self):
         with pytest.raises(ValueError):
@@ -276,12 +279,12 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize("estimate, message", [
         (lambda: gravimeter_phase(0, OMEGA_10GHZ, 1e-7, 1e-3), "n must be >= 1, got 0"),
-        (lambda: gravimeter_sensitivity(1000, OMEGA_10GHZ, 1e-3, -0.1), "phase_resolution must be positive, got -0.1"),
-        (lambda: strain_phase(1000, OMEGA_10GHZ, -1.0, 0.0, 1e-3), "spacing must be positive, got -1.0"),
+        (lambda: gravimeter_sensitivity(1000, OMEGA_10GHZ, 1e-3, -0.1), f"phase_resolution {POSITIVE}, got -0.1"),
+        (lambda: strain_phase(1000, OMEGA_10GHZ, -1.0, 0.0, 1e-3), f"spacing {POSITIVE}, got -1.0"),
         (lambda: min_detectable_strain(0, OMEGA_10GHZ, -1.0, 1e-3), "n must be >= 1, got 0"),
-        (lambda: min_detectable_strain(1, 1.0, -1.0, 0.0), "coherence_time must be positive, got 0.0"),
-        (lambda: required_qubits(0.0, -1.0, 1e-3), "mean_frequency must be positive, got 0.0"),
-        (lambda: required_qubits(OMEGA_10GHZ, -1.0, 1e-3), "spacing must be positive, got -1.0"),
+        (lambda: min_detectable_strain(1, 1.0, -1.0, 0.0), f"coherence_time {POSITIVE}, got 0.0"),
+        (lambda: required_qubits(0.0, -1.0, 1e-3), f"mean_frequency {POSITIVE}, got 0.0"),
+        (lambda: required_qubits(OMEGA_10GHZ, -1.0, 1e-3), f"spacing {POSITIVE}, got -1.0"),
     ], ids=["gravimeter_phase", "gravimeter_sensitivity", "strain_phase", "min_detectable_strain-n-first",
             "min_detectable_strain-coherence_time-before-spacing", "required_qubits-frequency-first",
             "required_qubits-spacing"])
@@ -290,13 +293,35 @@ class TestConfigValidation:
             estimate()
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize("estimate, error, message", [
+        (lambda: gravimeter_sensitivity(math.nan, OMEGA_10GHZ, 1e-3), TypeError, "n must be an integer, got nan"),
+        (lambda: min_detectable_strain(100, OMEGA_10GHZ, math.inf, 1e-3), ValueError, f"spacing {POSITIVE}, got inf"),
+        (lambda: min_detectable_strain(100, OMEGA_10GHZ, 1e-3, math.inf), ValueError,
+         f"coherence_time {POSITIVE}, got inf"),
+        (lambda: min_detectable_strain(math.inf, OMEGA_10GHZ, 1e-3, 1e-3), TypeError, "n must be an integer, got inf"),
+        (lambda: required_qubits(OMEGA_10GHZ, 1e-3, math.inf), ValueError, f"coherence_time {POSITIVE}, got inf"),
+        (lambda: gravimeter_phase(2.5, OMEGA_10GHZ, 1e-7, 1e-3), TypeError, "n must be an integer, got 2.5"),
+        (lambda: gravimeter_phase(True, OMEGA_10GHZ, 1e-7, 1e-3), TypeError, "n must be an integer, got True"),
+        (lambda: strain_phase(100, OMEGA_10GHZ, 1e-3, None, 1e-3), ValueError, "|strain| must be < 1, got None"),
+    ], ids=["gravimeter_sensitivity-nan-n", "min_detectable_strain-inf-spacing", "min_detectable_strain-inf-tc",
+            "min_detectable_strain-inf-n", "required_qubits-inf-tc", "gravimeter_phase-float-n",
+            "gravimeter_phase-bool-n", "strain_phase-none-strain"])
+    def test_non_finite_and_non_integer_inputs_rejected(self, estimate, error, message):
+        with pytest.raises(error) as exc:
+            estimate()
+        assert str(exc.value) == message
+
+    def test_numpy_integer_count(self):
+        phase = gravimeter_phase(100, OMEGA_10GHZ, 1e-7, 1e-3)
+        assert gravimeter_phase(np.int64(100), OMEGA_10GHZ, 1e-7, 1e-3) == phase
+
     @pytest.mark.parametrize("n, omega, spacing, message", [
         (0, OMEGA_10GHZ, 1e-3, "n must be >= 1, got 0"),
         (-4, OMEGA_10GHZ, 1e-3, "n must be >= 1, got -4"),
-        (100, OMEGA_10GHZ, 0.0, "spacing must be positive, got 0.0"),
-        (100, OMEGA_10GHZ, -1.0, "spacing must be positive, got -1.0"),
-        (100, 0.0, 1e-3, "mean_frequency must be positive, got 0.0"),
-        (100, -62831853071.79587, 1e-3, "mean_frequency must be positive, got -62831853071.79587"),
+        (100, OMEGA_10GHZ, 0.0, f"spacing {POSITIVE}, got 0.0"),
+        (100, OMEGA_10GHZ, -1.0, f"spacing {POSITIVE}, got -1.0"),
+        (100, 0.0, 1e-3, f"mean_frequency {POSITIVE}, got 0.0"),
+        (100, -62831853071.79587, 1e-3, f"mean_frequency {POSITIVE}, got -62831853071.79587"),
     ])
     def test_closed_form_phase_rejects(self, n, omega, spacing, message):
         with pytest.raises(ValueError) as exc:

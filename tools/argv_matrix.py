@@ -103,6 +103,10 @@ FILES = {
     "constants_list.json": _scenario(constants=[]),
     "zero_G.json": _scenario(constants={"G": 0}),
     "zero_n.json": _scenario(geometry={"layout": "line", "n": 0, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    "float_n.json": _scenario(geometry={"layout": "line", "n": 2.5, "spacing_m": 1e-3, "orientation_deg": 0.0}),
+    "bool_shots.json": _scenario(run={"time_s": 1e-3, "shots": True, "seed": 42, "backend": "branch"}),
+    "negative_time.json": _scenario(run={"time_s": -1, "shots": 100000, "seed": 42, "backend": "branch"}),
+    "list_kind.json": _scenario(perturbation={"kind": []}),
     "negative_c.json": {"c": -1},
     "earth_mass.json": {"earth_mass": 5.972e24},
 }
@@ -305,11 +309,13 @@ def commands() -> list[list[str]]:
     # input errors: wrong document shapes and values, a non-numeric flag, a log grid through zero
     cmds += [
         *([R, "protocol", name] for name in ("list.json", "geometry_list.json", "constants_list.json",
-                                              "zero_G.json", "zero_n.json")),
+                                              "zero_G.json", "zero_n.json", "float_n.json", "bool_shots.json",
+                                              "negative_time.json", "list_kind.json")),
         [R, "--constants-file", "negative_c.json", "gravimeter"],
         [R, "--constants-file", "list.json", "gravimeter"],
         [R, "gravimeter", "--tc", "abc"],
         _sweep("gravimeter", "n", "-1", "10", "3", "--log"),
+        _sweep("gravimeter", "n", "10", "100", "1"),
     ]
     # a seed that differs from 5 only from bit 64 up, a constant no formula reads
     cmds += [
