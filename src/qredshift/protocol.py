@@ -28,9 +28,9 @@ no per-site array at any register size; per-site frequencies take one
 numpy pass over the angle array of gravity.dephasing_angles, which is
 also what the dense circuit applies.  run_protocol counts the shots
 against the exact ancilla probability in fixed-size chunks of the
-counter-based streams of qredshift.rng, so its memory does not grow with
-the shot count and a run is reproducible from (seed, shot index) alone on
-either backend.
+seeded streams of qredshift.rng, which open at any shot index, so its
+memory does not grow with the shot count and a run is reproducible from
+(seed, shot index) alone on either backend.
 """
 
 from __future__ import annotations
@@ -58,9 +58,9 @@ __all__ = [
 
 # Most shots run_protocol takes; above it the run raises ResourceCapError
 # (CLI exit code 3).  The streamed count needs fixed memory, so the cap
-# bounds run time: 1e9 shots take about five to eight CPU-seconds (5.0-8.3 s
-# on one core of a busy 2-vCPU machine, 2.7-4.6 s split over both), so the
-# cap is under a hundred CPU-seconds.
+# bounds run time: 1e9 shots take about three to four CPU-seconds (2.8-3.8 s
+# on one core of a busy 2-vCPU machine, 1.6-1.7 s split over both), so the
+# cap is under forty CPU-seconds.
 MAX_SHOTS = 10**10
 
 BACKENDS = ("branch", "statevector")

@@ -1,20 +1,19 @@
-"""Counter-based random streams for reproducible shot sampling.
+"""Reproducible shot streams that any worker can open at any offset.
 
 Shot i of a run consumes uniform u_i that depends only on (seed, i); a seed
-is a Philox key, an integer in [0, 2^128): a seed out of range, a negative
-count, or a start outside the stream's [0, 2^258) raises ValueError, and a
-seed, count, start or index that is not an integer (a bool included) TypeError.
-Streams are Philox counter-based: a worker can open the same stream at any
-offset and reproduce the tail bit for bit, so chunked or parallel shot
-loops give the same outcomes as a sequential one. `count_below` uses that
-to split a count over the CPUs the process may run on; its result, and so
-every output of the package, does not depend on how many there are.
+is an integer in [0, 2^128), and a stream is numpy's PCG64DXSM seeded by
+`SeedSequence(seed)`, whose `advance` jumps to any of its words [0, 2^128)
+in O(log start) steps.  So chunked or parallel shot loops give the same
+outcomes as a sequential one, and `count_below` splits a count over the
+CPUs the process may run on with a result, and so package outputs, that
+does not depend on how many there are.  A seed or a range out of bounds,
+or a negative count, raises ValueError; a seed, count, start or index that
+is not an integer (a bool included) TypeError.
 
-A stream opens from its key alone: no OS entropy is drawn, and
-numpy.random is imported on the first open rather than with the package.
-`count_below` compares raw Philox words with an integer limit instead of
-converting them to doubles first; `shot_uniforms` keeps the doubles and
-is the independent reference the count is tested against.
+No OS entropy is drawn, and numpy.random is imported on the first open
+rather than with the package.  `count_below` compares raw words with an
+integer limit; `shot_uniforms` keeps the doubles and is the independent
+reference the count is tested against.
 """
 
 from __future__ import annotations
@@ -29,12 +28,6 @@ from .gravity import _index
 
 __all__ = ["shot_uniforms", "count_below", "substream_seed"]
 
-_WORD_MASK = (1 << 64) - 1
-
-# Philox emits 4 uint64 words per counter increment; Generator.random()
-# consumes one word w per double and returns (w >> 11) * 2**-53.
-_WORDS_PER_BLOCK = 4
-
 # Shots per chunk of count_below: 2 MB of uint64 words shared among its
 # ranges, about one L2 cache, so the count runs in fixed memory whatever
 # the shot count.
@@ -43,29 +36,6 @@ _COUNT_CHUNK = 1 << 18
 # CPUs this process may run on, read once: count_below splits a count into
 # at most this many ranges.
 _CPUS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-
-
-@functools.cache
-def _key_sequence() -> type:
-    """The seed-sequence class that hands Philox its key, defined on first use.
-
-    `np.random.Philox(key=k)` first builds `SeedSequence(None)`, which draws
-    and hashes OS entropy only to throw it away; that is over half the cost
-    of opening a stream. Philox seeded from this class reads the key words
-    from `generate_state(2, np.uint64)` instead, and its state is the same.
-    The import stays here so that importing the package leaves numpy.random
-    (about 17 ms) unloaded.
-    """
-    from numpy.random.bit_generator import ISeedSequence
-
-    class KeySequence(ISeedSequence):
-        def __init__(self, key: int) -> None:
-            self.words = np.array([key & _WORD_MASK, key >> 64], dtype=np.uint64)  # key < 2^128, low word first
-
-        def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
-            return self.words  # Philox asks only for its 2 uint64 key words
-
-    return KeySequence
 
 
 def _uint(value: int, name: str, bits: int) -> int:
@@ -77,34 +47,41 @@ def _uint(value: int, name: str, bits: int) -> int:
 
 
 def _check_seed(seed: int, name: str = "seed") -> int:
-    """A run's seed is a Philox key: an integer in [0, 2^128), returned as an int."""
+    """A run's seed: an integer in [0, 2^128), returned as an int."""
     return _uint(seed, name, 128)
 
 
-def _philox(seed: int, start: int) -> np.random.Philox:
-    """Philox bit generator keyed by `seed`, positioned at word `start` >= 0."""
-    blocks, rem = divmod(start, _WORDS_PER_BLOCK)
-    bitgen = np.random.Philox(_key_sequence()(seed), counter=blocks)
-    if rem:
-        bitgen.random_raw(rem)
+def _stream(seed: int, start: int) -> np.random.PCG64DXSM:
+    """The bit generator of the stream keyed by `seed`, positioned at word `start` >= 0."""
+    bitgen = np.random.PCG64DXSM(np.random.SeedSequence(seed))
+    if start:  # a count of one range opens at word 0, where the jump's 128-bit set-up is wasted
+        bitgen.advance(start)
     return bitgen
 
 
 def shot_uniforms(seed: int, count: int, start: int = 0) -> np.ndarray:
-    """Uniforms [start, start + count) of the stream keyed by `seed`; the stream ends at word 2^258."""
-    seed, count, start = _check_seed(seed), _index(count, "count", 0), _uint(start, "start", 258)
-    return np.random.Generator(_philox(seed, start)).random(count)
+    """Uniforms [start, start + count) of stream `seed`, each word w mapped to (w >> 11) 2^-53.
+
+    A count of 2^60 or more, whose doubles no numpy array can hold, and a
+    range past word 2^128, which would wrap to word 0, raise ValueError.
+    """
+    seed, count, start = _check_seed(seed), _index(count, "count", 0), _uint(start, "start", 128)
+    if count >> 60:
+        raise ValueError(f"count must be < 2^60, the most doubles one array holds, got {count}")
+    if start + count > 1 << 128:
+        raise ValueError(f"start + count must be <= 2^128, the end of the stream, got {start} + {count}")
+    return np.random.Generator(_stream(seed, start)).random(count)
 
 
 def _count_range(seed: int, start: int, end: int, size: int, limit: np.uint64, stop: list) -> int:
     """How many of words [start, end) of the stream are < `limit`, drawn `size` at a time.
 
-    The Philox state carries over between calls, so consecutive chunks
+    The generator's state carries over between calls, so consecutive chunks
     continue the same sequence. Returns early, with a partial count, once
     `stop` is non-empty, and makes it non-empty before raising an error.
     """
     try:
-        bitgen = _philox(seed, start)
+        bitgen = _stream(seed, start)
         below = 0
         for first in range(start, end, size):
             if stop:
@@ -120,11 +97,11 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     """How many of uniforms [0, count) of the stream keyed by `seed` are < `threshold`.
 
     Equal to np.count_nonzero(shot_uniforms(seed, count) < threshold) for
-    every seed, count and threshold, and the same integer whatever the
-    number of CPUs. A seed outside [0, 2^128) raises at any count.
+    every seed, threshold and count that call takes, and the same integer
+    whatever the number of CPUs. A seed outside [0, 2^128) raises at any count.
 
     A threshold p <= 0 or NaN counts none and p >= 1 counts all, with no
-    draw. Otherwise the raw Philox words w are compared, not the doubles:
+    draw. Otherwise the raw words w are compared, not the doubles:
     u = (w >> 11) 2^-53 < p holds exactly when the integer w >> 11 is below
     ceil(p 2^53), that is when w < ceil(p 2^53) 2^11. Scaling by 2^53 is
     exact for every double, and p <= 1 - 2^-53 puts that limit at most

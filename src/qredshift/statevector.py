@@ -58,13 +58,18 @@ class Gate:
     kind: "h" | "s" | "x" | "cx" | "phase"
     "h" and "s" act on one target; "x" flips every target bit and "cx"
     flips every target bit where `control` is set (no targets: identity);
-    "phase" applies the diagonal dephasing angles to the register bits 1..n.
+    "phase" applies the diagonal dephasing angles, kept as a tuple of floats
+    so that gates compare and hash by value, to the register bits 1..n.
     """
 
     kind: str
     targets: tuple[int, ...] = ()
     control: int | None = None
-    angles: np.ndarray | None = None
+    angles: tuple[float, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.angles is not None:
+            object.__setattr__(self, "angles", tuple(np.asarray(self.angles, dtype=float).ravel().tolist()))
 
 
 def init_zero(qubit_count: int) -> np.ndarray:

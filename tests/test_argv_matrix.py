@@ -44,3 +44,13 @@ def test_command_replays_its_record(workdir, record):
     replayed = argv_matrix.replay(record["argv"], workdir)
     for field in ("exit", "stdout", "stderr", "sweep"):
         assert replayed[field] == record[field], f"{command}: {field} differs from its record"
+
+
+def test_write_names_the_moved_cells():
+    # `--write` lists each moved record by field, naming the CSV columns or JSON keys whose cells moved
+    table = "# seed=1\nn,p_hat,count_one\n2,0.5,50\n4,0.25,{}\n"
+    old = {"exit": 0, "stdout": table.format(25), "stderr": "", "sweep": '{"a": {"b": 1, "c": 2}}'}
+    new = {**old, "stdout": table.format(26), "sweep": '{"a": {"b": 1, "c": 3}}'}
+    assert argv_matrix.changed_fields(old, new) == ["stdout(count_one)", "sweep(a.c)"]
+    assert argv_matrix.changed_fields(old, {**old, "exit": 2, "stdout": "# seed=2\n" + table}) == ["exit", "stdout"]
+    assert argv_matrix.changed_fields(old, dict(old)) == []

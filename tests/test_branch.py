@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from qredshift.branch import ancilla_probabilities, estimate
+from qredshift.branch import ancilla_probabilities, estimate, standard_pea_probabilities
 from qredshift.protocol import build_circuit
 from qredshift.statevector import apply_gate, init_zero, probability_of
 
@@ -31,6 +31,14 @@ class TestReadout:
         for _ in range(200):
             p0, p1 = ancilla_probabilities(rng.uniform(-4, 4) - rng.uniform(-4, 4))
             assert p0 + p1 == 1.0
+
+    @pytest.mark.parametrize("law", [ancilla_probabilities, standard_pea_probabilities])
+    def test_infinite_phase_named(self, law):
+        # named, not math's bare "math domain error"; a NaN phase stays the documented (NaN, NaN)
+        for delta_phi in (math.inf, -math.inf):
+            with pytest.raises(ValueError, match=rf"^delta_phi must be finite, got {delta_phi}$"):
+                law(delta_phi)
+        assert all(math.isnan(p) for p in law(math.nan))
 
     def test_slope_one_half_at_origin(self):
         h = 1e-6

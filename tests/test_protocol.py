@@ -285,7 +285,7 @@ class TestRunProtocol:
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_seed_outside_the_key_range_rejected(self, backend):
-        # a Philox key is 128 bits; a seed outside them is an error, not masked into range
+        # a seed is 128 bits; a seed outside them is an error, not masked into range
         for seed in (-1, 2**128, -(2**128)):
             with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\^128\), got {seed}$"):
                 run_protocol(ghz_scenario(0.2, n=4), 1e-3, 100, seed=seed, backend=backend)
@@ -388,7 +388,7 @@ class TestClosedFormPath:
 
         for name in ("full", "arange", "asarray"):
             monkeypatch.setattr(np, name, no_array)
-        # Philox seeding calls np.asarray; the shot count is tested elsewhere
+        # seeding a stream calls np.asarray; the shot count is tested elsewhere
         monkeypatch.setattr(protocol, "count_below", lambda seed, count, threshold: count // 2)
         sc = GravScenario(chip(), VerticalRotation(math.pi / 2))
         with warnings.catch_warnings():

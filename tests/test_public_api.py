@@ -141,8 +141,8 @@ CONTRACT = {
     "apply_channel": {"rho": (OBJECT, np.eye(2, dtype=complex) / 2), "angles": (ARRAY, [0.1])},
     # a zero threshold counts no shot, so a huge count costs nothing
     "count_below": {"seed": (integer(0, 128), 1), "count": (integer(0), 3), "threshold": (REAL, 0.0)},
-    # a Philox stream ends at word 2^258
-    "shot_uniforms": {"seed": (integer(0, 128), 1), "count": (integer(0), 3), "start": (integer(0, 258), 0)},
+    # a stream ends at word 2^128
+    "shot_uniforms": {"seed": (integer(0, 128), 1), "count": (integer(0), 3), "start": (integer(0, 128), 0)},
     "substream_seed": {"seed": (integer(0, 128), 1), "index": (integer(0, 64), 2)},
 }
 # the word an error uses for a parameter, where that is not the parameter's name

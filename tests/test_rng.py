@@ -1,4 +1,4 @@
-"""Counter-based shot streams: determinism and chunk independence."""
+"""Shot streams: determinism, chunk independence and the pinned PCG64DXSM words."""
 
 import os
 import re
@@ -58,22 +58,34 @@ def test_split_into_chunks_reassembles():
 
 def test_stream_positioning():
     # a stream opened at word 10 continues the one opened at word 0
-    np.testing.assert_array_equal(rng._philox(9, 10).random_raw(5), rng._philox(9, 0).random_raw(15)[10:])
+    np.testing.assert_array_equal(rng._stream(9, 10).random_raw(5), rng._stream(9, 0).random_raw(15)[10:])
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**64, 2**127 - 1, 2**128 - 1])
 @pytest.mark.parametrize("start", [0, 1, 3, 4, 5, 1001])
-def test_stream_opens_like_a_philox_key(seed, start):
-    # numpy's own keyed opening, advanced word by word, is the independent reference
-    reference = np.random.Philox(key=seed)
+def test_stream_opens_like_a_seed_sequence(seed, start):
+    # numpy's own seeding, advanced word by word rather than by a jump, is the independent reference
+    reference = np.random.PCG64DXSM(np.random.SeedSequence(seed))
     reference.random_raw(start)
     expected = reference.random_raw(64)
-    np.testing.assert_array_equal(rng._philox(seed, start).random_raw(64), expected)
+    np.testing.assert_array_equal(rng._stream(seed, start).random_raw(64), expected)
+
+
+def test_stream_words_and_counts_are_pinned():
+    # numpy promises no stream stability across versions (NEP 19): an upgrade that moves PCG64DXSM or
+    # SeedSequence fails here by name, instead of silently moving every shot-derived golden byte
+    assert rng._stream(1, 0).random_raw(4).tolist() == [
+        5001773312344742047, 5153105853343410367, 9971774173010308333, 12558322679946729581]
+    assert rng._stream(1, 2**64).random_raw(4).tolist() == [
+        2398272300750431678, 16879211413133689025, 11587055355657949549, 1190426163158276572]
+    for seed, count, threshold, below in [(0, 1000, 0.5, 486), (1, 10**5, 0.25, 25074),
+                                          (2**127 - 1, 3 * 2**18 + 17, 0.7, 549923), (2**128 - 1, 10**6, 1e-3, 1036)]:
+        assert rng.count_below(seed, count, threshold) == below, (seed, count, threshold)
 
 
 def test_uniforms_are_the_doubles_of_the_words():
     # Generator.random() maps word w to (w >> 11) 2^-53
-    words = rng._philox(2**100 + 3, 7).random_raw(1000)
+    words = rng._stream(2**100 + 3, 7).random_raw(1000)
     np.testing.assert_array_equal(shot_uniforms(2**100 + 3, 1000, start=7), (words >> np.uint64(11)) * 2.0**-53)
 
 
@@ -113,15 +125,29 @@ def test_largest_seed_accepted():
 
 
 def test_negative_start_rejected():
-    with pytest.raises(ValueError, match=r"^start must be in \[0, 2\^258\), got -1$"):
+    with pytest.raises(ValueError, match=r"^start must be in \[0, 2\^128\), got -1$"):
         shot_uniforms(1, 5, start=-1)
 
 
 def test_start_beyond_the_stream_rejected():
-    # the last word of the stream is drawn; one past it is named, not numpy's "counter must be positive"
-    assert shot_uniforms(1, 1, start=2**258 - 1)[0] == shot_uniforms(1, 2, start=2**258 - 2)[1]
-    with pytest.raises(ValueError, match=rf"^start must be in \[0, 2\^258\), got {2**258}$"):
-        shot_uniforms(1, 1, start=2**258)
+    # the last word of the stream is drawn; one past it is named, not advanced round to word 0
+    assert shot_uniforms(1, 1, start=2**128 - 1)[0] == shot_uniforms(1, 2, start=2**128 - 2)[1]
+    with pytest.raises(ValueError, match=rf"^start must be in \[0, 2\^128\), got {2**128}$"):
+        shot_uniforms(1, 1, start=2**128)
+
+
+def test_range_past_the_end_of_the_stream_rejected():
+    # PCG64DXSM's word 2^128 is word 0 again: a range that ran past the end would repeat the stream's start
+    assert shot_uniforms(1, 0, start=2**128 - 1).shape == (0,)
+    with pytest.raises(ValueError, match=rf"^start \+ count must be <= 2\^128, .*got {2**128 - 1} \+ 2$"):
+        shot_uniforms(1, 2, start=2**128 - 1)
+
+
+def test_count_beyond_any_array_rejected():
+    # named, not numpy's "Maximum allowed dimension exceeded" or "array is too big"
+    for count in (2**60, 2**70):
+        with pytest.raises(ValueError, match=rf"^count must be < 2\^60, .*got {count}$"):
+            shot_uniforms(1, count)
 
 
 def test_negative_count_rejected():
@@ -245,14 +271,14 @@ class TestCountBelow:
 
     def test_failing_range_reaches_caller(self, monkeypatch):
         monkeypatch.setattr(rng, "_CPUS", 3)
-        real = rng._philox
+        real = rng._stream
 
         def failing(seed, start):
             if start > 0:
                 raise RuntimeError(f"range at {start} failed")
             return real(seed, start)
 
-        monkeypatch.setattr(rng, "_philox", failing)
+        monkeypatch.setattr(rng, "_stream", failing)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="range at"):
             rng.count_below(1, 3 * rng._COUNT_CHUNK, 0.5)
@@ -260,7 +286,7 @@ class TestCountBelow:
 
     def test_interrupt_stops_the_other_ranges(self, monkeypatch):
         monkeypatch.setattr(rng, "_CPUS", 2)
-        real = rng._philox
+        real = rng._stream
         draws = []
 
         class CountingWords:
@@ -276,7 +302,7 @@ class TestCountBelow:
                 raise KeyboardInterrupt
             return CountingWords(real(seed, start))
 
-        monkeypatch.setattr(rng, "_philox", interrupted)
+        monkeypatch.setattr(rng, "_stream", interrupted)
         before = threading.active_count()
         count = 10**9  # 5e8 shots for the other range: seconds of drawing if it ran to the end
         with pytest.raises(KeyboardInterrupt):
@@ -287,7 +313,7 @@ class TestCountBelow:
     def test_failing_range_stops_the_callers_range(self, monkeypatch):
         # the failing range itself must stop the others: the calling thread is busy counting its own
         monkeypatch.setattr(rng, "_CPUS", 2)
-        real = rng._philox
+        real = rng._stream
         draws = []
 
         class CountingWords:
@@ -303,7 +329,7 @@ class TestCountBelow:
                 raise RuntimeError(f"range at {start} failed")
             return CountingWords(real(seed, start))
 
-        monkeypatch.setattr(rng, "_philox", failing)
+        monkeypatch.setattr(rng, "_stream", failing)
         before = threading.active_count()
         count = 10**9  # 5e8 shots for the calling thread's range: seconds of drawing if it ran to the end
         with pytest.raises(RuntimeError, match="range at"):

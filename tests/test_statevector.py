@@ -438,6 +438,17 @@ def test_numpy_sum_is_the_balanced_tree_of_block_sums(log_size):
 
 
 class TestDiagonalPhase:
+    def test_phase_gates_compare_and_hash_by_value(self):
+        # a frozen gate holding a numpy array raised "truth value ... ambiguous" on == and TypeError on hash
+        theta = np.array([0.1, -0.2])
+        gate = Gate("phase", angles=theta)
+        assert gate == Gate("phase", angles=theta.copy()) == Gate("phase", angles=[0.1, -0.2])
+        assert hash(gate) == hash(Gate("phase", angles=theta.copy()))
+        assert gate != Gate("phase", angles=[0.1, -0.3])
+        assert gate.angles == (0.1, -0.2) and all(type(angle) is float for angle in gate.angles)
+        theta[0] = 5.0  # the gate keeps the angles it was built with
+        assert gate.angles == (0.1, -0.2)
+
     def test_zero_angles_identity(self):
         state = random_state(3, seed=9)
         before = state.copy()

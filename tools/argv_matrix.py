@@ -11,7 +11,10 @@ COLUMNS=80 so that argparse wraps `--help` alike on every terminal.  A
 record is one JSON line: argv, exit code, stdout, stderr and the text of
 the sweep file the command wrote (null when it wrote none), with the
 temporary directory replaced by `<tmp>`.  A change that moves output bytes
-regenerates the file; its git diff then shows the moved commands.
+regenerates the file, and `--write` prints each command whose record it
+added, removed or changed, with the changed fields; a CSV field whose
+header held, or JSON object whose keys held, names the cells that moved,
+as `stdout(count_one)` or `stdout(results.count_one)`.
 Standard library only, apart from qredshift itself.
 """
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import shlex
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -287,7 +291,7 @@ def commands() -> list[list[str]]:
         _sweep("phase", "freq", "-10", "10"),
         _sweep("protocol", "n", "2", "30", "2", "--scenario", "sv.json"),
     ]
-    # seeds outside [0, 2^128), which a Philox key would otherwise mask into range
+    # seeds outside [0, 2^128), rejected rather than masked into range
     cmds += [
         [R, "--seed", "-1", "protocol", "rotation.json"],
         [R, "--seed", str(2**128), "protocol", "rotation.json"],
@@ -359,6 +363,55 @@ def replay(argv: list[str], workdir: Path) -> dict:
             "sweep": scrub(sweep)}
 
 
+def _moved_keys(old: object, new: object, path: str) -> list[str]:
+    """The dotted paths below `path` of the leaves in which JSON value `new` differs from `old`."""
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        return [moved for key in old for moved in _moved_keys(old[key], new[key], f"{path}.{key}")]
+    return [] if old == new else [path]
+
+
+def _moved_cells(old: object, new: object) -> list[str]:
+    """The JSON keys, or CSV columns in header order, of the cells in which text `new` differs from `old`.
+
+    Empty unless both are texts that hold one JSON object with the same
+    keys, or the same lines apart from cells under one shared CSV header,
+    the first line that is not a `#` comment.
+    """
+    if not (isinstance(old, str) and isinstance(new, str)):
+        return []
+    try:
+        old_doc, new_doc = json.loads(old), json.loads(new)
+    except ValueError:
+        pass
+    else:
+        moved = _moved_keys(old_doc, new_doc, "")
+        return [] if "" in moved else [key[1:] for key in moved]  # "": the documents differ at the top
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
+        return []
+    header, moved = None, set()
+    for old_line, new_line in zip(old_lines, new_lines):
+        if header is None and not old_line.startswith("#"):
+            header = old_line.split(",")
+        if old_line == new_line:
+            continue
+        old_cells, new_cells = old_line.split(","), new_line.split(",")
+        if header is None or old_line == ",".join(header) or not len(old_cells) == len(new_cells) == len(header):
+            return []
+        moved.update(index for index, (a, b) in enumerate(zip(old_cells, new_cells)) if a != b)
+    return [header[index] for index in sorted(moved)]
+
+
+def changed_fields(old: dict, new: dict) -> list[str]:
+    """The fields of record `old` that `new` changed, each with its moved JSON keys or CSV columns if known."""
+    fields = []
+    for field in ("exit", "stdout", "stderr", "sweep"):
+        if old[field] != new[field]:
+            cells = _moved_cells(old[field], new[field])
+            fields.append(f"{field}({', '.join(cells)})" if cells else field)
+    return fields
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if args != ["--write"]:
@@ -368,10 +421,24 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="argv_matrix_") as tmp:
         workdir = Path(tmp).resolve()
         write_files(workdir)
-        lines = [json.dumps(replay(cmd, workdir), sort_keys=True) for cmd in commands()]
+        records = [replay(cmd, workdir) for cmd in commands()]
+    old = {}
+    if GOLDEN.exists():
+        old = {shlex.join(record["argv"]): record
+               for record in map(json.loads, GOLDEN.read_text(encoding="utf-8").splitlines())}
+    moved = 0
+    for record in records:
+        command = shlex.join(record["argv"])
+        before = old.pop(command, None)
+        fields = ["added"] if before is None else changed_fields(before, record)
+        if fields:
+            moved += 1
+            print(f"{command}: {' '.join(fields)}")
+    for command in old:
+        print(f"{command}: removed")
     GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    print(f"{len(lines)} commands -> {GOLDEN.relative_to(ROOT)}")
+    GOLDEN.write_text("".join(json.dumps(record, sort_keys=True) + "\n" for record in records), encoding="utf-8")
+    print(f"{len(records)} commands -> {GOLDEN.relative_to(ROOT)}; {moved} added or changed, {len(old)} removed")
     return 0
 
 
