@@ -3,7 +3,7 @@
 Every constant can be overridden per run, which makes it possible to
 reproduce back-of-the-envelope estimates that use round numbers
 (g = 9.8 or 10 m/s^2) instead of the defaults below.  The shared argument
-rules (a finite real > 0, a choice among fixed values) live here too.
+rules (a finite real, one > 0, a choice among fixed values) live here too.
 """
 
 from __future__ import annotations
@@ -16,6 +16,13 @@ __all__ = ["PhysicalConstants", "DEFAULT_CONSTANTS", "CONSTANT_NAMES"]
 
 # a real number; float and int come first because the check against the Real ABC is several times slower
 _REAL = (float, int, Real)
+
+
+def _finite(**values: float) -> None:
+    """Reject, in argument order, each value that is not a finite real: ValueError naming it."""
+    for name, value in values.items():
+        if not (isinstance(value, _REAL) and -math.inf < value < math.inf):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def _positive(**values: float) -> None:

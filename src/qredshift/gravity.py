@@ -28,21 +28,22 @@ Supported perturbations of a calibrated chip:
   * UniformStrain       stretch the site spacing by a factor (1 + strain)
                         on a chip rotated by `angle`.
 
-Rotation and strain angles are measured from horizontal.  A chip's own
-`orientation` is carried on ChipGeometry, but no perturbation reads it.
+Each perturbation field is a finite real (a distance > 0, a strain in
+(-1, 1)), or ValueError names it.  Angles are measured from horizontal;
+a chip's `orientation` is carried on ChipGeometry, read by no perturbation.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import isqrt
 from typing import Sequence, Union
 
 import numpy as np
 
-from .constants import _REAL, DEFAULT_CONSTANTS, PhysicalConstants, _choice, _positive
+from .constants import _REAL, DEFAULT_CONSTANTS, PhysicalConstants, _choice, _finite, _positive
 
 __all__ = [
     "LAYOUTS",
@@ -191,22 +192,28 @@ def grid_chip(
     return ChipGeometry("grid", n, spacing, orientation, frequency)
 
 
+class _Perturbation:
+    # every field is a finite real; a perturbation checks its own tighter bounds first
+    def __post_init__(self) -> None:
+        _finite(**{f.name: getattr(self, f.name) for f in fields(self)})
+
+
 @dataclass(frozen=True)
-class VerticalRotation:
+class VerticalRotation(_Perturbation):
     """Rotate the calibrated chip by `angle` (rad) about its center of gravity."""
 
     angle: float
 
 
 @dataclass(frozen=True)
-class UniformDeltaG:
+class UniformDeltaG(_Perturbation):
     """Change the local surface acceleration by delta_g (m/s^2) at fixed Earth radius."""
 
     delta_g: float
 
 
 @dataclass(frozen=True)
-class ProximalMass:
+class ProximalMass(_Perturbation):
     """Bring a mass (kg) to distance (m) from the chip; all sites share the distance."""
 
     mass: float
@@ -214,17 +221,18 @@ class ProximalMass:
 
     def __post_init__(self) -> None:
         _positive(distance=self.distance)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
-class VerticalTranslation:
+class VerticalTranslation(_Perturbation):
     """Move the whole chip vertically by delta_x (m)."""
 
     delta_x: float
 
 
 @dataclass(frozen=True)
-class UniformStrain:
+class UniformStrain(_Perturbation):
     """Stretch site spacings by (1 + strain) on a chip rotated by `angle` (rad)."""
 
     strain: float
@@ -233,6 +241,7 @@ class UniformStrain:
     def __post_init__(self) -> None:
         if not (isinstance(self.strain, _REAL) and abs(self.strain) < 1.0):
             raise ValueError(f"|strain| must be < 1, got {self.strain!r}")
+        super().__post_init__()
 
 
 Perturbation = Union[VerticalRotation, UniformDeltaG, ProximalMass, VerticalTranslation, UniformStrain]

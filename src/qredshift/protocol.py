@@ -20,7 +20,8 @@ register stays entangled and the ancilla reads P(1) = 1/2 regardless of
 dphi.
 
 The statevector backend applies that circuit gate by gate to the array
-of 2^(n+1) amplitudes of |0...0> and reads the ancilla off it; the branch
+of 2^(n+1) amplitudes of |0...0>, which keeps at most two live blocks (the
+kernels skip zero blocks), and reads the ancilla off it; the branch
 backend evaluates the sine law on dphi = sum_k |theta_k| directly and
 never builds the circuit.  On a chip with one qubit frequency that dphi
 comes from gravity.uniform_delta_phi in O(1), so the branch backend builds

@@ -98,7 +98,8 @@ def count_below(seed: int, count: int, threshold: float) -> int:
 
     Equal to np.count_nonzero(shot_uniforms(seed, count) < threshold) for
     every seed, threshold and count that call takes, and the same integer
-    whatever the number of CPUs. A seed outside [0, 2^128) raises at any count.
+    whatever the number of CPUs. A seed outside [0, 2^128) or a count past
+    2^128, the end of the stream, raises whatever the other arguments are.
 
     A threshold p <= 0 or NaN counts none and p >= 1 counts all, with no
     draw. Otherwise the raw words w are compared, not the doubles:
@@ -117,6 +118,8 @@ def count_below(seed: int, count: int, threshold: float) -> int:
     caller's own error is raised, else the first failed range's.
     """
     seed, count = _check_seed(seed), _index(count, "count", 0)
+    if count > 1 << 128:
+        raise ValueError(f"count must be <= 2^128, the end of the stream, got {count}")
     if not threshold > 0:
         return 0
     if threshold >= 1:

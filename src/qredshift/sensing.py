@@ -53,7 +53,7 @@ def _inverse(resolution: float, unit_phase: float) -> float:
 
 def gravimeter_phase(n: int, mean_frequency: float, delta_g: float, t: float,
                      constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Phase of the GHZ register: n times the signed site angle under UniformDeltaG(delta_g); NaN at a NaN delta_g."""
+    """Phase of the GHZ register: n times the signed site angle under UniformDeltaG(delta_g), delta_g a finite real."""
     n = _index(n, "n", 1)
     _positive(mean_frequency=mean_frequency)
     _check_time(t)

@@ -16,6 +16,10 @@ one gather per block takes the amplitudes that move from its partner.
 The dephasing phase e^{i phi_j} factors over the low and high index bits,
 and each row block is multiplied by both factor vectors.
 
+Every kernel skips a block whose amplitudes are all +0, as any gate maps
+zeros to zeros; `_zero` is exact (a NaN is live) and O(1) on a block that
+starts with a nonzero.  The protocol circuit holds at most two live blocks.
+
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
 statevector path is exact.  The density-matrix path, `apply_channel`,
@@ -102,19 +106,26 @@ def _check_bit(state: np.ndarray, bit: object, name: str) -> int:
     return bit
 
 
-def _pair_blocks(state: np.ndarray, bit: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(bit = 0, bit = 1) views in matching blocks of at most _BLOCK amplitudes, in index order.
+def _zero(block: np.ndarray) -> bool:
+    """Whether every amplitude of `block` is +0 bit for bit; its first amplitude is read before any scan."""
+    return not block.flat[0] and not block[..., None].view(np.uint64).max()  # a length-1 last axis: any strides
+
+
+def _pair_blocks(state: np.ndarray, bit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(number, bit = 0 view, bit = 1 view) of each live pair of matching blocks of at most _BLOCK amplitudes.
 
     Blocks of a (rows, 2, 2^bit) view: runs of whole rows, or column runs of
     one row wider than _BLOCK; at bit 0, 1-D stride-2 views.  All share one shape.
+    Numbered 0 .. max(1, 2^q / 2 _BLOCK) - 1 in index order; a pair that is all zero (`_zero`) is skipped.
     """
     pairs = state.reshape(-1, 2, 1 << bit)
     width = min(1 << bit, _BLOCK)
     height = min(len(pairs), _BLOCK // width)
-    for r in range(0, len(pairs), height):
-        for c in range(0, 1 << bit, width):
-            block = pairs[r : r + height, :, c : c + width] if bit else pairs[r : r + height, :, 0]
-            yield block[:, 0], block[:, 1]
+    blocks = (pairs[r : r + height, :, c : c + width] if bit else pairs[r : r + height, :, 0]
+              for r in range(0, len(pairs), height) for c in range(0, 1 << bit, width))
+    for number, block in enumerate(blocks):
+        if not _zero(block):
+            yield number, block[:, 0], block[:, 1]
 
 
 def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = None) -> None:
@@ -127,7 +138,7 @@ def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = 
     chunks that move, all of them or, under a control inside the block,
     those where it is set: each from the partner's chunk at the flipped
     index.  A pair swaps through two block buffers, so no temporary is of
-    the state's size.
+    the state's size, and a pair of zero blocks is left as it is.
     """
     mask = sum(1 << t for t in targets)
     if not mask:
@@ -152,8 +163,8 @@ def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = 
 
     for b, block in enumerate(blocks):
         p = b ^ pair
-        if p < b or (b & gate) != gate:
-            continue  # swapped from its partner, or the control is clear
+        if p < b or (b & gate) != gate or _zero(block) and (p == b or _zero(blocks[p])):
+            continue  # swapped from its partner, the control is clear, or the pair is zero
         first = gather(blocks[p], buffers[0])
         if p != b:
             view(blocks[p])[...] = gather(block, buffers[1])
@@ -189,13 +200,13 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
         raise ValueError(f"{kind} gate bits must be distinct, got {bits}")
     if kind == "h":
         total = None  # one block buffer, allocated by the first add
-        for zero, one in _pair_blocks(state, bits[0]):
+        for _, zero, one in _pair_blocks(state, bits[0]):
             total = np.add(zero, one, out=total)
             np.subtract(zero, one, out=one)
             one *= _SQRT1_2
             np.multiply(total, _SQRT1_2, out=zero)
     elif kind == "s":
-        for _, one in _pair_blocks(state, bits[0]):
+        for *_, one in _pair_blocks(state, bits[0]):
             one *= 1j
     elif kind == "phase":
         _apply_phase(state, gate.angles)
@@ -244,8 +255,9 @@ def _apply_phase(state: np.ndarray, angles: np.ndarray) -> None:
     high_factor = np.exp(1j * _basis_phases(theta[low:]))[:, None]
     blocks = max(1, matrix.size // _BLOCK)  # row blocks of at most _BLOCK amplitudes
     for block, high in zip(np.split(matrix, blocks), np.split(high_factor, blocks)):
-        block *= low_factor
-        block *= high
+        if not _zero(block):
+            block *= low_factor
+            block *= high
 
 
 def probability_of(state: np.ndarray, site: int, bit: int) -> float:
@@ -257,12 +269,11 @@ def probability_of(state: np.ndarray, site: int, bit: int) -> float:
     site = _check_bit(state, site, "site")
     if _index(bit, "bit") not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    square, sums = None, []
-    for pair in _pair_blocks(state, site):
-        square = np.abs(pair[bit], out=square)
+    square, tree = None, np.zeros(max(1, state.size // (2 * _BLOCK)))  # a skipped block's leaf stays 0.0
+    for number, *halves in _pair_blocks(state, site):
+        square = np.abs(halves[bit], out=square)
         np.square(square, out=square)
-        sums.append(square.sum())
-    tree = np.array(sums)
+        tree[number] = square.sum()
     while tree.size > 1:
         tree = tree[0::2] + tree[1::2]
     return float(tree[0])

@@ -275,6 +275,25 @@ class TestRunProtocol:
         assert abs(a.p_one - b.p_one) <= 1e-12
         assert a.count_one == b.count_one
 
+    @pytest.mark.parametrize(
+        "n, p_one, count_one",
+        [(16, "0x1.0000075c83253p-1", 4962), (18, "0x1.0000095115fb2p-1", 4970), (20, "0x1.00000b808cea2p-1", 5011)],
+    )
+    def test_dense_readout_is_pinned(self, n, p_one, count_one):
+        # the same runs, bit for bit: a dense kernel change that moves p_one by one ulp fails here, by name
+        sc = GravScenario(line_chip(n, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        out = run_protocol(sc, 1.0, 10_000, seed=n, backend="statevector")
+        assert (out.p_one.hex(), out.count_one) == (p_one, count_one)
+
+    def test_circuit_state_holds_at_most_two_live_blocks(self):
+        # what the dense kernels' zero-block skip relies on: every state of the circuit has at most two
+        # nonzero amplitudes, so at most two blocks of 2^15 amplitudes are not all zero
+        theta = dephasing_angles(GravScenario(line_chip(20, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2)), 1.0)
+        state = init_zero(21)
+        for gate in build_circuit(theta):
+            apply_gate(state, gate)
+            assert np.count_nonzero(state) <= 2
+
     def test_shot_sequences_identical_across_backends(self):
         sc = ghz_scenario(0.4, n=6)
         a = run_protocol(sc, 1e-3, 100, seed=5, backend="branch")

@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 from numbers import Real
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args
 
 import numpy as np
 import pytest
@@ -59,7 +59,8 @@ def test_reexports_are_listed_in_their_module():
 
 # --- argument contract ---------------------------------------------------------------------------------------------
 #
-# Every parameter of every public function (the functions the package re-exports, and rng's) has one row below:
+# Every parameter of every public function (the functions the package re-exports, and rng's) and every field of
+# the chip, perturbation and constants dataclasses has one row below:
 # its kind, the values the function takes.  A checked kind rejects every value outside it with TypeError,
 # ValueError, ArithmeticError or ResourceCapError naming the parameter; a value inside it gives a result or,
 # at a cap or the end of the float range, one of those errors, but never a TypeError.  `any real` and `array`
@@ -85,6 +86,7 @@ def integer(minimum: int, bits: int | None = None) -> Kind:
     return Kind(f"integer in [{minimum}, {maximum}]", lambda v: _integer(v) and minimum <= v <= maximum)
 
 
+FINITE = Kind("finite real", lambda v: isinstance(v, Real) and -math.inf < v < math.inf)
 POSITIVE = Kind("finite real > 0", lambda v: isinstance(v, Real) and 0 < v < math.inf)
 TIME = Kind("finite time >= 0", lambda v: isinstance(v, Real) and 0 <= v < math.inf)
 REAL_N = Kind("real >= 1", lambda v: isinstance(v, Real) and v >= 1)
@@ -118,7 +120,7 @@ CONTRACT = {
     "expected_delta_phi": {"theta": (ARRAY, THETA)},
     "run_protocol": {"scenario": (OBJECT, SCENARIO), "t": (TIME, 1e-3), "shots": (integer(1), 10),
                      "seed": (integer(0, 128), 1), "backend": (CHOICE, "branch")},
-    "gravimeter_phase": {"n": (integer(1), 10), "mean_frequency": (POSITIVE, OMEGA), "delta_g": (REAL, 1e-3),
+    "gravimeter_phase": {"n": (integer(1), 10), "mean_frequency": (POSITIVE, OMEGA), "delta_g": (FINITE, 1e-3),
                          "t": (TIME, 1e-3), "constants": (OBJECT, qredshift.DEFAULT_CONSTANTS)},
     "gravimeter_sensitivity": {"n": (integer(1), 10), "mean_frequency": (POSITIVE, OMEGA),
                                "coherence_time": (POSITIVE, 1e-3), "phase_resolution": (POSITIVE, 0.1),
@@ -139,24 +141,41 @@ CONTRACT = {
     "apply_gate": {"state": (OBJECT, qredshift.init_zero(2)), "gate": (OBJECT, qredshift.Gate("h", (0,)))},
     "probability_of": {"state": (OBJECT, qredshift.init_zero(2)), "site": (integer(0), 0), "bit": (integer(0, 1), 1)},
     "apply_channel": {"rho": (OBJECT, np.eye(2, dtype=complex) / 2), "angles": (ARRAY, [0.1])},
-    # a zero threshold counts no shot, so a huge count costs nothing
-    "count_below": {"seed": (integer(0, 128), 1), "count": (integer(0), 3), "threshold": (REAL, 0.0)},
+    # a zero threshold counts no shot, so a huge count costs nothing; a count may run to the stream's end, word 2^128
+    "count_below": {"seed": (integer(0, 128), 1),
+                    "count": (Kind("integer in [0, 2^128]", lambda v: _integer(v) and 0 <= v <= 2**128), 3),
+                    "threshold": (REAL, 0.0)},
     # a stream ends at word 2^128
     "shot_uniforms": {"seed": (integer(0, 128), 1), "count": (integer(0), 3), "start": (integer(0, 128), 0)},
     "substream_seed": {"seed": (integer(0, 128), 1), "index": (integer(0, 64), 2)},
+    # constructors: ChipGeometry's `orientation` is carried, read by no computation
+    "ChipGeometry": {"layout": (CHOICE, "line"), "qubit_count": (integer(1), 4), "spacing": (POSITIVE, 1e-3),
+                     "orientation": (REAL, 0.0), "frequency": (POSITIVE, OMEGA)},
+    "PhysicalConstants": {name: (POSITIVE, getattr(qredshift.DEFAULT_CONSTANTS, name))
+                          for name in qredshift.constants.CONSTANT_NAMES},
+    "VerticalRotation": {"angle": (FINITE, 0.1)},
+    "UniformDeltaG": {"delta_g": (FINITE, 1e-3)},
+    "ProximalMass": {"mass": (FINITE, 1e3), "distance": (POSITIVE, 1.0)},
+    "VerticalTranslation": {"delta_x": (FINITE, 1e-3)},
+    "UniformStrain": {"strain": (STRAIN, 1e-6), "angle": (FINITE, math.pi / 2)},
 }
+CONSTRUCTORS = (qredshift.ChipGeometry, qredshift.PhysicalConstants, *get_args(qredshift.gravity.Perturbation))
 # the word an error uses for a parameter, where that is not the parameter's name
 NAMED_AS = {("line_chip", "n"): "qubit_count", ("grid_chip", "n"): "qubit_count",
-            ("line_chip", "frequency"): "frequencies", ("grid_chip", "frequency"): "frequencies"}
+            ("line_chip", "frequency"): "frequencies", ("grid_chip", "frequency"): "frequencies",
+            ("ChipGeometry", "frequency"): "frequencies",
+            **{("PhysicalConstants", name): f"constant {name}" for name in qredshift.constants.CONSTANT_NAMES}}
 # documented errors beyond the four types, by (function, parameter)
 ALSO_RAISES = {("probability_of", "site"): (IndexError,)}
 ERRORS = (TypeError, ValueError, ArithmeticError, qredshift.ResourceCapError)
 
 
 def public_functions() -> dict[str, Callable]:
+    """The package's re-exported functions, rng's, and the CONSTRUCTORS by class name."""
     functions = {name: value for name, value in vars(qredshift).items()
                  if not name.startswith("_") and inspect.isfunction(value)}
-    return {**functions, **{name: getattr(qredshift.rng, name) for name in qredshift.rng.__all__}}
+    return {**functions, **{name: getattr(qredshift.rng, name) for name in qredshift.rng.__all__},
+            **{cls.__name__: cls for cls in CONSTRUCTORS}}
 
 
 def test_every_public_parameter_has_a_contract_row():

@@ -249,6 +249,14 @@ class TestCountBelow:
         with pytest.raises(ValueError, match=r"^count must be >= 0, got -1$"):
             rng.count_below(1, -1, 0.5)
 
+    def test_count_past_the_end_of_the_stream_rejected(self):
+        # 2^128 words is the whole stream; a larger count returned itself at a threshold of 1 or more
+        assert rng.count_below(1, 2**128, 1.0) == 2**128 and rng.count_below(1, 2**128, 0.0) == 0
+        for count in (2**128 + 1, 2**200):
+            for threshold in (0.0, 0.5, 1.0, float("nan")):
+                with pytest.raises(ValueError, match=rf"^count must be <= 2\^128, the end of the stream, got {count}$"):
+                    rng.count_below(1, count, threshold)
+
     @pytest.mark.parametrize("seed", OUTSIDE_THE_KEY_RANGE)
     def test_seed_outside_the_key_range_rejected(self, cpus, seed):
         # whatever the count and threshold, including the ones that draw nothing

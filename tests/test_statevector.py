@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from qredshift.gravity import ResourceCapError
+from qredshift.protocol import build_circuit
 from qredshift.rng import shot_uniforms
 from qredshift.statevector import (
     DENSITY_MAX_QUBITS,
@@ -298,6 +299,28 @@ def block_tree_sum(x: np.ndarray) -> float:
     return float(sums[0])
 
 
+def phase_oracle(amplitudes: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """One scaling of the bit = 1 half per nonzero angle, register bit k carrying theta[k - 1]."""
+    out = amplitudes.copy()
+    for k, theta_k in enumerate(theta, start=1):
+        if theta_k != 0.0:
+            out.reshape(-1, 2, 1 << k)[:, 1, :] *= complex(math.cos(theta_k), math.sin(theta_k))
+    return out
+
+
+def with_zero_blocks(state: np.ndarray, zero: tuple[int, ...], nan: int | None = None) -> np.ndarray:
+    """`state` with its blocks of 2^15 amplitudes numbered in `zero` set to 0, and amplitude `nan` set to NaN."""
+    state.reshape(-1, 1 << 15)[list(zero)] = 0.0
+    if nan is not None:
+        state[nan] = complex(math.nan, 0.0)
+    return state
+
+
+def assert_same_parts(actual: np.ndarray, expected: np.ndarray) -> None:
+    """Equal real and imaginary parts, a NaN matching only a NaN in the same part (complex NaNs compare as one)."""
+    np.testing.assert_array_equal(np.stack((actual.real, actual.imag)), np.stack((expected.real, expected.imag)))
+
+
 def x_oracle(amplitudes: np.ndarray, targets: tuple[int, ...], control: int | None) -> np.ndarray:
     """X on every target (where `control` is set) as one gather by flipped basis index."""
     index = np.arange(amplitudes.size)
@@ -400,15 +423,81 @@ class TestBlockedKernels:
         apply_gate(state, Gate("x" if control is None else "cx", targets, control=control))
         np.testing.assert_array_equal(state, expected)
 
+    # zero blocks of the 21-qubit state: the fan-out pairs block b with 63 - b, so (1, 62) pairs a zero block with
+    # a live one, (2, 61) two zero blocks and (0, 63) two live ones; the NaN lies inside zero block 2
+    DENSE_ZERO_BLOCKS = (2, *range(1, 64, 4))
+
+    @pytest.mark.parametrize("zero, nan", [((), None), (DENSE_ZERO_BLOCKS, None), (DENSE_ZERO_BLOCKS, 2 * 2**15 + 5)],
+                             ids=["dense", "zero-blocks", "nan-in-a-zero-block"])
     @pytest.mark.parametrize(
         "control, targets", [(None, tuple(range(1, 11))), (0, tuple(range(1, 21)))], ids=["x-layer", "fan-out"]
     )
-    def test_x_matches_index_oracle_on_the_dense_benchmark(self, control, targets):
+    def test_x_matches_index_oracle_on_the_dense_benchmark(self, control, targets, zero, nan):
         # the only X and CX shapes the dense benchmark applies: 21 qubits, X on 1..10, the fan-out onto 1..20
-        state = random_state(21, seed=len(targets))
+        state = with_zero_blocks(random_state(21, seed=len(targets)), zero, nan)
         expected = x_oracle(state, targets, control)
         apply_gate(state, Gate("x" if control is None else "cx", targets, control=control))
-        np.testing.assert_array_equal(state, expected)
+        assert_same_parts(state, expected)
+
+    # zero blocks of the 18-qubit state, of eight: the pair blocks of bits 0 and 14 join blocks (0, 1) ... (6, 7),
+    # of bit 15 rows made of the same pairs, of bit 17 blocks (0, 4) ... (3, 7), so at each bit some pairs hold
+    # two zero blocks, some one and some none; the NaN lies inside zero block 2, past its first amplitude
+    ZERO_BLOCKS = (1, 2, 3, 6)
+    ZERO_CASES = pytest.mark.parametrize("nan", [None, 2 * 2**15 + 77], ids=["zero-blocks", "nan-in-a-zero-block"])
+
+    @ZERO_CASES
+    @pytest.mark.parametrize("bit", [0, 14, 15, 17])
+    def test_single_bit_kernels_skip_only_zero_blocks(self, bit, nan):
+        start = with_zero_blocks(random_state(self.QUBITS, seed=bit), self.ZERO_BLOCKS, nan)
+        for gate, oracle in ((Gate("h", (bit,)), h_oracle), (Gate("s", (bit,)), s_oracle)):
+            state = start.copy()
+            apply_gate(state, gate)
+            assert_same_parts(state, oracle(start, bit))
+        for half in (0, 1):
+            np.testing.assert_equal(probability_of(start, bit, half), half_probability(start, bit, half))
+        if nan is not None:  # the readout of the half holding the NaN reads it, not a skipped block's 0.0
+            assert math.isnan(probability_of(start, bit, nan >> bit & 1))
+
+    @ZERO_CASES
+    @pytest.mark.parametrize(
+        "control, targets",
+        [
+            (None, (15,)),  # pairs (0, 1) and (6, 7) join a zero block and a live one, (2, 3) two zero blocks
+            (None, (17, 16, 0)),
+            (None, (3, 16, 15, 8)),
+            (None, tuple(range(1, 11))),  # inside each block: a zero block pairs with itself
+            (0, tuple(range(1, 18))),  # the circuit's fan-out
+            (6, (0, 3, 12, 17)),  # controls below bit 15
+            (14, (2, 11, 15, 17)),
+            (15, (0, 16)),  # controls from bit 15 up: a clear control skips the block, zero or not
+            (17, (16, 2)),
+        ],
+    )
+    def test_x_skips_only_pairs_of_zero_blocks(self, control, targets, nan):
+        state = with_zero_blocks(random_state(self.QUBITS, seed=len(targets)), self.ZERO_BLOCKS, nan)
+        expected = x_oracle(state, targets, control)
+        apply_gate(state, Gate("x" if control is None else "cx", targets, control=control))
+        assert_same_parts(state, expected)
+
+    @ZERO_CASES
+    def test_phase_skips_only_zero_blocks(self, nan):
+        theta = np.random.default_rng(18).uniform(-3.0, 3.0, self.QUBITS - 1)
+        state = with_zero_blocks(random_state(self.QUBITS, seed=18), self.ZERO_BLOCKS, nan)
+        expected = phase_oracle(state, theta)
+        apply_gate(state, Gate("phase", angles=theta))
+        np.testing.assert_allclose(state.view(np.float64), expected.view(np.float64), rtol=1e-14, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "gate", [Gate("h", (0,)), Gate("h", (17,)), Gate("s", (15,)), Gate("x", (3, 16)),
+                 Gate("cx", tuple(range(1, 18)), control=0), Gate("phase", angles=np.linspace(-1.0, 1.0, 17))],
+        ids=lambda gate: gate.kind,
+    )
+    def test_strided_state_with_zero_blocks(self, gate):
+        # a state may be a strided view of a larger array: its zero blocks are found, and skipped, all the same
+        state = with_zero_blocks(random_state(self.QUBITS + 1, seed=3)[::2], self.ZERO_BLOCKS)
+        expected = apply_gate(state.copy(), gate)
+        assert_same_parts(apply_gate(state, gate), expected)
+        assert probability_of(state, 17, 1) == probability_of(expected, 17, 1)
 
     def test_no_state_size_temporary(self):
         state = init_zero(21)  # 2^21 amplitudes: 32 MiB
@@ -420,6 +509,9 @@ class TestBlockedKernels:
                   Gate("cx", tuple(range(1, 11)), control=20), Gate("phase", angles=angles)]
         calls = [functools.partial(apply_gate, state, gate) for gate in gates]
         calls += [functools.partial(probability_of, state, 0, 1), functools.partial(probability_of, state, 20, 0)]
+        circuit = init_zero(21)  # the measurement circuit, whose state holds at most two live blocks
+        calls += [functools.partial(apply_gate, circuit, gate) for gate in build_circuit(angles)]
+        calls += [functools.partial(probability_of, circuit, 0, 1)]
         for call in calls:
             tracemalloc.start()
             try:
@@ -496,19 +588,11 @@ class TestDiagonalPhase:
 
     @pytest.mark.parametrize("register", range(19))
     def test_matches_per_angle_oracle(self, register):
-        def per_angle(amplitudes, theta):
-            """One scaling of the bit = 1 half per nonzero angle, register bit k carrying theta[k - 1]."""
-            out = amplitudes.copy()
-            for k, theta_k in enumerate(theta, start=1):
-                if theta_k != 0.0:
-                    out.reshape(-1, 2, 1 << k)[:, 1, :] *= complex(math.cos(theta_k), math.sin(theta_k))
-            return out
-
         rng = np.random.default_rng(1000 + register)
         theta = rng.uniform(-3.0, 3.0, register)
         theta[rng.random(register) < 0.25] = 0.0  # exact zeros, which the loop skipped
         state = random_state(register + 1, seed=register)
-        expected = per_angle(state, theta)
+        expected = phase_oracle(state, theta)
         apply_gate(state, Gate("phase", angles=theta))
         np.testing.assert_allclose(state, expected, rtol=1e-14, atol=1e-15)
 
