@@ -20,8 +20,10 @@ register stays entangled and the ancilla reads P(1) = 1/2 regardless of
 dphi.
 
 The statevector backend applies that circuit gate by gate to the array
-of 2^(n+1) amplitudes of |0...0>, which keeps at most two live blocks (the
-kernels skip zero blocks), and reads the ancilla off it; the branch
+of 2^(n+1) amplitudes of |0...0>, and reads the ancilla off it; it hands
+every kernel the set of blocks that may be nonzero, starting from block 0,
+which holds at most two blocks after any gate, so no kernel looks at the
+zero blocks of a large register.  The branch
 backend evaluates the sine law on dphi = sum_k |theta_k| directly and
 never builds the circuit.  On a chip with one qubit frequency that dphi
 comes from gravity.uniform_delta_phi in O(1), so the branch backend builds
@@ -145,10 +147,10 @@ def run_protocol(
     if backend == "branch":
         _, p_one = branch_engine.ancilla_probabilities(analytic)
     else:
-        state = sv.init_zero(qubit_count)
+        state, live = sv.init_zero(qubit_count), {0}
         for gate in build_circuit(theta):
-            sv.apply_gate(state, gate)
-        p_one = sv.probability_of(state, 0, 1)
+            sv.apply_gate(state, gate, live=live)
+        p_one = sv.probability_of(state, 0, 1, live=live)
 
     count_one = count_below(seed, shots, p_one)
     p_hat, delta_hat, std_error, saturated = branch_engine.estimate(count_one, shots)

@@ -121,13 +121,18 @@ def required_qubits(mean_frequency: float, spacing: float, coherence_time: float
 
 def strain_phase(n: int, mean_frequency: float, spacing: float, strain: float, t: float,
                  constants: PhysicalConstants = DEFAULT_CONSTANTS) -> float:
-    """Phase of a GHZ register raised by one strained spacing: n times |theta| of each site."""
+    """Phase of a GHZ register raised by one strained spacing: n times |theta| of each site.
+
+    A strained spacing beyond the float range raises ArithmeticError naming `spacing` and `strain`.
+    """
     n = _index(n, "n", 1)
     _positive(mean_frequency=mean_frequency, spacing=spacing)
     UniformStrain(strain)  # rejects |strain| >= 1
     _check_time(t)
-    raised = VerticalTranslation(spacing * (1.0 + strain))
-    return n * abs(_angles(raised, constants, t, 0.0, mean_frequency))
+    height = spacing * (1.0 + strain)
+    if math.isinf(height):
+        raise ArithmeticError(f"spacing * (1 + strain) = {height}: the strained spacing overflows")
+    return n * abs(_angles(VerticalTranslation(height), constants, t, 0.0, mean_frequency))
 
 
 def min_detectable_strain(n: int, mean_frequency: float, spacing: float, coherence_time: float,

@@ -18,7 +18,12 @@ and each row block is multiplied by both factor vectors.
 
 Every kernel skips a block whose amplitudes are all +0, as any gate maps
 zeros to zeros; `_zero` is exact (a NaN is live) and O(1) on a block that
-starts with a nonzero.  The protocol circuit holds at most two live blocks.
+starts with a nonzero.  A caller that knows which blocks may be nonzero
+passes them as the set `live` (block b holds amplitudes [b 2^15,
+(b + 1) 2^15)): each kernel then visits only the blocks that meet it, and
+`apply_gate` replaces its contents with the blocks the gate may have
+reached, so the protocol circuit, which starts from |0...0> in block 0 and
+holds at most two live blocks, never looks at its zero blocks.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -52,7 +57,8 @@ MAX_QUBITS = 24
 DENSITY_MAX_QUBITS = 6
 
 _SQRT1_2 = 1.0 / math.sqrt(2.0)
-_BLOCK = 1 << 15  # amplitudes per block: 512 KB of complex128, cache-sized
+_BLOCK_BITS = 15
+_BLOCK = 1 << _BLOCK_BITS  # amplitudes per block: 512 KB of complex128, cache-sized
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,11 @@ class Gate:
 
 
 def init_zero(qubit_count: int) -> np.ndarray:
-    """|0...0> on qubit_count qubits."""
+    """|0...0> on qubit_count qubits.
+
+    Its one amplitude lies in block 0, so the kernels' `live` = {0} describes it; a set that misses a nonzero
+    block gives wrong amplitudes.
+    """
     qubit_count = _index(qubit_count, "qubit_count", 1)
     if qubit_count > MAX_QUBITS:
         raise ResourceCapError(
@@ -106,29 +116,60 @@ def _check_bit(state: np.ndarray, bit: object, name: str) -> int:
     return bit
 
 
+def _check_live(state: np.ndarray, live: object) -> None:
+    """None, or a set of block numbers in [0, max(1, 2^q / _BLOCK)); TypeError or ValueError naming `live`."""
+    if live is None:
+        return
+    if not isinstance(live, set):
+        raise TypeError(f"live must be a set of block numbers or None, got {type(live).__name__}")
+    count = max(1, state.size >> _BLOCK_BITS)
+    for block in live:
+        if not 0 <= _index(block, "live block") < count:
+            raise ValueError(f"live block {block} out of range [0, {count}) for {_qubits(state)}-qubit state")
+
+
+def _reach(gate: Gate, block: int) -> set[int]:
+    """The blocks that `gate` may move amplitudes of block `block` into: X swaps, H and a control below bit 15 split."""
+    flip = block ^ (sum(1 << t for t in gate.targets) >> _BLOCK_BITS)
+    if gate.kind == "cx" and gate.control >= _BLOCK_BITS:  # the control is a bit of the block number
+        return {flip if block >> (gate.control - _BLOCK_BITS) & 1 else block}
+    if gate.kind == "x":
+        return {flip}
+    return {block, flip} if gate.kind in ("h", "cx") else {block}
+
+
 def _zero(block: np.ndarray) -> bool:
     """Whether every amplitude of `block` is +0 bit for bit; its first amplitude is read before any scan."""
     return not block.flat[0] and not block[..., None].view(np.uint64).max()  # a length-1 last axis: any strides
 
 
-def _pair_blocks(state: np.ndarray, bit: int) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+def _pair_blocks(state: np.ndarray, bit: int, live: set[int] | None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(number, bit = 0 view, bit = 1 view) of each live pair of matching blocks of at most _BLOCK amplitudes.
 
     Blocks of a (rows, 2, 2^bit) view: runs of whole rows, or column runs of
     one row wider than _BLOCK; at bit 0, 1-D stride-2 views.  All share one shape.
-    Numbered 0 .. max(1, 2^q / 2 _BLOCK) - 1 in index order; a pair that is all zero (`_zero`) is skipped.
+    Numbered 0 .. max(1, 2^q / 2 _BLOCK) - 1 in index order: below bit 15 pair k is blocks 2k and 2k + 1, from
+    bit 15 up the blocks whose numbers drop bit (bit - 15) to give k.  Only the pairs that meet `live` (None: all)
+    are visited, and one that is all zero (`_zero`) is skipped.
     """
     pairs = state.reshape(-1, 2, 1 << bit)
     width = min(1 << bit, _BLOCK)
     height = min(len(pairs), _BLOCK // width)
-    blocks = (pairs[r : r + height, :, c : c + width] if bit else pairs[r : r + height, :, 0]
-              for r in range(0, len(pairs), height) for c in range(0, 1 << bit, width))
-    for number, block in enumerate(blocks):
+    columns = (1 << bit) // width
+    split = max(bit - _BLOCK_BITS, 0)
+    if live is None:
+        numbers = range(len(pairs) // height * columns)
+    else:  # block b's pair: b with its bit `split` dropped
+        numbers = {(b >> (split + 1) << split) | (b & ((1 << split) - 1)) for b in live}
+    for number in numbers:
+        r, c = divmod(number, columns)
+        rows = slice(r * height, (r + 1) * height)
+        block = pairs[rows, :, c * width : (c + 1) * width] if bit else pairs[rows, :, 0]
         if not _zero(block):
             yield number, block[:, 0], block[:, 1]
 
 
-def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = None) -> None:
+def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None, live: set[int] | None) -> None:
     """Flip every target bit (where `control` is set): the index permutation j -> j ^ mask.
 
     The state splits into blocks of at most _BLOCK amplitudes: block b pairs
@@ -138,7 +179,7 @@ def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = 
     chunks that move, all of them or, under a control inside the block,
     those where it is set: each from the partner's chunk at the flipped
     index.  A pair swaps through two block buffers, so no temporary is of
-    the state's size, and a pair of zero blocks is left as it is.
+    the state's size, and a pair of zero blocks, or one that misses `live`, is left as it is.
     """
     mask = sum(1 << t for t in targets)
     if not mask:
@@ -161,8 +202,8 @@ def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = 
         np.take(block.reshape(-1, width), source, axis=0, out=out.reshape(-1, width), mode="wrap")
         return out
 
-    for b, block in enumerate(blocks):
-        p = b ^ pair
+    for b in range(len(blocks)) if live is None else {min(b, b ^ pair) for b in live}:
+        block, p = blocks[b], b ^ pair
         if p < b or (b & gate) != gate or _zero(block) and (p == b or _zero(blocks[p])):
             continue  # swapped from its partner, the control is clear, or the pair is zero
         first = gather(blocks[p], buffers[0])
@@ -171,13 +212,19 @@ def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None = 
         view(block)[...] = first
 
 
-def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
+def apply_gate(state: np.ndarray, gate: Gate, *, live: set[int] | None = None) -> np.ndarray:
     """Apply `gate` in place and return the state.
 
-    A malformed state or gate raises before any amplitude is touched: a
-    state `_qubits` rejects, an unknown kind, "h" or "s" without exactly
-    one target, a control on anything but "cx" or a "cx" without one,
-    targets or no angles on "phase", and repeated or out-of-range bits.
+    `live` (None: every block) is a set that holds every block number whose
+    amplitudes may be nonzero; |0...0> has its one amplitude in block 0.
+    The kernels visit only the blocks that meet it, so a set that misses a
+    nonzero block gives wrong amplitudes, while any superset gives the same
+    bits; the set's contents are then replaced by the blocks the gate may
+    have left nonzero.  A malformed state, gate or set raises before any
+    amplitude is touched: a state `_qubits` rejects, an unknown kind, "h"
+    or "s" without exactly one target, a control on anything but "cx" or a
+    "cx" without one, targets or no angles on "phase", repeated or
+    out-of-range bits, and a `live` that is not a set of block numbers.
     """
     _qubits(state)
     kind = gate.kind
@@ -198,20 +245,25 @@ def apply_gate(state: np.ndarray, gate: Gate) -> np.ndarray:
         bits += (_check_bit(state, gate.control, "control"),)
     if len(set(bits)) != len(bits):
         raise ValueError(f"{kind} gate bits must be distinct, got {bits}")
+    _check_live(state, live)
     if kind == "h":
         total = None  # one block buffer, allocated by the first add
-        for _, zero, one in _pair_blocks(state, bits[0]):
+        for _, zero, one in _pair_blocks(state, bits[0], live):
             total = np.add(zero, one, out=total)
             np.subtract(zero, one, out=one)
             one *= _SQRT1_2
             np.multiply(total, _SQRT1_2, out=zero)
     elif kind == "s":
-        for *_, one in _pair_blocks(state, bits[0]):
+        for *_, one in _pair_blocks(state, bits[0], live):
             one *= 1j
     elif kind == "phase":
-        _apply_phase(state, gate.angles)
+        _apply_phase(state, gate.angles, live)
     else:
-        _apply_x(state, gate.targets, gate.control)
+        _apply_x(state, gate.targets, gate.control, live)
+    if live is not None:
+        reached = set().union(*(_reach(gate, block) for block in live))
+        live.clear()
+        live |= reached
     return state
 
 
@@ -235,7 +287,7 @@ def _basis_phases(theta: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _apply_phase(state: np.ndarray, angles: np.ndarray) -> None:
+def _apply_phase(state: np.ndarray, angles: np.ndarray, live: set[int] | None) -> None:
     """Multiply each basis amplitude by exp(i * sum of theta_k over set register bits).
 
     Angles address register bits 1..n; the ancilla (bit 0) picks up no
@@ -243,7 +295,8 @@ def _apply_phase(state: np.ndarray, angles: np.ndarray) -> None:
     The phase factors into the low bits (the ancilla, at angle 0, and
     register bits 1..n // 2) and the high bits (the rest); each row block
     of the (high, low) matrix is multiplied by the low factor, then by its
-    high factors, each factor exp(i * _basis_phases) of its angles.
+    high factors, each factor exp(i * _basis_phases) of its angles.  Row
+    block b is block b of the state, and only those in `live` are visited.
     """
     qubits = _qubits(state)
     theta = _finite_angles(angles)
@@ -253,24 +306,29 @@ def _apply_phase(state: np.ndarray, angles: np.ndarray) -> None:
     matrix = state.reshape(1 << (theta.size - low), 2 << low)
     low_factor = np.exp(1j * _basis_phases(np.concatenate(([0.0], theta[:low]))))  # bit 0, the ancilla: angle 0
     high_factor = np.exp(1j * _basis_phases(theta[low:]))[:, None]
-    blocks = max(1, matrix.size // _BLOCK)  # row blocks of at most _BLOCK amplitudes
-    for block, high in zip(np.split(matrix, blocks), np.split(high_factor, blocks)):
+    height = len(matrix) // max(1, matrix.size >> _BLOCK_BITS)  # rows per block of at most _BLOCK amplitudes
+    for b in range(len(matrix) // height) if live is None else live:
+        block = matrix[b * height : (b + 1) * height]
         if not _zero(block):
             block *= low_factor
-            block *= high
+            block *= high_factor[b * height : (b + 1) * height]
 
 
-def probability_of(state: np.ndarray, site: int, bit: int) -> float:
+def probability_of(state: np.ndarray, site: int, bit: int, *, live: set[int] | None = None) -> float:
     """Exact marginal probability that measuring `site` yields `bit`; a site off the state raises IndexError.
 
     Block sums of |amp|^2 over the `bit` half, added as a balanced tree; numpy's
     pairwise sum halves 2^k terms exactly, so this is np.sum of the half bit for bit.
+    `live` is `apply_gate`'s set of the blocks that may be nonzero (None: all;
+    |0...0> has its one amplitude in block 0), read and left as it is: a set
+    that misses a nonzero block gives a wrong probability, any superset the same bits.
     """
     site = _check_bit(state, site, "site")
     if _index(bit, "bit") not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+    _check_live(state, live)
     square, tree = None, np.zeros(max(1, state.size // (2 * _BLOCK)))  # a skipped block's leaf stays 0.0
-    for number, *halves in _pair_blocks(state, site):
+    for number, *halves in _pair_blocks(state, site, live):
         square = np.abs(halves[bit], out=square)
         np.square(square, out=square)
         tree[number] = square.sum()

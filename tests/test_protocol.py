@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qredshift import gravity, protocol, rng
+from qredshift import gravity, protocol, rng, statevector
 from qredshift.branch import ancilla_probabilities, standard_pea_probabilities
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
@@ -293,6 +293,31 @@ class TestRunProtocol:
         for gate in build_circuit(theta):
             apply_gate(state, gate)
             assert np.count_nonzero(state) <= 2
+
+    def test_run_carries_its_live_blocks(self, monkeypatch):
+        # the set run_protocol hands the dense kernels: after every gate it holds each block with a nonzero
+        # amplitude and at most two of the 64 blocks, and the readout gets it too; each call visits at most
+        # two block pairs, so at most four zero tests (the parent's full scans made 382)
+        calls, zero_tests = [], []
+
+        def recorded(function):
+            def call(state, *args, live=None):
+                result = function(state, *args, live=live)
+                nonzero = set((np.flatnonzero(state) >> 15).tolist())
+                calls.append((function.__name__, None if live is None else set(live), nonzero))
+                return result
+            return call
+
+        monkeypatch.setattr(protocol.sv, "apply_gate", recorded(apply_gate))
+        monkeypatch.setattr(protocol.sv, "probability_of", recorded(probability_of))
+        monkeypatch.setattr(statevector, "_zero", lambda block, _zero=statevector._zero: zero_tests.append(1) or
+                            _zero(block))
+        sc = GravScenario(line_chip(20, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
+        run_protocol(sc, 1.0, 10, seed=1, backend="statevector")
+        assert [name for name, *_ in calls] == ["apply_gate"] * 7 + ["probability_of"]
+        for name, live, nonzero in calls:
+            assert live is not None and nonzero <= live and len(live) <= 2, (name, live, nonzero)
+        assert len(zero_tests) <= 4 * len(calls)
 
     def test_shot_sequences_identical_across_backends(self):
         sc = ghz_scenario(0.4, n=6)

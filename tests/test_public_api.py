@@ -94,6 +94,7 @@ STRAIN = Kind("real in (-1, 1)", lambda v: isinstance(v, Real) and abs(v) < 1)
 CHOICE = Kind("one of fixed strings", lambda v: False)  # no odd value below is one of them
 REAL = Kind("any real", lambda v: isinstance(v, Real), checked=False)
 ARRAY = Kind("array", lambda v: isinstance(v, Real), checked=False)  # fed as a one-element float array
+LIVE = Kind("set of block numbers or None", lambda v: v is None)  # no odd value below but None is a set
 OBJECT = None  # a scenario, perturbation, constants, state, gate or density matrix: not fed numbers
 
 ODD = (0, -1, 2**70, 2**258, 1.5, math.inf, -math.inf, math.nan, True, np.int64(3), np.float64(2.0), None)
@@ -138,8 +139,10 @@ CONTRACT = {
                               "spacing": (POSITIVE, 1e-3), "coherence_time": (POSITIVE, 1e-3),
                               "phase_resolution": (POSITIVE, 0.1), "constants": (OBJECT, qredshift.DEFAULT_CONSTANTS)},
     "init_zero": {"qubit_count": (integer(1), 2)},
-    "apply_gate": {"state": (OBJECT, qredshift.init_zero(2)), "gate": (OBJECT, qredshift.Gate("h", (0,)))},
-    "probability_of": {"state": (OBJECT, qredshift.init_zero(2)), "site": (integer(0), 0), "bit": (integer(0, 1), 1)},
+    "apply_gate": {"state": (OBJECT, qredshift.init_zero(2)), "gate": (OBJECT, qredshift.Gate("h", (0,))),
+                   "live": (LIVE, None)},
+    "probability_of": {"state": (OBJECT, qredshift.init_zero(2)), "site": (integer(0), 0), "bit": (integer(0, 1), 1),
+                       "live": (LIVE, None)},
     "apply_channel": {"rho": (OBJECT, np.eye(2, dtype=complex) / 2), "angles": (ARRAY, [0.1])},
     # a zero threshold counts no shot, so a huge count costs nothing; a count may run to the stream's end, word 2^128
     "count_below": {"seed": (integer(0, 128), 1),

@@ -161,6 +161,12 @@ class TestStrain:
         with pytest.raises(ValueError, match="strain"):
             strain_phase(1000, OMEGA_10GHZ, 1e-3, 1.0, 1e-3)
 
+    def test_strained_spacing_overflow_names_its_inputs(self):
+        # 1e308 * 1.9 leaves the float range: the error names the arguments, not the translation built from them
+        with pytest.raises(ArithmeticError, match=r"^spacing \* \(1 \+ strain\) = inf: the strained spacing overflows"):
+            strain_phase(10, OMEGA_10GHZ, 1e308, 0.9, 1e-3)
+        assert math.isfinite(strain_phase(10, OMEGA_10GHZ, 1e308, -0.9, 1e-3))
+
     def test_min_detectable_reference(self):
         result = min_detectable_strain(1000, OMEGA_10GHZ, 1e-3, 1e-3)
         assert result["min_strain"] == pytest.approx(14586156.263903009, rel=1e-12)

@@ -522,6 +522,111 @@ class TestBlockedKernels:
             assert peak <= 2 << 20, f"{call.func.__name__}{call.args[1:]} allocated {peak} bytes"
 
 
+def live_circuit(qubits: int, seed: int, length: int = 15) -> list[Gate]:
+    """Every gate kind in turn from a random start, bits drawn alternately below and from bit 15 up when the
+    register has both; cx controls likewise, and a third of the phase angles exactly 0."""
+    rng = np.random.default_rng(seed)
+    pools = [range(min(qubits, 15)), range(15, qubits)] if qubits > 15 else [range(qubits)]
+    kinds = ("h", "s", "x", "cx", "phase")
+    gates = []
+    for i in range(length):
+        kind, pool = kinds[(i + seed) % 5], pools[i % len(pools)]
+        if kind == "phase":
+            angles = rng.uniform(-3.0, 3.0, qubits - 1)
+            gates.append(Gate("phase", angles=np.where(rng.random(qubits - 1) < 1 / 3, 0.0, angles)))
+        elif kind == "cx" and qubits > 1:
+            control = int(rng.choice(pool))
+            gates.append(Gate("cx", tuple(random_subset(rng, set(range(qubits)) - {control})), control=control))
+        elif kind == "x":
+            gates.append(Gate("x", tuple(random_subset(rng, range(qubits)))))
+        elif kind != "cx":
+            gates.append(Gate(kind, (int(rng.choice(pool)),)))
+    return gates
+
+
+class TestLiveBlocks:
+    """`live`: the kernels visit only the blocks in the set, and `apply_gate` moves it along with the amplitudes."""
+
+    @staticmethod
+    def run_both(qubits: int, gates: list[Gate]) -> None:
+        full, fast, live = init_zero(qubits), init_zero(qubits), {0}
+        for gate in gates:
+            apply_gate(full, gate)
+            apply_gate(fast, gate, live=live)
+            assert fast.tobytes() == full.tobytes(), gate
+        for site in {0, qubits - 1}:
+            assert probability_of(fast, site, 1, live=live).hex() == probability_of(full, site, 1).hex()
+
+    @pytest.mark.parametrize("qubits", range(1, 20))
+    def test_random_circuits_give_the_same_bits(self, qubits):
+        for seed in range(3):
+            self.run_both(qubits, live_circuit(qubits, seed))
+
+    @pytest.mark.parametrize("register", [14, 17, 20])
+    def test_protocol_circuits_give_the_same_bits(self, register):
+        theta = np.random.default_rng(register).uniform(-1e-3, 1e-3, register)
+        theta[::5] = 0.0
+        self.run_both(register + 1, build_circuit(theta))
+
+    @pytest.mark.parametrize(
+        "gate, live, after",
+        [
+            (Gate("h", (3,)), {0, 5}, {0, 5}),  # bits below 15 stay inside their block
+            (Gate("h", (16,)), {0, 5}, {0, 2, 5, 7}),  # bit 16 is bit 1 of the block number: a pair splits
+            (Gate("s", (17,)), {1, 4}, {1, 4}),
+            (Gate("phase", angles=np.ones(17)), {3}, {3}),
+            (Gate("x", (2, 15, 17)), {0, 6}, {5, 3}),  # a whole block moves to block b ^ 0b101
+            (Gate("cx", (15,), control=3), {0}, {0, 1}),  # a control inside the block moves part of it
+            (Gate("cx", (15, 1), control=16), {0, 2, 6}, {0, 3, 7}),  # a control in the block number moves all or none
+        ],
+        ids=lambda value: value.kind if isinstance(value, Gate) else str(sorted(value)),
+    )
+    def test_apply_gate_moves_the_set_with_the_amplitudes(self, gate, live, after):
+        state = np.zeros(2**18, dtype=np.complex128)
+        state.reshape(-1, 2**15)[sorted(live), 7] = 0.5
+        apply_gate(state, gate, live=live)
+        assert live == after
+        assert set(np.flatnonzero(state) >> 15) <= after
+
+    def test_a_superset_reads_the_same_bits(self):
+        state = random_state(18, seed=11)
+        state.reshape(-1, 2**15)[[1, 2, 6]] = 0.0
+        for site in (0, 15, 17):
+            assert probability_of(state, site, 0, live={0, 3, 4, 5, 7, 1}) == probability_of(state, site, 0)
+
+    @pytest.mark.parametrize(
+        "live, error, match",
+        [
+            ([0], TypeError, "^live must be a set of block numbers or None, got list$"),
+            (frozenset({0}), TypeError, "^live must be a set of block numbers or None, got frozenset$"),
+            ({0: 1}, TypeError, "^live must be a set of block numbers or None, got dict$"),
+            (0, TypeError, "^live must be a set of block numbers or None, got int$"),
+            ({0, 1.0}, TypeError, "^live block must be an integer, got 1.0$"),
+            ({-1}, ValueError, r"^live block -1 out of range \[0, 8\) for 18-qubit state$"),
+            ({0, 8}, ValueError, r"^live block 8 out of range \[0, 8\) for 18-qubit state$"),
+        ],
+    )
+    def test_bad_set_rejected_before_any_amplitude(self, live, error, match):
+        state = random_state(18, seed=4)
+        before = state.copy()
+        gates = (Gate("h", (0,)), Gate("s", (16,)), Gate("x", (17,)), Gate("cx", (15,), control=0),
+                 Gate("phase", angles=np.ones(17)))
+        for call in [functools.partial(apply_gate, state, gate) for gate in gates] + [
+                functools.partial(probability_of, state, 17, 1)]:
+            with pytest.raises(error, match=match):
+                call(live=live)
+        np.testing.assert_array_equal(state, before)
+
+    @pytest.mark.parametrize("qubits, count", [(1, 1), (15, 1), (16, 2)])
+    def test_small_states_have_block_0(self, qubits, count):
+        state, live = init_zero(qubits), {0}
+        apply_gate(state, Gate("h", (qubits - 1,)), live=live)
+        assert probability_of(state, qubits - 1, 1, live=live) == pytest.approx(0.5)
+        assert live == set(range(count))
+        with pytest.raises(ValueError, match=rf"^live block {count} out of range"):
+            apply_gate(state, Gate("h", (0,)), live={count})
+
+
 @pytest.mark.parametrize("log_size", range(15, 21))
 def test_numpy_sum_is_the_balanced_tree_of_block_sums(log_size):
     """The numpy contract `probability_of` relies on: a power-of-two sum splits exactly in half down to a block."""

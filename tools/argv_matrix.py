@@ -244,6 +244,7 @@ def commands() -> list[list[str]]:
         [R, "gravimeter", "--tc", "1e300", "--n", "1e300"],
         # counts beyond 2^53 echo as floats
         [R, "strain", "--strain", "1e-3", "--n", "1e300"],
+        [R, "strain", "--ell", "1e308", "--strain", "0.9"],  # the strained spacing overflows
         [R, "--out", "json", "gravimeter", "--n", "1e30"],
         ["required-qubits", "--tc", "1e-320"],
         ["frobnicate"],
