@@ -129,6 +129,7 @@ class ChipGeometry:
         if self.layout == "grid" and isqrt(self.qubit_count) ** 2 != self.qubit_count:
             raise ValueError(f"grid layout needs a perfect-square qubit count, got {self.qubit_count}")
         _positive(spacing=self.spacing)
+        _finite(orientation=self.orientation)
         freq = float(self.frequency) if isinstance(self.frequency, _REAL) else self.frequency
         if not isinstance(freq, float):  # one frequency per site
             _check_sites(self.qubit_count)

@@ -16,14 +16,13 @@ one gather per block takes the amplitudes that move from its partner.
 The dephasing phase e^{i phi_j} factors over the low and high index bits,
 and each row block is multiplied by both factor vectors.
 
-Every kernel skips a block whose amplitudes are all +0, as any gate maps
-zeros to zeros; `_zero` is exact (a NaN is live) and O(1) on a block that
-starts with a nonzero.  A caller that knows which blocks may be nonzero
-passes them as the set `live` (block b holds amplitudes [b 2^15,
-(b + 1) 2^15)): each kernel then visits only the blocks that meet it, and
-`apply_gate` replaces its contents with the blocks the gate may have
-reached, so the protocol circuit, which starts from |0...0> in block 0 and
-holds at most two live blocks, never looks at its zero blocks.
+A caller that knows which blocks may be nonzero passes them as the set
+`live` (block b holds amplitudes [b 2^15, (b + 1) 2^15)): each kernel
+visits only the blocks that meet it, and `apply_gate` replaces its
+contents with the blocks the gate may have reached, so the protocol
+circuit, which starts from |0...0> in block 0 and holds at most two live
+blocks, never looks at its zero blocks.  Without a set every block is
+visited.
 
 The gravitational channel has a single unitary Kraus operator
 Sigma = (x) diag(1, e^{i theta_k}), so pure states stay pure and the
@@ -116,16 +115,17 @@ def _check_bit(state: np.ndarray, bit: object, name: str) -> int:
     return bit
 
 
-def _check_live(state: np.ndarray, live: object) -> None:
-    """None, or a set of block numbers in [0, max(1, 2^q / _BLOCK)); TypeError or ValueError naming `live`."""
+def _check_live(state: np.ndarray, live: object) -> set[int]:
+    """`live`, a set of block numbers in [0, max(1, 2^q / _BLOCK)), or None: all; TypeError or ValueError naming it."""
+    count = max(1, state.size >> _BLOCK_BITS)
     if live is None:
-        return
+        return set(range(count))
     if not isinstance(live, set):
         raise TypeError(f"live must be a set of block numbers or None, got {type(live).__name__}")
-    count = max(1, state.size >> _BLOCK_BITS)
     for block in live:
         if not 0 <= _index(block, "live block") < count:
             raise ValueError(f"live block {block} out of range [0, {count}) for {_qubits(state)}-qubit state")
+    return live
 
 
 def _reach(gate: Gate, block: int) -> set[int]:
@@ -138,38 +138,27 @@ def _reach(gate: Gate, block: int) -> set[int]:
     return {block, flip} if gate.kind in ("h", "cx") else {block}
 
 
-def _zero(block: np.ndarray) -> bool:
-    """Whether every amplitude of `block` is +0 bit for bit; its first amplitude is read before any scan."""
-    return not block.flat[0] and not block[..., None].view(np.uint64).max()  # a length-1 last axis: any strides
-
-
-def _pair_blocks(state: np.ndarray, bit: int, live: set[int] | None) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(number, bit = 0 view, bit = 1 view) of each live pair of matching blocks of at most _BLOCK amplitudes.
+def _pair_blocks(state: np.ndarray, bit: int, live: set[int]) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(number, bit = 0 view, bit = 1 view) of each pair of matching blocks of at most _BLOCK amplitudes in `live`.
 
     Blocks of a (rows, 2, 2^bit) view: runs of whole rows, or column runs of
     one row wider than _BLOCK; at bit 0, 1-D stride-2 views.  All share one shape.
     Numbered 0 .. max(1, 2^q / 2 _BLOCK) - 1 in index order: below bit 15 pair k is blocks 2k and 2k + 1, from
-    bit 15 up the blocks whose numbers drop bit (bit - 15) to give k.  Only the pairs that meet `live` (None: all)
-    are visited, and one that is all zero (`_zero`) is skipped.
+    bit 15 up the blocks whose numbers drop bit (bit - 15) to give k.
     """
     pairs = state.reshape(-1, 2, 1 << bit)
     width = min(1 << bit, _BLOCK)
     height = min(len(pairs), _BLOCK // width)
     columns = (1 << bit) // width
     split = max(bit - _BLOCK_BITS, 0)
-    if live is None:
-        numbers = range(len(pairs) // height * columns)
-    else:  # block b's pair: b with its bit `split` dropped
-        numbers = {(b >> (split + 1) << split) | (b & ((1 << split) - 1)) for b in live}
-    for number in numbers:
+    for number in {(b >> (split + 1) << split) | (b & ((1 << split) - 1)) for b in live}:  # b's bit `split` dropped
         r, c = divmod(number, columns)
         rows = slice(r * height, (r + 1) * height)
         block = pairs[rows, :, c * width : (c + 1) * width] if bit else pairs[rows, :, 0]
-        if not _zero(block):
-            yield number, block[:, 0], block[:, 1]
+        yield number, block[:, 0], block[:, 1]
 
 
-def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None, live: set[int] | None) -> None:
+def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None, live: set[int]) -> None:
     """Flip every target bit (where `control` is set): the index permutation j -> j ^ mask.
 
     The state splits into blocks of at most _BLOCK amplitudes: block b pairs
@@ -179,7 +168,7 @@ def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None, l
     chunks that move, all of them or, under a control inside the block,
     those where it is set: each from the partner's chunk at the flipped
     index.  A pair swaps through two block buffers, so no temporary is of
-    the state's size, and a pair of zero blocks, or one that misses `live`, is left as it is.
+    the state's size, and a pair that misses `live` is left as it is.
     """
     mask = sum(1 << t for t in targets)
     if not mask:
@@ -202,10 +191,8 @@ def _apply_x(state: np.ndarray, targets: tuple[int, ...], control: int | None, l
         np.take(block.reshape(-1, width), source, axis=0, out=out.reshape(-1, width), mode="wrap")
         return out
 
-    for b in range(len(blocks)) if live is None else {min(b, b ^ pair) for b in live}:
+    for b in {min(b, b ^ pair) for b in live if (b & gate) == gate}:  # the control is set; no target is its bit
         block, p = blocks[b], b ^ pair
-        if p < b or (b & gate) != gate or _zero(block) and (p == b or _zero(blocks[p])):
-            continue  # swapped from its partner, the control is clear, or the pair is zero
         first = gather(blocks[p], buffers[0])
         if p != b:
             view(blocks[p])[...] = gather(block, buffers[1])
@@ -219,8 +206,9 @@ def apply_gate(state: np.ndarray, gate: Gate, *, live: set[int] | None = None) -
     amplitudes may be nonzero; |0...0> has its one amplitude in block 0.
     The kernels visit only the blocks that meet it, so a set that misses a
     nonzero block gives wrong amplitudes, while any superset gives the same
-    bits; the set's contents are then replaced by the blocks the gate may
-    have left nonzero.  A malformed state, gate or set raises before any
+    amplitudes up to the sign of a zero (a visited zero may turn -0); the
+    set's contents are then replaced by the blocks the gate may have left
+    nonzero.  A malformed state, gate or set raises before any
     amplitude is touched: a state `_qubits` rejects, an unknown kind, "h"
     or "s" without exactly one target, a control on anything but "cx" or a
     "cx" without one, targets or no angles on "phase", repeated or
@@ -245,21 +233,21 @@ def apply_gate(state: np.ndarray, gate: Gate, *, live: set[int] | None = None) -
         bits += (_check_bit(state, gate.control, "control"),)
     if len(set(bits)) != len(bits):
         raise ValueError(f"{kind} gate bits must be distinct, got {bits}")
-    _check_live(state, live)
+    blocks = _check_live(state, live)
     if kind == "h":
         total = None  # one block buffer, allocated by the first add
-        for _, zero, one in _pair_blocks(state, bits[0], live):
+        for _, zero, one in _pair_blocks(state, bits[0], blocks):
             total = np.add(zero, one, out=total)
             np.subtract(zero, one, out=one)
             one *= _SQRT1_2
             np.multiply(total, _SQRT1_2, out=zero)
     elif kind == "s":
-        for *_, one in _pair_blocks(state, bits[0], live):
+        for *_, one in _pair_blocks(state, bits[0], blocks):
             one *= 1j
     elif kind == "phase":
-        _apply_phase(state, gate.angles, live)
+        _apply_phase(state, gate.angles, blocks)
     else:
-        _apply_x(state, gate.targets, gate.control, live)
+        _apply_x(state, gate.targets, gate.control, blocks)
     if live is not None:
         reached = set().union(*(_reach(gate, block) for block in live))
         live.clear()
@@ -269,6 +257,8 @@ def apply_gate(state: np.ndarray, gate: Gate, *, live: set[int] | None = None) -
 
 def _finite_angles(angles: np.ndarray | Sequence[float]) -> np.ndarray:
     theta = np.asarray(angles, dtype=float)
+    if theta.ndim != 1:
+        raise ValueError(f"angles must be 1-D, got shape {theta.shape}")
     if not np.all(np.isfinite(theta)):
         raise ValueError("dephasing angles must be finite")
     return theta
@@ -287,7 +277,7 @@ def _basis_phases(theta: np.ndarray) -> np.ndarray:
     return phases
 
 
-def _apply_phase(state: np.ndarray, angles: np.ndarray, live: set[int] | None) -> None:
+def _apply_phase(state: np.ndarray, angles: np.ndarray, live: set[int]) -> None:
     """Multiply each basis amplitude by exp(i * sum of theta_k over set register bits).
 
     Angles address register bits 1..n; the ancilla (bit 0) picks up no
@@ -307,11 +297,10 @@ def _apply_phase(state: np.ndarray, angles: np.ndarray, live: set[int] | None) -
     low_factor = np.exp(1j * _basis_phases(np.concatenate(([0.0], theta[:low]))))  # bit 0, the ancilla: angle 0
     high_factor = np.exp(1j * _basis_phases(theta[low:]))[:, None]
     height = len(matrix) // max(1, matrix.size >> _BLOCK_BITS)  # rows per block of at most _BLOCK amplitudes
-    for b in range(len(matrix) // height) if live is None else live:
+    for b in live:
         block = matrix[b * height : (b + 1) * height]
-        if not _zero(block):
-            block *= low_factor
-            block *= high_factor[b * height : (b + 1) * height]
+        block *= low_factor
+        block *= high_factor[b * height : (b + 1) * height]
 
 
 def probability_of(state: np.ndarray, site: int, bit: int, *, live: set[int] | None = None) -> float:
@@ -319,16 +308,16 @@ def probability_of(state: np.ndarray, site: int, bit: int, *, live: set[int] | N
 
     Block sums of |amp|^2 over the `bit` half, added as a balanced tree; numpy's
     pairwise sum halves 2^k terms exactly, so this is np.sum of the half bit for bit.
-    `live` is `apply_gate`'s set of the blocks that may be nonzero (None: all;
-    |0...0> has its one amplitude in block 0), read and left as it is: a set
-    that misses a nonzero block gives a wrong probability, any superset the same bits.
+    `live` is `apply_gate`'s set of the blocks that may be nonzero (None: all), read and left as it is: a set that
+    misses a nonzero block gives a wrong probability, any superset the same bits (|-0|^2 = +0, and a visited zero
+    block's leaf is the 0.0 of an unvisited one).
     """
     site = _check_bit(state, site, "site")
     if _index(bit, "bit") not in (0, 1):
         raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-    _check_live(state, live)
-    square, tree = None, np.zeros(max(1, state.size // (2 * _BLOCK)))  # a skipped block's leaf stays 0.0
-    for number, *halves in _pair_blocks(state, site, live):
+    blocks = _check_live(state, live)
+    square, tree = None, np.zeros(max(1, state.size // (2 * _BLOCK)))  # an unvisited block's leaf stays 0.0
+    for number, *halves in _pair_blocks(state, site, blocks):
         square = np.abs(halves[bit], out=square)
         np.square(square, out=square)
         tree[number] = square.sum()
@@ -346,12 +335,12 @@ def apply_channel(rho: np.ndarray, angles: np.ndarray | Sequence[float]) -> np.n
     One angle per qubit (bit k of the basis index carries theta[k]), so rho
     is 2^n x 2^n for n angles.  Diagonal entries are preserved exactly;
     coherences pick up unit-modulus factors e^{i(phi_j - phi_l)}.  Rejects a
-    non-finite angle and a rho of any other shape.
+    non-finite angle, angles that are not 1-D and a rho of any other shape.
     """
-    n = np.size(angles)
+    theta = _finite_angles(angles)
+    n = theta.size
     if n > DENSITY_MAX_QUBITS:
         raise ResourceCapError(f"{n} qubits exceeds the density-matrix cap of {DENSITY_MAX_QUBITS}")
-    theta = _finite_angles(angles)
     shape = (1 << n, 1 << n)
     if np.shape(rho) != shape:
         raise ValueError(f"expected a density matrix of shape {shape} for {n} angles, got shape {np.shape(rho)}")

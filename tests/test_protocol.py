@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from qredshift import gravity, protocol, rng, statevector
+from qredshift import gravity, protocol, rng
 from qredshift.branch import ancilla_probabilities, standard_pea_probabilities
 from qredshift.constants import DEFAULT_CONSTANTS
 from qredshift.gravity import (
@@ -30,7 +30,7 @@ from qredshift.protocol import (
     run_protocol,
 )
 from qredshift.sensing import closed_form_phase
-from qredshift.statevector import apply_gate, init_zero, probability_of
+from qredshift.statevector import Gate, apply_gate, init_zero, probability_of
 
 OMEGA_10GHZ = 2.0 * math.pi * 10e9
 C2 = DEFAULT_CONSTANTS.c_squared
@@ -286,7 +286,7 @@ class TestRunProtocol:
         assert (out.p_one.hex(), out.count_one) == (p_one, count_one)
 
     def test_circuit_state_holds_at_most_two_live_blocks(self):
-        # what the dense kernels' zero-block skip relies on: every state of the circuit has at most two
+        # what the dense run's `live` set relies on: every state of the circuit has at most two
         # nonzero amplitudes, so at most two blocks of 2^15 amplitudes are not all zero
         theta = dephasing_angles(GravScenario(line_chip(20, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2)), 1.0)
         state = init_zero(21)
@@ -296,28 +296,38 @@ class TestRunProtocol:
 
     def test_run_carries_its_live_blocks(self, monkeypatch):
         # the set run_protocol hands the dense kernels: after every gate it holds each block with a nonzero
-        # amplitude and at most two of the 64 blocks, and the readout gets it too; each call visits at most
-        # two block pairs, so at most four zero tests (the parent's full scans made 382)
-        calls, zero_tests = [], []
+        # amplitude and at most two of the 64 blocks, and the readout gets it too.  A kernel visits the block
+        # pairs that meet the set: each block with its partner across the gate's bits from 15 up (X, CX), or
+        # across the bit (H, S, the readout; below bit 15 a pair is blocks 2k and 2k + 1).  Every other block
+        # is filled with NaN before the call and must hold the same bits after it: neither read nor written
+        calls = []
 
         def recorded(function):
             def call(state, *args, live=None):
+                gate = args[0] if function is apply_gate else Gate("h", (args[0],))  # the readout pairs as H
+                high = sum(1 << bit for bit in gate.targets) >> 15
+                flip = {"phase": 0, "x": high, "cx": high}.get(gate.kind, max(1, high))
+                blocks = state.reshape(-1, 2**15)
+                outside = sorted(set(range(len(blocks))) - {b ^ f for b in live for f in (0, flip)})
+                blocks[outside] = math.nan
+                filled = blocks[outside].tobytes()
+                before = set(live)
                 result = function(state, *args, live=live)
+                assert blocks[outside].tobytes() == filled, (function.__name__, gate, before)
+                blocks[outside] = 0.0
                 nonzero = set((np.flatnonzero(state) >> 15).tolist())
-                calls.append((function.__name__, None if live is None else set(live), nonzero))
+                calls.append((function.__name__, before, set(live), nonzero))
                 return result
             return call
 
         monkeypatch.setattr(protocol.sv, "apply_gate", recorded(apply_gate))
         monkeypatch.setattr(protocol.sv, "probability_of", recorded(probability_of))
-        monkeypatch.setattr(statevector, "_zero", lambda block, _zero=statevector._zero: zero_tests.append(1) or
-                            _zero(block))
         sc = GravScenario(line_chip(20, 1e-3, OMEGA_10GHZ), VerticalRotation(math.pi / 2))
-        run_protocol(sc, 1.0, 10, seed=1, backend="statevector")
+        dense = run_protocol(sc, 1.0, 10, seed=1, backend="statevector")
         assert [name for name, *_ in calls] == ["apply_gate"] * 7 + ["probability_of"]
-        for name, live, nonzero in calls:
-            assert live is not None and nonzero <= live and len(live) <= 2, (name, live, nonzero)
-        assert len(zero_tests) <= 4 * len(calls)
+        for name, before, live, nonzero in calls:
+            assert len(before) <= 2 and nonzero <= live and len(live) <= 2, (name, before, live, nonzero)
+        assert dense.p_one == run_protocol(sc, 1.0, 10, seed=1, backend="branch").p_one
 
     def test_shot_sequences_identical_across_backends(self):
         sc = ghz_scenario(0.4, n=6)

@@ -111,9 +111,9 @@ CONTRACT = {
     "dephasing_angles": {"scenario": (OBJECT, SCENARIO), "t": (TIME, 1e-3)},
     "uniform_delta_phi": {"scenario": (OBJECT, SCENARIO), "t": (TIME, 1e-3)},
     "line_chip": {"n": (integer(1), 4), "spacing": (POSITIVE, 1e-3), "frequency": (POSITIVE, OMEGA),
-                  "orientation": (REAL, 0.0)},  # carried, read by no computation
+                  "orientation": (FINITE, 0.0)},  # carried, read by no computation
     "grid_chip": {"n": (integer(1), 4), "spacing": (POSITIVE, 1e-3), "frequency": (POSITIVE, OMEGA),
-                  "orientation": (REAL, 0.0)},
+                  "orientation": (FINITE, 0.0)},
     "potential_change": {"perturbation": (OBJECT, qredshift.VerticalRotation(0.1)), "coordinates": (REAL, 0.5),
                          "constants": (OBJECT, qredshift.DEFAULT_CONSTANTS)},
     "universal_rate": {"engineering_factor": (POSITIVE, 1.0), "constants": (OBJECT, qredshift.DEFAULT_CONSTANTS)},
@@ -153,7 +153,7 @@ CONTRACT = {
     "substream_seed": {"seed": (integer(0, 128), 1), "index": (integer(0, 64), 2)},
     # constructors: ChipGeometry's `orientation` is carried, read by no computation
     "ChipGeometry": {"layout": (CHOICE, "line"), "qubit_count": (integer(1), 4), "spacing": (POSITIVE, 1e-3),
-                     "orientation": (REAL, 0.0), "frequency": (POSITIVE, OMEGA)},
+                     "orientation": (FINITE, 0.0), "frequency": (POSITIVE, OMEGA)},
     "PhysicalConstants": {name: (POSITIVE, getattr(qredshift.DEFAULT_CONSTANTS, name))
                           for name in qredshift.constants.CONSTANT_NAMES},
     "VerticalRotation": {"angle": (FINITE, 0.1)},

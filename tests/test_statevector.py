@@ -455,7 +455,7 @@ class TestBlockedKernels:
             assert_same_parts(state, oracle(start, bit))
         for half in (0, 1):
             np.testing.assert_equal(probability_of(start, bit, half), half_probability(start, bit, half))
-        if nan is not None:  # the readout of the half holding the NaN reads it, not a skipped block's 0.0
+        if nan is not None:  # the readout of the half holding the NaN reads it, not a zero block's 0.0
             assert math.isnan(probability_of(start, bit, nan >> bit & 1))
 
     @ZERO_CASES
@@ -493,7 +493,7 @@ class TestBlockedKernels:
         ids=lambda gate: gate.kind,
     )
     def test_strided_state_with_zero_blocks(self, gate):
-        # a state may be a strided view of a larger array: its zero blocks are found, and skipped, all the same
+        # a state may be a strided view of a larger array: its blocks, zero or not, are walked all the same
         state = with_zero_blocks(random_state(self.QUBITS + 1, seed=3)[::2], self.ZERO_BLOCKS)
         expected = apply_gate(state.copy(), gate)
         assert_same_parts(apply_gate(state, gate), expected)
@@ -545,7 +545,7 @@ def live_circuit(qubits: int, seed: int, length: int = 15) -> list[Gate]:
 
 
 class TestLiveBlocks:
-    """`live`: the kernels visit only the blocks in the set, and `apply_gate` moves it along with the amplitudes."""
+    """`live`: the kernels visit only the block pairs that meet the set, and `apply_gate` moves it with the amplitudes."""
 
     @staticmethod
     def run_both(qubits: int, gates: list[Gate]) -> None:
@@ -553,7 +553,7 @@ class TestLiveBlocks:
         for gate in gates:
             apply_gate(full, gate)
             apply_gate(fast, gate, live=live)
-            assert fast.tobytes() == full.tobytes(), gate
+            assert (fast + 0.0).tobytes() == (full + 0.0).tobytes(), gate  # + 0.0: a visited zero may be -0
         for site in {0, qubits - 1}:
             assert probability_of(fast, site, 1, live=live).hex() == probability_of(full, site, 1).hex()
 
@@ -782,6 +782,9 @@ class TestChannel:
                          id="1x1-two-angles"),
             pytest.param(np.eye(4) / 4, [0.1], r"\(2, 2\) for 1 angles, got shape \(4, 4\)$",
                          id="4x4-one-angle"),
+            pytest.param(np.eye(2) / 2, 0.1, r"^angles must be 1-D, got shape \(\)$", id="scalar-angle"),
+            pytest.param(np.eye(4) / 4, [[0.1, 0.2]], r"^angles must be 1-D, got shape \(1, 2\)$",
+                         id="2-d-angles"),
         ],
     )
     def test_shape_mismatch_names_both_shapes(self, rho, angles, shapes):
